@@ -1,13 +1,17 @@
 """Exact rational scalars, dense polynomials, and weighted integrals on [-1, 1].
 
 The scalar field is ``fractions.Fraction``; every operation in this module is
-exact.  The central integral is
+exact.  Polynomial arithmetic runs on an integer form, integer coefficients
+over one common denominator: a product is a single bigint multiplication by
+Kronecker substitution, and sums, scalings and derivatives are integer loops.
+The central integral is
 
     integrate_weighted(p, m) = integral of p(x) * (1 - x^2)^m over [-1, 1]
 
-for integer m >= -1.  The m = -1 case is only defined when (1 - x^2) divides p,
-which is exactly membership of the polynomial in the weighted L^2 space with
-weight (1 - x^2)^(-1).
+for integer m >= -1, a dot product of p's integer form with a cached vector
+of the moments of (1 - x^2)^m.  The m = -1 case is only defined when
+(1 - x^2) divides p, which is exactly membership of the polynomial in the
+weighted L^2 space with weight (1 - x^2)^(-1).
 
 Square roots of rationals enter through normalization constants; they are kept
 closed under multiplication by the ``Surd`` type (a rational coefficient times
@@ -21,8 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Union
+from functools import cached_property
+from math import factorial, gcd, isqrt, lcm, prod
+from operator import mul
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "NotDivisible",
@@ -37,6 +43,8 @@ __all__ = [
     "divide_by_weight",
     "integrate_weighted",
     "integrate_jacobi_weight",
+    "symmetric_weight_form",
+    "weighted_moments",
 ]
 
 RationalLike = Union[Fraction, int, str]
@@ -53,12 +61,48 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """sum_i coeffs[i] * 256^(width*i), for |coeffs[i]| < 256^width."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials (Kronecker substitution).
+
+    Both operands are evaluated at x = 256^width, where a slot of width bytes
+    holds any product coefficient together with its sign, so one bigint
+    multiplication yields the product.  Adding 256^width / 2 to every slot of
+    the product makes each slot a nonnegative digit, which reads back
+    directly from the bytes.
+    """
+    if not a or not b:
+        return []
+    if len(a) == 1 or len(b) == 1:
+        (c,), other = (a, b) if len(a) == 1 else (b, a)
+        return [c * v for v in other]
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
+    size = len(a) + len(b) - 1
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    raw = (_pack(a, width) * _pack(b, width) + offset).to_bytes(size * width, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, size * width, width)
+    ]
+
+
 @dataclass(frozen=True, init=False)
 class Polynomial:
     """Dense polynomial over Fraction in the monomial basis.
 
     ``coeffs[i]`` is the coefficient of x^i.  The tuple carries no trailing
-    zeros; the zero polynomial is the empty tuple.
+    zeros; the zero polynomial is the empty tuple.  Arithmetic runs on
+    ``int_form``, the same coefficients as integers over their least common
+    denominator.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -68,6 +112,28 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def from_int_form(cls, ints: Sequence[int], den: int) -> "Polynomial":
+        """The polynomial sum_i (ints[i] / den) x^i, for den > 0."""
+        ints = list(ints)
+        while ints and ints[-1] == 0:
+            ints.pop()
+        g = gcd(den, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(Fraction(c, den) for c in ints))
+        # With gcd(den, ints) = 1, den is the least common denominator.
+        poly.__dict__["int_form"] = (tuple(ints), den)
+        return poly
+
+    @cached_property
+    def int_form(self) -> tuple[tuple[int, ...], int]:
+        """(ints, den) with coeffs[i] = ints[i] / den and den the least common denominator."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -106,33 +172,28 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        (a, da), (b, db) = self.int_form, other.int_form
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            (a, da), (b, db) = (b, db), (a, da)
+        den = lcm(da, db)
+        out = [c * (den // da) for c in a]
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            out[i] += c * (den // db)
+        return Polynomial.from_int_form(out, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return -1 * self
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other):
+        (a, da) = self.int_form
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            b, db = other.int_form
+            return Polynomial.from_int_form(_int_poly_mul(a, b), da * db)
         c = as_fraction(other)
-        return Polynomial([c * a for a in self.coeffs])
+        return Polynomial.from_int_form([c.numerator * v for v in a], da * c.denominator)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -146,10 +207,10 @@ class Polynomial:
         return result
 
     def derivative(self, order: int = 1) -> "Polynomial":
-        p = self
+        ints, den = self.int_form
         for _ in range(order):
-            p = Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
-        return p
+            ints = [i * c for i, c in enumerate(ints)][1:]
+        return Polynomial.from_int_form(ints, den)
 
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for Fraction x, float for float x."""
@@ -187,65 +248,22 @@ ONE = Polynomial.one()
 X = Polynomial.x()
 ONE_MINUS_X2 = Polynomial((1, 0, -1))
 
-_WEIGHT_POWERS: dict[int, Polynomial] = {0: ONE}
 
+def _exact_quotient(p: Polynomial, divisor: tuple[int, ...], where: str) -> Polynomial:
+    """p / divisor for an integer divisor with leading coefficient +-1.
 
-def _one_minus_x2_power(m: int) -> Polynomial:
-    if m not in _WEIGHT_POWERS:
-        _WEIGHT_POWERS[m] = _one_minus_x2_power(m - 1) * ONE_MINUS_X2
-    return _WEIGHT_POWERS[m]
-
-
-def _div_one_minus_x2(p: Polynomial) -> Polynomial:
-    """Exact quotient p / (1 - x^2); raises NotDivisible on a nonzero remainder."""
-    if p.is_zero:
-        return p
-    d = p.degree
-    if d < 2:
-        raise NotDivisible(f"degree {d} polynomial is not divisible by (1 - x^2)")
-    # p_i = q_i - q_{i-2}; solve top-down.
-    q = [Fraction(0)] * (d - 1)
-    q[d - 2] = -p.coeffs[d]
-    if d - 3 >= 0:
-        q[d - 3] = -p.coeffs[d - 1]
-    for i in range(d - 2, 1, -1):
-        q[i - 2] = q[i] - p.coeffs[i]
-    r1 = q[1] if d - 1 >= 2 else Fraction(0)
-    if p.coeff(1) != r1 or p.coeff(0) != q[0]:
-        raise NotDivisible("polynomial does not vanish at both x = 1 and x = -1")
-    return Polynomial(q)
-
-
-def _div_one_minus_x(p: Polynomial) -> Polynomial:
-    """Exact quotient p / (1 - x); requires p(1) = 0."""
-    if p.is_zero:
-        return p
-    d = p.degree
-    if d < 1:
-        raise NotDivisible("nonzero constant is not divisible by (1 - x)")
-    q = [Fraction(0)] * d
-    q[d - 1] = -p.coeffs[d]
-    for i in range(d - 1, 0, -1):
-        q[i - 1] = q[i] - p.coeffs[i]
-    if p.coeffs[0] != q[0]:
-        raise NotDivisible("polynomial does not vanish at x = 1")
-    return Polynomial(q)
-
-
-def _div_one_plus_x(p: Polynomial) -> Polynomial:
-    """Exact quotient p / (1 + x); requires p(-1) = 0."""
-    if p.is_zero:
-        return p
-    d = p.degree
-    if d < 1:
-        raise NotDivisible("nonzero constant is not divisible by (1 + x)")
-    q = [Fraction(0)] * d
-    q[d - 1] = p.coeffs[d]
-    for i in range(d - 1, 0, -1):
-        q[i - 1] = p.coeffs[i] - q[i]
-    if p.coeffs[0] != q[0]:
-        raise NotDivisible("polynomial does not vanish at x = -1")
-    return Polynomial(q)
+    Raises NotDivisible, naming ``where`` p must vanish, on a nonzero remainder.
+    """
+    rem, den = list(p.int_form[0]), p.int_form[1]
+    shift, lead = len(divisor) - 1, divisor[-1]
+    quotient = [0] * max(len(rem) - shift, 0)
+    for i in range(len(quotient) - 1, -1, -1):
+        c = quotient[i] = rem[i + shift] * lead
+        for t, d in enumerate(divisor):
+            rem[i + t] -= c * d
+    if any(rem):
+        raise NotDivisible(f"polynomial does not vanish at {where}")
+    return Polynomial.from_int_form(quotient, den)
 
 
 def divide_by_weight(p: Polynomial, m: int) -> Polynomial:
@@ -258,28 +276,76 @@ def divide_by_weight(p: Polynomial, m: int) -> Polynomial:
         raise ValueError("m must be a nonnegative integer")
     q = p
     for _ in range(m):
-        q = _div_one_minus_x2(q)
-    if q * _one_minus_x2_power(m) != p:
+        q = _exact_quotient(q, (1, 0, -1), "both x = 1 and x = -1")
+    if q * ONE_MINUS_X2**m != p:
         raise AssertionError("weight division failed re-multiplication check")
     return q
+
+
+# m -> (ints, den): ints[i] / den is the integral of x^i (1 - x^2)^m over [-1, 1].
+_MOMENTS: dict[int, tuple[tuple[int, ...], int]] = {}
+
+
+def _moments(m: int, count: int) -> tuple[tuple[int, ...], int]:
+    """At least ``count`` moments of (1 - x^2)^m, m >= 0, over one denominator.
+
+    Odd moments vanish; the even ones are Beta integrals,
+    integral of x^i (1 - x^2)^m = 2^(m+1) m! / ((i+1) (i+3) ... (i+2m+1)).
+    """
+    have = len(_MOMENTS.get(m, ((), 1))[0])
+    if have < count:
+        top = 2 ** (m + 1) * factorial(m)
+        values = [
+            Fraction(0) if i % 2 else Fraction(top, prod(range(i + 1, i + 2 * m + 2, 2)))
+            for i in range(max(count, 2 * have, 16))
+        ]
+        den = lcm(*(v.denominator for v in values))
+        _MOMENTS[m] = tuple(v.numerator * (den // v.denominator) for v in values), den
+    return _MOMENTS[m]
+
+
+def weighted_moments(p: Polynomial, m: int, count: int) -> tuple[list[int], int]:
+    """Integrals of p(x) x^i (1 - x^2)^m over [-1, 1] for i < count, m >= 0.
+
+    Returned as (ints, den), the i-th integral being ints[i] / den.  Each
+    entry is an integer dot product of p's integer form with a window of the
+    cached moment vector.
+    """
+    ints, den = p.int_form
+    mu, mu_den = _moments(m, len(ints) + count)
+    size = len(ints)
+    return [sum(map(mul, ints, mu[i : i + size])) for i in range(count)], den * mu_den
 
 
 def integrate_weighted(p: Polynomial, m: int) -> Fraction:
     """Exact value of the integral of p(x) (1 - x^2)^m over [-1, 1], m >= -1.
 
-    Uses the closed form: the integral of x^(2i) is 2/(2i+1) and odd powers
-    integrate to zero.  For m = -1 the polynomial must be divisible by
-    (1 - x^2) (NotDivisible otherwise).
+    The first of ``weighted_moments``.  For m = -1 the polynomial must be
+    divisible by (1 - x^2) (NotDivisible otherwise).
     """
     if m < -1:
         raise ValueError("weight exponent must be >= -1")
     if m == -1:
-        return integrate_weighted(divide_by_weight(p, 1), 0)
-    q = p * _one_minus_x2_power(m)
-    total = Fraction(0)
-    for i in range(0, len(q.coeffs), 2):
-        total += q.coeffs[i] * Fraction(2, i + 1)
-    return total
+        p, m = _exact_quotient(p, (1, 0, -1), "both x = 1 and x = -1"), 0
+    (value,), den = weighted_moments(p, m, 1)
+    return Fraction(value, den)
+
+
+def symmetric_weight_form(p: Polynomial, a: int, b: int) -> tuple[Polynomial, int]:
+    """(q, m), m >= 0, with q (1 - x^2)^m = p (1 - x)^a (1 + x)^b, for integers a, b >= -1.
+
+    An exponent -1 divides its linear factor out of p (NotDivisible when p does
+    not vanish at that endpoint).
+    """
+    if a < -1 or b < -1:
+        raise ValueError("weight exponents must be >= -1")
+    q = p
+    if a == -1:
+        q, a = _exact_quotient(q, (1, -1), "x = 1"), 0
+    if b == -1:
+        q, b = _exact_quotient(q, (1, 1), "x = -1"), 0
+    m = min(a, b)
+    return q * Polynomial((1, -1)) ** (a - m) * Polynomial((1, 1)) ** (b - m), m
 
 
 def integrate_jacobi_weight(p: Polynomial, a: int, b: int) -> Fraction:
@@ -287,17 +353,7 @@ def integrate_jacobi_weight(p: Polynomial, a: int, b: int) -> Fraction:
 
     A negative exponent requires the corresponding linear factor to divide p.
     """
-    if a < -1 or b < -1:
-        raise ValueError("weight exponents must be >= -1")
-    q = p
-    if a == -1:
-        q = _div_one_minus_x(q)
-        a = 0
-    if b == -1:
-        q = _div_one_plus_x(q)
-        b = 0
-    q = q * (Polynomial((1, -1)) ** a) * (Polynomial((1, 1)) ** b)
-    return integrate_weighted(q, 0)
+    return integrate_weighted(*symmetric_weight_form(p, a, b))
 
 
 # Primes whose squares are pulled out of radicands; any remaining perfect
@@ -330,9 +386,10 @@ class Surd:
     """A scalar coeff * sqrt(radicand) with coeff, radicand rational, radicand >= 0.
 
     Canonical form: a zero value is (0, 1); otherwise the radicand is a
-    positive integer with square factors absorbed into the coefficient (the
-    denominator is rationalized).  Equality on canonical forms is decidable
-    componentwise.
+    positive integer with its small square factors (and any square remainder)
+    absorbed into the coefficient, the denominator rationalized.  That form
+    can leave a large square factor in the radicand, so equality and hashing
+    compare the sign and coeff^2 * radicand, which is exact for any radicand.
     """
 
     coeff: Fraction
@@ -353,6 +410,17 @@ class Surd:
             r = Fraction(num_rest * den_rest)
         object.__setattr__(self, "coeff", c)
         object.__setattr__(self, "radicand", r)
+
+    def _value_key(self) -> tuple[bool, bool, Fraction]:
+        return self.coeff > 0, self.coeff < 0, self.coeff * self.coeff * self.radicand
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Surd):
+            return NotImplemented
+        return self._value_key() == other._value_key()
+
+    def __hash__(self) -> int:
+        return hash(self._value_key())
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "Surd":

@@ -11,7 +11,8 @@ resolved with precedence: JSOB_* environment variables, then command-line
 flags, then the --config file (line-oriented ``key = value``), then defaults.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 undefined request,
-4 numeric non-convergence.
+4 numeric non-convergence.  A reader that closes stdout early (``| head``)
+ends the command quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -227,13 +228,24 @@ class PolynomialRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PolynomialRecord":
+        """Parse a cached record, exact values in canonical form.
+
+        Raises KeyError, TypeError, ValueError or ZeroDivisionError on a
+        malformed record.
+        """
+        coefficients = data["coefficients"]
+        if not isinstance(coefficients, list):
+            raise TypeError("coefficients must be a list")
+        scale_squared = Fraction(str(data["scale_squared"]))
+        if scale_squared <= 0:
+            raise ValueError("scale_squared must be positive")
         return cls(
             alpha=str(data["alpha"]),
             beta=str(data["beta"]),
             n=int(data["n"]),
             normalization=str(data["normalization"]),
-            scale_squared=str(data["scale_squared"]),
-            coefficients=tuple(str(c) for c in data["coefficients"]),
+            scale_squared=str(scale_squared),
+            coefficients=tuple(str(Fraction(str(c))) for c in coefficients),
         )
 
     def to_scaled_polynomial(self) -> ScaledPolynomial:
@@ -274,8 +286,11 @@ def _record_for(params: JacobiParams, n: int, norm: Normalization, cfg: CliConfi
     cache = _load_cache(cfg.cache_path) if cfg.cache_path else {}
     if key in cache:
         try:
-            return PolynomialRecord.from_dict(cache[key])
-        except (KeyError, TypeError, ValueError):
+            record = PolynomialRecord.from_dict(cache[key])
+            if record.cache_key() != key:
+                raise ValueError("record does not describe its key")
+            return record
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
             print(f"warning: ignoring malformed cache entry {key}", file=sys.stderr)
     record = PolynomialRecord.build(params, n, norm)
     if cfg.cache_path:
@@ -939,7 +954,16 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = build_config(args)
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``jsob ... | head``).  Later writes,
+        # including the interpreter's final flush, go to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

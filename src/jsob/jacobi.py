@@ -14,7 +14,7 @@ Three normalizations are supported:
 * ``Normalization.PHI`` -- the Sobolev-orthonormal convention for the
   nonclassical family only: degree 0 is 1, degree 1 is x / sqrt(3), and for
   n >= 2 the renormalization sqrt(4n - 2) / (n - 1) is applied to the
-  binomial sum with upper indices n - 1.
+  reference member, the binomial sum with upper indices n - 1.
 
 Square-root scale factors live in ``ScaledPolynomial``; identity checks
 between such functions compare squared forms plus the leading-coefficient
@@ -121,59 +121,71 @@ _U = Polynomial((Fraction(-1, 2), Fraction(1, 2)))
 _V = Polynomial((Fraction(1, 2), Fraction(1, 2)))
 
 
-@lru_cache(maxsize=None)
-def classical_jacobi(n: int, params: JacobiParams) -> Polynomial:
-    """Degree-n Jacobi polynomial in the reference normalization, expanded.
-
-    P_n(x) = sum_v binom(n+alpha, v) binom(n+beta, n-v) ((x-1)/2)^(n-v) ((x+1)/2)^v,
-    so that P_n(1) = binom(n+alpha, n).  Generalized binomials are evaluated as
-    falling-factorial products, which keeps non-integer rational parameters exact.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    upow = [Polynomial.one()]
-    vpow = [Polynomial.one()]
-    for _ in range(n):
-        upow.append(upow[-1] * _U)
-        vpow.append(vpow[-1] * _V)
+def _binomial_sum(n: int, params: JacobiParams) -> Polynomial:
+    """sum_v binom(n+alpha, v) binom(n+beta, n-v) ((x-1)/2)^(n-v) ((x+1)/2)^v."""
     total = Polynomial.zero()
     for v in range(n + 1):
         c = _generalized_binomial(n + params.alpha, v) * _generalized_binomial(
             n + params.beta, n - v
         )
         if c != 0:
-            total = total + c * (upow[n - v] * vpow[v])
+            total = total + c * (_U ** (n - v) * _V**v)
     return total
 
 
-@lru_cache(maxsize=None)
-def _renormalized_poly(n: int) -> Polynomial:
-    """Polynomial part of the degree-n (n >= 2) Sobolev-orthonormal member.
+def _recurrence_step(
+    n: int, params: JacobiParams, p1: Polynomial, p2: Polynomial
+) -> Polynomial:
+    """P_n from P_{n-1} = p1 and P_{n-2} = p2 by the three-term recurrence (DLMF 18.9.2):
 
-    sum_j binom(n-1, n-j) binom(n-1, j) ((x-1)/2)^j ((x+1)/2)^(n-j); both
-    binomial upper indices equal n - 1, so the sum is symmetric in j <-> n-j.
+    2n(n+a+b)(2n+a+b-2) P_n = (2n+a+b-1)[(2n+a+b)(2n+a+b-2) x + a^2-b^2] P_{n-1}
+                              - 2(n+a-1)(n+b-1)(2n+a+b) P_{n-2},
+
+    whose leading factor is nonzero for n >= 3 when a, b >= -1.
     """
-    upow = [Polynomial.one()]
-    vpow = [Polynomial.one()]
-    for _ in range(n):
-        upow.append(upow[-1] * _U)
-        vpow.append(vpow[-1] * _V)
-    total = Polynomial.zero()
-    for j in range(n + 1):
-        c = _generalized_binomial(Fraction(n - 1), n - j) * _generalized_binomial(
-            Fraction(n - 1), j
-        )
-        if c != 0:
-            total = total + c * (upow[j] * vpow[n - j])
-    return total
+    a, b = params.alpha, params.beta
+    s = 2 * n + a + b
+    step = Polynomial(((s - 1) * (a * a - b * b), (s - 1) * s * (s - 2)))
+    back = 2 * (n + a - 1) * (n + b - 1) * s
+    return (step * p1 - back * p2) * (1 / (2 * n * (n + a + b) * (s - 2)))
+
+
+# params -> (P_0, P_1, ...).  Each update stores a new, longer tuple, so a
+# reader always sees a complete prefix of the family.
+_FAMILIES: dict[JacobiParams, tuple[Polynomial, ...]] = {}
+
+
+def classical_jacobi(n: int, params: JacobiParams) -> Polynomial:
+    """Degree-n Jacobi polynomial in the reference normalization, expanded.
+
+    Degrees 0..2 come from the explicit sum
+    P_n(x) = sum_v binom(n+alpha, v) binom(n+beta, n-v) ((x-1)/2)^(n-v) ((x+1)/2)^v,
+    so that P_n(1) = binom(n+alpha, n); generalized binomials are evaluated as
+    falling-factorial products, which keeps non-integer rational parameters
+    exact.  Higher degrees follow by the three-term recurrence; every degree
+    built is kept for later calls.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    family = _FAMILIES.get(params, ())
+    if len(family) <= n:
+        grown = list(family)
+        for m in range(len(grown), n + 1):
+            grown.append(
+                _binomial_sum(m, params)
+                if m <= 2
+                else _recurrence_step(m, params, grown[m - 1], grown[m - 2])
+            )
+        family = _FAMILIES[params] = tuple(grown)
+    return family[n]
 
 
 @lru_cache(maxsize=None)
 def nonclassical_jacobi(n: int, norm: Normalization) -> ScaledPolynomial:
     """Degree-n member of the alpha = beta = -1 family in the requested normalization.
 
-    PHI: degree 0 -> 1, degree 1 -> x/sqrt(3), degree n >= 2 -> the renormalized
-    sum scaled by sqrt(4n - 2)/(n - 1).  L2: defined for n >= 2 only, with the
+    PHI: degree 0 -> 1, degree 1 -> x/sqrt(3), degree n >= 2 -> the reference
+    member scaled by sqrt(4n - 2)/(n - 1).  L2: defined for n >= 2 only, with the
     scale fixed by the exact squared norm against (1 - x^2)^(-1).  REFERENCE:
     the classical construction at (-1, -1) (degree 1 is the zero function).
     """
@@ -186,13 +198,15 @@ def nonclassical_jacobi(n: int, norm: Normalization) -> ScaledPolynomial:
             return ScaledPolynomial(1, Polynomial.one())
         if n == 1:
             return ScaledPolynomial(Fraction(1, 3), Polynomial.x())
-        return ScaledPolynomial(Fraction(4 * n - 2, (n - 1) ** 2), _renormalized_poly(n))
+        return ScaledPolynomial(
+            Fraction(4 * n - 2, (n - 1) ** 2), classical_jacobi(n, NONCLASSICAL)
+        )
     # L2: degrees 0 and 1 lie outside the weighted space.
     if n < 2:
         raise UndefinedNormalization(
             f"degree-{n} member of the (-1,-1) family is not in the weighted L2 space"
         )
-    poly = _renormalized_poly(n)
+    poly = classical_jacobi(n, NONCLASSICAL)
     norm_sq = integrate_weighted(poly * poly, -1)
     return ScaledPolynomial(1 / norm_sq, poly)
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .algebra import (
     ONE_MINUS_X2,
     Polynomial,
@@ -119,6 +117,8 @@ def gauss_jacobi(order: int, alpha: float, beta: float) -> QuadratureRule:
     are the nodes; the weights come from the first eigenvector components and
     the zeroth moment 2^(alpha+beta+1) B(alpha+1, beta+1).
     """
+    import numpy as np  # imported here so that the exact commands start without numpy
+
     if order < 1:
         raise ValueError("order must be positive")
     if alpha <= -1 or beta <= -1:
@@ -427,6 +427,8 @@ def solve_galerkin(system: GalerkinSystem) -> list[float]:
     as sign(C_ij) * sqrt(C_ij^2 / (d_i d_j)) so no intermediate under- or
     overflows, leaving only the dense symmetric eigensolve in floating point.
     """
+    import numpy as np  # imported here, as in gauss_jacobi
+
     n = system.size
     lower, pivots = _ldl_exact([list(row) for row in system.mass])
     y = _forward_solve(lower, [list(row) for row in system.stiffness])

@@ -26,17 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from operator import mul
+from typing import Sequence
 
 from .algebra import (
     ONE_MINUS_X2,
-    NotDivisible,
     Polynomial,
     RationalLike,
     ScaledPolynomial,
     Surd,
     as_fraction,
-    integrate_jacobi_weight,
-    integrate_weighted,
+    divide_by_weight,
+    symmetric_weight_form,
+    weighted_moments,
 )
 from .jacobi import (
     JacobiParams,
@@ -216,56 +219,92 @@ def apply_ell_power(
     return result.poly if isinstance(f, Polynomial) else result
 
 
-def _require_vanishing(p: Polynomial, at: int, context: str) -> None:
-    if p(Fraction(at)) != 0:
-        raise NotInWeightedSpace(
-            f"{context}: argument does not vanish at x = {at}, so it lies outside "
-            f"the weighted space"
-        )
-
-
-def _classical_bilinear(p: Polynomial, q: Polynomial, params: JacobiParams) -> Fraction:
+def _integer_exponents(params: JacobiParams) -> tuple[int, int]:
     if params.alpha.denominator != 1 or params.beta.denominator != 1:
         raise ValueError("exact classical pairing needs integer alpha, beta >= -1")
-    a, b = int(params.alpha), int(params.beta)
-    if a == -1:
-        _require_vanishing(p, 1, "classical pairing")
-        _require_vanishing(q, 1, "classical pairing")
-    if b == -1:
-        _require_vanishing(p, -1, "classical pairing")
-        _require_vanishing(q, -1, "classical pairing")
-    try:
-        return integrate_jacobi_weight(p * q, a, b)
-    except NotDivisible as exc:  # pragma: no cover - endpoint checks above catch this
-        raise NotInWeightedSpace(str(exc)) from exc
+    return int(params.alpha), int(params.beta)
 
 
-def _sobolev_bilinear(p: Polynomial, q: Polynomial) -> Fraction:
-    boundary = (
-        p(Fraction(-1)) * q(Fraction(-1)) + p(Fraction(1)) * q(Fraction(1))
-    ) / 2
-    return boundary + integrate_weighted(p.derivative() * q.derivative(), 0)
+def _require_vanishing(p: Polynomial, spec: InnerProductSpec) -> None:
+    """Each argument of a pairing must vanish where the pairing's weight is singular."""
+    match spec:
+        case Classical(params=params):
+            a, b = _integer_exponents(params)
+            context, roots = "classical pairing", [r for r, e in ((1, a), (-1, b)) if e == -1]
+        case LeftDefinite(k=k) if k > 0:
+            context, roots = "left-definite pairing (j = 0 term)", [1, -1]
+        case _:
+            return
+    ints = p.int_form[0]
+    for at in roots:
+        if sum(c if at == 1 or i % 2 == 0 else -c for i, c in enumerate(ints)):
+            raise NotInWeightedSpace(
+                f"{context}: argument does not vanish at x = {at}, so it lies outside "
+                f"the weighted space"
+            )
 
 
-def _left_definite_bilinear(
-    p: Polynomial, q: Polynomial, order: int, k: Fraction
-) -> Fraction:
-    coeffs = composite_coefficients(order, k).c
-    total = Fraction(0)
-    dp, dq = p, q
-    for j, cj in enumerate(coeffs):
-        if j > 0:
-            dp, dq = dp.derivative(), dq.derivative()
-        if cj == 0:
-            continue
-        if j == 0:
-            for at in (1, -1):
-                _require_vanishing(p, at, "left-definite pairing (j = 0 term)")
-                _require_vanishing(q, at, "left-definite pairing (j = 0 term)")
-            total += cj * integrate_weighted(dp * dq, -1)
-        else:
-            total += cj * integrate_weighted(dp * dq, j - 1)
-    return total
+def _row_terms(f: Polynomial, spec: InnerProductSpec, width: int) -> list:
+    """The pairing of f with any g of degree < width, as a list of terms
+    (d, c, (ints, den)), each contributing c * sum_i ints[i] / den * (g^(d))_i."""
+    match spec:
+        case Classical(params=params):
+            q, m = symmetric_weight_form(f, *_integer_exponents(params))
+            return [(0, 1, weighted_moments(q, m, width))]
+        case SobolevPhi():
+            # f(1) g(1)/2 + f(-1) g(-1)/2 pairs g_i with the sum of the
+            # coefficients of f of the parity of i.
+            ints, den = f.int_form
+            even, odd = sum(ints[0::2]), sum(ints[1::2])
+            boundary = [odd if i % 2 else even for i in range(width)]
+            return [(0, 1, (boundary, den)), (1, 1, weighted_moments(f.derivative(), 0, width))]
+        case LeftDefinite(n=order, k=k):
+            return [
+                (j, cj, weighted_moments(f.derivative(j), j - 1, width) if j
+                 else weighted_moments(divide_by_weight(f, 1), 0, width))
+                for j, cj in enumerate(composite_coefficients(order, k).c)
+                if cj != 0
+            ]
+    raise TypeError(f"unknown inner product spec {spec!r}")
+
+
+def _pairing_values(
+    rows: Sequence[Polynomial], cols: Sequence[Polynomial], spec: InnerProductSpec
+) -> list[list[Fraction]]:
+    """Exact bilinear values B(f, g) for every f in rows and g in cols.
+
+    Per row, the terms are folded into one integer vector over one
+    denominator; per column, the derivative tower is laid out to match.  Each
+    value is then a single integer dot product.
+    """
+    for p in (*rows, *cols):
+        _require_vanishing(p, spec)
+    width = max((len(g.coeffs) for g in cols), default=0)
+    packed_rows, orders = [], []
+    for f in rows:
+        terms = _row_terms(f, spec, width)
+        orders = [d for d, _, _ in terms]  # the same for every row
+        scales = [Fraction(c) / den for _, c, (_, den) in terms]
+        den = lcm(*(s.denominator for s in scales))
+        vector = []
+        for (_, _, (row, _)), s in zip(terms, scales):
+            factor = s.numerator * (den // s.denominator)
+            vector += [factor * v for v in row]
+        packed_rows.append((vector, den))
+    packed_cols = []
+    for g in cols:
+        tower, den = g.int_form
+        done, vector = 0, []
+        for d in orders:
+            for _ in range(d - done):
+                tower = [i * c for i, c in enumerate(tower)][1:]
+            done = d
+            vector += [*tower, *[0] * (width - len(tower))]
+        packed_cols.append((vector, den))
+    return [
+        [Fraction(sum(map(mul, rv, cv)), rd * cd) for cv, cd in packed_cols]
+        for rv, rd in packed_rows
+    ]
 
 
 def inner_product(
@@ -275,15 +314,7 @@ def inner_product(
 ) -> Surd:
     """Exact inner product; the result is (bilinear value) * sqrt(s_f * s_g)."""
     fs, gs = _as_scaled(f), _as_scaled(g)
-    match spec:
-        case Classical(params=params):
-            value = _classical_bilinear(fs.poly, gs.poly, params)
-        case SobolevPhi():
-            value = _sobolev_bilinear(fs.poly, gs.poly)
-        case LeftDefinite(n=order, k=k):
-            value = _left_definite_bilinear(fs.poly, gs.poly, order, k)
-        case _:
-            raise TypeError(f"unknown inner product spec {spec!r}")
+    ((value,),) = _pairing_values([fs.poly], [gs.poly], spec)
     return Surd(value, fs.scale_sq * gs.scale_sq)
 
 
@@ -303,12 +334,7 @@ def derivative_orthogonality_value(
         )
     pn = jacobi_family(n, params, Normalization.L2).derivative(j)
     pr = jacobi_family(r, params, Normalization.L2).derivative(j)
-    lhs = Surd(
-        integrate_jacobi_weight(
-            pn.poly * pr.poly, int(shifted.alpha), int(shifted.beta)
-        ),
-        pn.scale_sq * pr.scale_sq,
-    )
+    lhs = inner_product(pn, pr, Classical(shifted))
     rhs = derivative_coefficient_squared(n, j, params) if n == r else Fraction(0)
     if not lhs.is_rational or lhs.to_fraction() != rhs:
         raise MismatchWithClosedForm(
@@ -335,6 +361,16 @@ def _family_degrees(
     return tuple(range(start, max_degree + 1))
 
 
+def _surd_matrix(
+    rows: list[ScaledPolynomial], cols: list[ScaledPolynomial], spec: InnerProductSpec
+) -> tuple[tuple[Surd, ...], ...]:
+    values = _pairing_values([f.poly for f in rows], [g.poly for g in cols], spec)
+    return tuple(
+        tuple(Surd(v, f.scale_sq * g.scale_sq) for v, g in zip(row, cols))
+        for row, f in zip(values, rows)
+    )
+
+
 def gram_matrix(
     max_degree: int, spec: InnerProductSpec, family_tag: Normalization
 ) -> GramMatrix:
@@ -347,9 +383,7 @@ def gram_matrix(
     params = spec.params if isinstance(spec, Classical) else NONCLASSICAL
     degrees = _family_degrees(params, family_tag, max_degree)
     fam = [jacobi_family(d, params, family_tag) for d in degrees]
-    entries = tuple(
-        tuple(inner_product(fi, fj, spec) for fj in fam) for fi in fam
-    )
+    entries = _surd_matrix(fam, fam, spec)
     for i, row in enumerate(entries):
         if not row[i].is_rational or row[i].to_fraction() <= 0:
             raise ValueError(
@@ -381,9 +415,7 @@ def operator_matrix(max_degree: int, spec: SpectrumSpec) -> GramMatrix:
     degrees = _family_degrees(NONCLASSICAL, tag, max_degree)
     fam = [jacobi_family(d, NONCLASSICAL, tag) for d in degrees]
     images = [apply_ell(p, spec.k) for p in fam]
-    entries = tuple(
-        tuple(inner_product(img, pj, ip) for pj in fam) for img in images
-    )
+    entries = _surd_matrix(images, fam, ip)
     return GramMatrix(
         size=len(fam),
         degrees=degrees,

@@ -1,15 +1,12 @@
 """Jacobi-Stirling and Legendre-Stirling numbers and composite-power coefficients.
 
-The Jacobi-Stirling number {n, j} is evaluated from the explicit alternating
-sum
+The Jacobi-Stirling numbers {n, j} form an upper-triangular table with unit
+diagonal, {n, j} = delta_{n,j} for j in {0, 1} and {n, j} = 0 for j > n.  Row
+n is built from row n - 1 by the triangular recurrence
 
-    {n, j} = sum_{r=2}^{j} (-1)^(r+j) (2r-1) (r-2)! [r(r-1)]^n / (r! (j-r)! (j+r-1)!)
+    {n, j} = {n-1, j-1} + j (j - 1) {n-1, j},
 
-for 2 <= j <= n, with {n, j} = delta_{n,j} for j in {0, 1} and {n, j} = 0 for
-j > n (the triangle is upper-triangular with unit diagonal).  The sum is
-computed over exact rationals and the result is asserted to be a nonnegative
-integer before it is returned; a failure of that assertion is an arithmetic
-fault, not a property of the numbers.
+in integers; rows are kept once built.
 
 The coefficients c_j(n, k) combine the triangle with powers of the spectral
 shift k >= 0 and are the coefficients of the n-th composite power of the
@@ -22,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from .algebra import RationalLike, as_fraction
 
@@ -40,30 +36,33 @@ __all__ = [
 
 
 class NonIntegerResult(ArithmeticError):
-    """The alternating sum failed to produce a nonnegative integer."""
+    """A Jacobi-Stirling value that is not a nonnegative integer.
+
+    The integer recurrence cannot produce one; the name stays importable for
+    callers that catch it.
+    """
 
 
-@lru_cache(maxsize=None)
+# Row n holds {n, j} for j = 0..n.  jacobi_stirling replaces the tuple with a
+# longer one, so a reader always sees a complete prefix of the triangle.
+_TRIANGLE: tuple[tuple[int, ...], ...] = ((1,),)
+
+
 def jacobi_stirling(n: int, j: int) -> int:
     """Jacobi-Stirling number {n, j} as an arbitrary-precision integer."""
     if n < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    if j <= 1:
-        return 1 if n == j else 0
     if j > n:
         return 0
-    total = Fraction(0)
-    for r in range(2, j + 1):
-        term = Fraction(
-            (2 * r - 1) * factorial(r - 2) * (r * (r - 1)) ** n,
-            factorial(r) * factorial(j - r) * factorial(j + r - 1),
-        )
-        if (r + j) % 2:
-            term = -term
-        total += term
-    if total.denominator != 1 or total < 0:
-        raise NonIntegerResult(f"sum for ({n}, {j}) evaluated to {total}")
-    return total.numerator
+    global _TRIANGLE
+    rows = _TRIANGLE
+    if len(rows) <= n:
+        grown = list(rows)
+        while len(grown) <= n:
+            prev = grown[-1] + (0,)
+            grown.append((0, *(prev[i - 1] + i * (i - 1) * prev[i] for i in range(1, len(prev)))))
+        rows = _TRIANGLE = tuple(grown)
+    return rows[n][j]
 
 
 def legendre_stirling(n: int, j: int) -> int:

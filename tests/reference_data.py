@@ -2,11 +2,15 @@
 
 The triangle below is the standard Jacobi-Stirling table (rows j = 0..8,
 columns n = 0..8).  The oracles here deliberately avoid the code paths they
-check: the classical family is rebuilt from its three-term recurrence, and
-weighted integrals are recomputed from a term-by-term antiderivative.
+check: products are schoolbook Fraction convolutions, not the integer kernel;
+the classical family is rebuilt from its three-term recurrence and from the
+explicit binomial sum; Jacobi-Stirling numbers come from their alternating
+sum; weighted integrals and bilinear forms are recomputed from a term-by-term
+antiderivative of the product polynomial.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from jsob.algebra import Polynomial
 
@@ -47,8 +51,120 @@ def jacobi_by_recurrence(n: int, alpha, beta) -> Polynomial:
     return p
 
 
-def integral_by_antiderivative(p: Polynomial, m: int) -> Fraction:
-    """Integral of p(x) (1 - x^2)^m over [-1, 1] via the symbolic antiderivative."""
-    q = p * (Polynomial((1, 0, -1)) ** m)
+def schoolbook_product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The O(n^2) Fraction convolution."""
+    if a.is_zero or b.is_zero:
+        return Polynomial()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Polynomial(out)
+
+
+def _power(p: Polynomial, n: int) -> Polynomial:
+    out = Polynomial((1,))
+    for _ in range(n):
+        out = schoolbook_product(out, p)
+    return out
+
+
+def _scaled(c: Fraction, p: Polynomial) -> Polynomial:
+    return Polynomial([c * x for x in p.coeffs])
+
+
+def _sum(a: Polynomial, b: Polynomial) -> Polynomial:
+    if len(a.coeffs) < len(b.coeffs):
+        a, b = b, a
+    out = list(a.coeffs)
+    for i, c in enumerate(b.coeffs):
+        out[i] += c
+    return Polynomial(out)
+
+
+def _binomial(top: Fraction, j: int) -> Fraction:
+    num = Fraction(1)
+    for i in range(j):
+        num *= top - i
+    return num / factorial(j)
+
+
+def jacobi_by_binomial_sum(n: int, alpha, beta) -> Polynomial:
+    """sum_v binom(n+a, v) binom(n+b, n-v) ((x-1)/2)^(n-v) ((x+1)/2)^v, any a, b >= -1."""
+    a, b = Fraction(alpha), Fraction(beta)
+    u = Polynomial((Fraction(-1, 2), Fraction(1, 2)))
+    v = Polynomial((Fraction(1, 2), Fraction(1, 2)))
+    total = Polynomial()
+    for k in range(n + 1):
+        c = _binomial(n + a, k) * _binomial(n + b, n - k)
+        total = _sum(total, _scaled(c, schoolbook_product(_power(u, n - k), _power(v, k))))
+    return total
+
+
+def jacobi_stirling_by_sum(n: int, j: int) -> int:
+    """{n, j} from the alternating sum
+
+    sum_{r=2}^{j} (-1)^(r+j) (2r-1) (r-2)! [r(r-1)]^n / (r! (j-r)! (j+r-1)!)
+
+    for 2 <= j <= n, with {n, j} = delta_{n,j} for j <= 1 and 0 for j > n.
+    """
+    if j <= 1:
+        return 1 if n == j else 0
+    if j > n:
+        return 0
+    total = Fraction(0)
+    for r in range(2, j + 1):
+        term = Fraction(
+            (2 * r - 1) * factorial(r - 2) * (r * (r - 1)) ** n,
+            factorial(r) * factorial(j - r) * factorial(j + r - 1),
+        )
+        total += -term if (r + j) % 2 else term
+    assert total.denominator == 1 and total >= 0, (n, j, total)
+    return total.numerator
+
+
+def _integral(q: Polynomial) -> Fraction:
+    """Integral of q over [-1, 1] from the antiderivative."""
     anti = Polynomial([Fraction(0)] + [c / (i + 1) for i, c in enumerate(q.coeffs)])
     return anti(Fraction(1)) - anti(Fraction(-1))
+
+
+def integral_by_antiderivative(p: Polynomial, m: int) -> Fraction:
+    """Integral of p(x) (1 - x^2)^m over [-1, 1] via the symbolic antiderivative."""
+    return _integral(schoolbook_product(p, _power(Polynomial((1, 0, -1)), m)))
+
+
+def _weighted_by_products(p: Polynomial, q: Polynomial, a: int, b: int) -> Fraction:
+    """Integral of p q (1 - x)^a (1 + x)^b for a, b >= -1; a -1 factor divides p q."""
+    prod = schoolbook_product(p, q)
+    for exponent, root, factor in ((a, 1, (1, -1)), (b, -1, (1, 1))):
+        if exponent == -1:
+            assert prod(Fraction(root)) == 0
+            # synthetic division by (x - root), then the sign of (1 - x) or (1 + x)
+            quotient, carry = [], Fraction(0)
+            for c in reversed(prod.coeffs):
+                carry = carry * root + c
+                quotient.append(carry)
+            quotient = Polynomial(list(reversed(quotient[:-1])))
+            prod = _scaled(Fraction(-1 if root == 1 else 1), quotient)
+        else:
+            prod = schoolbook_product(prod, _power(Polynomial(factor), exponent))
+    return _integral(prod)
+
+
+def bilinear_by_products(p: Polynomial, q: Polynomial, spec) -> Fraction:
+    """The pairing of p and q by forming each product polynomial, one pair at a time."""
+    kind = type(spec).__name__
+    if kind == "Classical":
+        return _weighted_by_products(p, q, int(spec.params.alpha), int(spec.params.beta))
+    if kind == "SobolevPhi":
+        boundary = (p(Fraction(-1)) * q(Fraction(-1)) + p(Fraction(1)) * q(Fraction(1))) / 2
+        return boundary + _weighted_by_products(p.derivative(), q.derivative(), 0, 0)
+    from jsob.stirling import composite_coefficients
+
+    total = Fraction(0)
+    for j, cj in enumerate(composite_coefficients(spec.n, spec.k).c):
+        if cj:
+            m = j - 1
+            total += cj * _weighted_by_products(p.derivative(j), q.derivative(j), m, m)
+    return total

@@ -187,6 +187,15 @@ class TestSurd:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
 
+    def test_equality_is_exact_beyond_trial_primes(self):
+        # 101 exceeds the trial-division primes, so 101^2 stays in the radicand.
+        a = Surd(Fraction(1), Fraction(2 * 101**2))
+        b = Surd(Fraction(101), Fraction(2))
+        assert a == b and hash(a) == hash(b)
+        assert a != Surd(Fraction(-101), Fraction(2))
+        assert a != Surd(Fraction(101), Fraction(3))
+        assert str(a) == "sqrt(20402)" and str(b) == "101*sqrt(2)"
+
     def test_float_value(self):
         assert float(Surd(Fraction(1, 2), Fraction(6))) == pytest.approx(
             0.5 * 6**0.5

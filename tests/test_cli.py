@@ -308,6 +308,43 @@ class TestPolynomialCache:
         stored = json.loads(cache.read_text())
         assert "(-1,-1,6,phi)" in stored
 
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("coefficients", ["abc"]),
+            ("coefficients", ["1/0"]),
+            ("coefficients", "1/2"),
+            ("scale_squared", "0"),
+            ("scale_squared", "x"),
+            ("n", 7),
+            ("normalization", "l2"),
+        ],
+    )
+    def test_malformed_record_is_recomputed(self, capsys, tmp_path, fmt, field, value):
+        cache = tmp_path / "cache.json"
+        args = [*self.ARGS[:-1], fmt]
+        code, plain, _ = run(capsys, *args)
+        run(capsys, *args, "--cache-path", str(cache))
+        stored = json.loads(cache.read_text())
+        stored["(-1,-1,6,phi)"][field] = value
+        cache.write_text(json.dumps(stored))
+        code, out, err = run(capsys, *args, "--cache-path", str(cache))
+        assert code == 0
+        assert "malformed cache entry" in err
+        assert out == plain
+
+    def test_cached_values_print_in_canonical_form(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        code, plain, _ = run(capsys, *self.ARGS)
+        run(capsys, *self.ARGS, "--cache-path", str(cache))
+        stored = json.loads(cache.read_text())
+        record = stored["(-1,-1,6,phi)"]
+        record["scale_squared"] = "44/50"  # 22/25 written unreduced
+        cache.write_text(json.dumps(stored))
+        code, out, _ = run(capsys, *self.ARGS, "--cache-path", str(cache))
+        assert code == 0 and out == plain
+
 
 class TestSubprocessEntry:
     def test_module_invocation(self):
@@ -320,3 +357,33 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1:] == ["0,1", "1,1", "2,3", "3,7", "4,13"]
+
+    def test_exact_commands_do_not_import_numpy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            "import sys, jsob.cli as cli\n"
+            "cli.build_parser()\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            "cli.main(['stirling', '--max-n', '6', '--format', 'csv'])\n"
+            "assert 'numpy' not in sys.modules, 'stirling'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_closed_pipe_ends_quietly(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        # About 350 kB of JSON: far more than a pipe buffer holds, so the
+        # command is still writing when the reader goes away.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jsob", "stirling", "--max-n", "64", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().strip() == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in err and "Error" not in err, err

@@ -1,0 +1,205 @@
+"""Differential tests: the integer kernels against the slow oracles they replaced.
+
+Each fast path of the exact layer (Kronecker products, moment-vector integrals,
+recurrence-built families, the Stirling triangle, per-row Gram assembly) is
+compared with an independent slow computation from ``reference_data`` on
+seeded random inputs.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from jsob.algebra import (
+    ONE_MINUS_X2,
+    Polynomial,
+    ScaledPolynomial,
+    Surd,
+    integrate_jacobi_weight,
+    integrate_weighted,
+)
+from jsob.jacobi import (
+    JacobiParams,
+    NONCLASSICAL,
+    Normalization,
+    classical_jacobi,
+    jacobi_family,
+    nonclassical_jacobi,
+)
+from jsob.operators import (
+    Classical,
+    LeftDefinite,
+    OperatorTag,
+    SobolevPhi,
+    SpectrumSpec,
+    apply_ell,
+    gram_matrix,
+    inner_product,
+    operator_matrix,
+)
+from jsob.stirling import jacobi_stirling
+from reference_data import (
+    bilinear_by_products,
+    integral_by_antiderivative,
+    jacobi_by_binomial_sum,
+    jacobi_stirling_by_sum,
+    schoolbook_product,
+)
+
+PARAMETERS = [Fraction(v) for v in (-1, "-1/2", 0, "1/2", 1, 2)]
+
+
+def random_poly(rng: random.Random, degree: int, bits: int = 8) -> Polynomial:
+    """Mixed-sign coefficients with numerators and denominators up to ``bits`` bits."""
+    top = 2**bits
+    return Polynomial(
+        Fraction(rng.randint(-top, top), rng.randint(1, top)) for _ in range(degree + 1)
+    )
+
+
+class TestProduct:
+    def test_random_against_schoolbook(self):
+        rng = random.Random(101)
+        for _ in range(300):
+            bits = rng.choice((1, 4, 16, 64, 200))
+            a = random_poly(rng, rng.randint(-1, 30), bits)
+            b = random_poly(rng, rng.randint(-1, 30), rng.choice((1, 4, 16, 64, 200)))
+            assert a * b == schoolbook_product(a, b)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ((), (1, 2, 3)),
+            ((5,), (1, -2, 3)),
+            ((Fraction(-3, 7),), (Fraction(1, 2),)),
+            ((-1, -1, -1), (-1, -1)),
+            ((0, 0, 1), (0, 1)),
+            ((Fraction(1, 2**300), -(2**300)), (2**300, Fraction(-1, 3**200), 7)),
+        ],
+    )
+    def test_edge_operands(self, a, b):
+        p, q = Polynomial(a), Polynomial(b)
+        assert p * q == schoolbook_product(p, q)
+        assert q * p == schoolbook_product(q, p)
+
+    def test_cancellation_keeps_least_common_denominator(self):
+        p = Polynomial((Fraction(1, 6), Fraction(1, 4)))
+        q = Polynomial((6, -4))
+        product = p * q
+        assert product == schoolbook_product(p, q)
+        ints, den = product.int_form
+        assert den == 6 and list(ints) == [6, 5, -6]
+
+
+class TestIntegrals:
+    def test_weighted_against_antiderivative(self):
+        rng = random.Random(202)
+        for _ in range(200):
+            p = random_poly(rng, rng.randint(-1, 40), rng.choice((2, 30)))
+            m = rng.randint(0, 6)
+            assert integrate_weighted(p, m) == integral_by_antiderivative(p, m)
+
+    def test_moment_cache_grows(self):
+        # No other test uses m = 9: a short polynomial fills the cached moment
+        # vector, then a long one must extend it.
+        short, long = Polynomial.monomial(2), Polynomial([1] * 150)
+        assert integrate_weighted(short, 9) == integral_by_antiderivative(short, 9)
+        assert integrate_weighted(long, 9) == integral_by_antiderivative(long, 9)
+
+    def test_jacobi_weight_against_products(self):
+        rng = random.Random(303)
+        for _ in range(100):
+            a, b = rng.randint(-1, 3), rng.randint(-1, 3)
+            p = random_poly(rng, rng.randint(0, 12))
+            if a == -1:
+                p = p * Polynomial((1, -1))
+            if b == -1:
+                p = p * Polynomial((1, 1))
+            spec = Classical(JacobiParams(a, b))
+            assert integrate_jacobi_weight(p, a, b) == bilinear_by_products(
+                p, Polynomial.one(), spec
+            )
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("alpha", PARAMETERS)
+    @pytest.mark.parametrize("beta", PARAMETERS)
+    def test_recurrence_against_binomial_sum(self, alpha, beta):
+        params = JacobiParams(alpha, beta)
+        for n in range(0, 19, 3):
+            assert classical_jacobi(n, params) == jacobi_by_binomial_sum(n, alpha, beta)
+
+    @pytest.mark.parametrize(
+        "alpha,beta", [(-1, -1), (Fraction(-1, 2), Fraction(-1, 2)), (-1, 0), (1, 1)]
+    )
+    def test_long_recurrence(self, alpha, beta):
+        # alpha + beta = -1 and -2 included, where the explicit degrees 0..2 seed it.
+        assert classical_jacobi(30, JacobiParams(alpha, beta)) == jacobi_by_binomial_sum(
+            30, alpha, beta
+        )
+
+    def test_sobolev_member_is_renormalized_reference(self):
+        for n in range(2, 25):
+            fam = nonclassical_jacobi(n, Normalization.PHI)
+            assert fam.scale_sq == Fraction(4 * n - 2, (n - 1) ** 2)
+            assert fam.poly == jacobi_by_binomial_sum(n, -1, -1)
+
+
+class TestStirling:
+    def test_triangle_against_alternating_sum(self):
+        for n in range(41):
+            for j in range(n + 3):
+                assert jacobi_stirling(n, j) == jacobi_stirling_by_sum(n, j)
+
+
+def _random_vanishing(rng: random.Random, degree: int) -> Polynomial:
+    return ONE_MINUS_X2 * random_poly(rng, degree, 6)
+
+
+class TestGramAssembly:
+    @pytest.mark.parametrize(
+        "spec,tag,max_degree",
+        [
+            (SobolevPhi(), Normalization.PHI, 9),
+            (Classical(JacobiParams(1, 1)), Normalization.L2, 8),
+            (Classical(JacobiParams(0, 2)), Normalization.L2, 7),
+            (Classical(JacobiParams(-1, -1)), Normalization.L2, 8),
+            (LeftDefinite(2, 1), Normalization.L2, 7),
+            (LeftDefinite(3, Fraction(7, 3)), Normalization.L2, 6),
+            (LeftDefinite(1, 0), Normalization.L2, 7),
+        ],
+    )
+    def test_family_matrix_against_pairwise_products(self, spec, tag, max_degree):
+        gm = gram_matrix(max_degree, spec, tag)
+        params = spec.params if isinstance(spec, Classical) else NONCLASSICAL
+        fam = [jacobi_family(d, params, tag) for d in gm.degrees]
+        for i, fi in enumerate(fam):
+            for j, fj in enumerate(fam):
+                value = bilinear_by_products(fi.poly, fj.poly, spec)
+                assert gm.entry(i, j) == Surd(value, fi.scale_sq * fj.scale_sq)
+
+    @pytest.mark.parametrize("operator,power", [("T", None), ("A", None), ("Bn", 1), ("Bn", 2)])
+    def test_operator_matrix_against_pairwise_products(self, operator, power):
+        spec = SpectrumSpec(OperatorTag(operator), Fraction(3, 2), power)
+        om = operator_matrix(7, spec)
+        fam = [jacobi_family(d, NONCLASSICAL, om.family_tag) for d in om.degrees]
+        for i, fi in enumerate(fam):
+            image = apply_ell(fi, spec.k)
+            for j, fj in enumerate(fam):
+                value = bilinear_by_products(image.poly, fj.poly, om.ip_spec)
+                assert om.entry(i, j) == Surd(value, fi.scale_sq * fj.scale_sq)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SobolevPhi(), Classical(JacobiParams(-1, -1)), Classical(JacobiParams(-1, 1)),
+         Classical(JacobiParams(2, 0)), LeftDefinite(2, 3), LeftDefinite(3, 0)],
+    )
+    def test_random_pairs_against_products(self, spec):
+        rng = random.Random(404)
+        for _ in range(25):
+            f = _random_vanishing(rng, rng.randint(-1, 9))
+            g = _random_vanishing(rng, rng.randint(-1, 9))
+            fs = ScaledPolynomial(Fraction(rng.randint(1, 9), rng.randint(1, 9)), f)
+            expected = Surd(bilinear_by_products(f, g, spec), fs.scale_sq)
+            assert inner_product(fs, g, spec) == expected
