@@ -64,7 +64,6 @@ from .operators import (
 )
 from .numeric import (
     ChelInstance,
-    ConvergenceFailure,
     GalerkinSystem,
     MassNotPositiveDefinite,
     NonFiniteIntegral,
@@ -74,7 +73,6 @@ from .numeric import (
     galerkin_spectrum,
     galerkin_system,
     gauss_jacobi,
-    gauss_legendre,
     knorm_crosscheck,
 )
 

@@ -2,14 +2,13 @@
 constants, and a Galerkin reproduction of the weighted-space spectrum.
 
 Everything exact lives elsewhere; this module is where doubles are allowed.
-Gauss-Legendre rules come from Newton iteration on the Legendre recurrence.
 Gauss-Jacobi rules (needed for non-integer parameters, where the weight has
 algebraic endpoint singularities that defeat plain Gauss-Legendre) come from
-the Golub-Welsch tridiagonal eigenproblem.  The Galerkin discretization is
-assembled exactly in the algebra layer and factorized by an exact rational
-LDL^T before any float enters: the trial basis (1 - x^2) x^i produces a
-Hilbert-like mass matrix whose floating Cholesky breaks down long before the
-sizes of interest.
+the Golub-Welsch tridiagonal eigenproblem.  The Galerkin discretization uses
+the nested, well-conditioned basis (1 - x^2) P_i (Legendre P_i), is assembled
+in floats with a Gauss-Legendre rule that is exact for its polynomial
+integrands, and is reduced to a symmetric eigenproblem by a float Cholesky
+factorization of the mass matrix.
 """
 
 from __future__ import annotations
@@ -17,36 +16,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
-from .algebra import (
-    ONE_MINUS_X2,
-    Polynomial,
-    as_fraction,
-    integrate_weighted,
-)
+from .algebra import as_fraction
 from .jacobi import JacobiParams, classical_jacobi
 
 __all__ = [
-    "ConvergenceFailure",
     "NonFiniteIntegral",
     "MassNotPositiveDefinite",
     "QuadratureRule",
     "ChelInstance",
     "GalerkinSystem",
-    "gauss_legendre",
     "gauss_jacobi",
     "knorm_crosscheck",
     "chel_preset",
     "chel_K",
+    "golden_section_max",
     "galerkin_system",
     "galerkin_spectrum",
     "solve_galerkin",
 ]
-
-
-class ConvergenceFailure(ArithmeticError):
-    """A Newton iterate failed to converge."""
 
 
 class NonFiniteIntegral(ArithmeticError):
@@ -65,49 +54,6 @@ class QuadratureRule:
 
     def integrate(self, fn: Callable[[float], float]) -> float:
         return math.fsum(w * fn(x) for x, w in zip(self.nodes, self.weights))
-
-
-def _legendre_value_derivative(n: int, x: float) -> tuple[float, float]:
-    """(P_n(x), P_n'(x)) by the three-term recurrence."""
-    p_prev, p = 1.0, x
-    for m in range(2, n + 1):
-        p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
-def gauss_legendre(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 2*order - 1.
-
-    Nodes are Newton-refined from the cosine initial guesses; the weights use
-    2 / ((1 - x^2) P_n'(x)^2).  Raises ConvergenceFailure if any node fails to
-    settle within 100 iterations.
-    """
-    if not 1 <= order <= 512:
-        raise ValueError("order must be between 1 and 512")
-    if order == 1:
-        return QuadratureRule(order=1, nodes=(0.0,), weights=(2.0,))
-    nodes = []
-    weights = []
-    for i in range(order):
-        x = math.cos(math.pi * (i + 0.75) / (order + 0.5))
-        for _ in range(100):
-            p, dp = _legendre_value_derivative(order, x)
-            dx = p / dp
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        else:
-            raise ConvergenceFailure(f"node {i} of order-{order} rule did not converge")
-        _, dp = _legendre_value_derivative(order, x)
-        nodes.append(x)
-        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    pairs = sorted(zip(nodes, weights))
-    return QuadratureRule(
-        order=order,
-        nodes=tuple(x for x, _ in pairs),
-        weights=tuple(w for _, w in pairs),
-    )
 
 
 def gauss_jacobi(order: int, alpha: float, beta: float) -> QuadratureRule:
@@ -295,6 +241,32 @@ def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: flo
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
+def golden_section_max(
+    fn: Callable[[float], float], lo: float, hi: float, tol: float
+) -> float:
+    """Maximizer of a unimodal fn on [lo, hi] by golden-section search.
+
+    The bracket shrinks until it is narrower than tol (at most 200 steps);
+    its midpoint is returned.
+    """
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(200):
+        if hi - lo < tol:
+            break
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = fn(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = fn(x1)
+    return 0.5 * (lo + hi)
+
+
 def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
     """(K, argmax): the boundedness constant and where K(x) attains it.
 
@@ -329,128 +301,78 @@ def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
         right = back_anchor + _adaptive_simpson(psi2, x, xs[best + 1], cell_tol)
         return left * right
 
-    # Golden-section maximization on the bracketing cells.
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = k_squared(x1), k_squared(x2)
-    for _ in range(200):
-        if hi - lo < 1e-12 * max(1.0, abs(b - a)):
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = k_squared(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = k_squared(x1)
-    x_star = 0.5 * (lo + hi)
+    x_star = golden_section_max(k_squared, lo, hi, 1e-12 * max(1.0, abs(b - a)))
     return math.sqrt(k_squared(x_star)), x_star
 
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Exact stiffness and mass matrices of the weak form on (1 - x^2) x^i."""
+    """Stiffness and mass matrices of the weak form on (1 - x^2) P_i."""
 
     size: int
-    stiffness: tuple[tuple[Fraction, ...], ...]
-    mass: tuple[tuple[Fraction, ...], ...]
+    stiffness: tuple[tuple[float, ...], ...]
+    mass: tuple[tuple[float, ...], ...]
 
 
 def galerkin_system(size: int, k) -> GalerkinSystem:
-    """Assemble the weak form of the weighted-space operator exactly.
+    """Assemble the weak form of the weighted-space operator in floats.
 
-    Trial functions b_i = (1 - x^2) x^i vanish at the endpoints;
+    Trial functions b_i = (1 - x^2) P_i (Legendre P_i) vanish at the endpoints;
     stiffness = int b_i' b_j' + k int b_i b_j / (1 - x^2) and
-    mass = int b_i b_j / (1 - x^2), all rational.
+    mass = int b_i b_j / (1 - x^2).  The integrands are polynomials of degree
+    at most 2 * size, so the (size + 2)-point Gauss-Legendre rule is exact for
+    them; b_i' = i P_{i-1} - (i + 2) x P_i needs no differentiation.
     """
+    import numpy as np  # imported here so that the exact commands start without numpy
+    from numpy.polynomial.legendre import leggauss, legvander
+
     if not 2 <= size <= 200:
         raise ValueError("size must be between 2 and 200")
-    kf = as_fraction(k) if not isinstance(k, float) else Fraction(k)
-    basis = [ONE_MINUS_X2 * Polynomial.monomial(i) for i in range(size)]
-    derivs = [b.derivative() for b in basis]
-    mass = [[Fraction(0)] * size for _ in range(size)]
-    stiff = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            # b_i b_j / (1 - x^2) = (1 - x^2) x^(i+j)
-            m = integrate_weighted(Polynomial.monomial(i + j), 1)
-            s = integrate_weighted(derivs[i] * derivs[j], 0) + kf * m
-            mass[i][j] = mass[j][i] = m
-            stiff[i][j] = stiff[j][i] = s
+    kf = float(as_fraction(k))
+    x, w = leggauss(size + 2)
+    p = legvander(x, size - 1)
+    i = np.arange(size)
+    p_prev = np.hstack([np.zeros((len(x), 1)), p[:, :-1]])
+    dp = i * p_prev - (i + 2) * x[:, None] * p
+    mass = (p * (w * (1.0 - x * x))[:, None]).T @ p
+    stiff = (dp * w[:, None]).T @ dp + kf * mass
+    # Averaging with the transpose makes both matrices exactly symmetric.
     return GalerkinSystem(
         size=size,
-        stiffness=tuple(tuple(row) for row in stiff),
-        mass=tuple(tuple(row) for row in mass),
+        stiffness=tuple(map(tuple, (0.5 * (stiff + stiff.T)).tolist())),
+        mass=tuple(map(tuple, (0.5 * (mass + mass.T)).tolist())),
     )
-
-
-def _ldl_exact(
-    matrix: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact LDL^T of a symmetric rational matrix; pivots must be positive."""
-    n = len(matrix)
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    pivots: list[Fraction] = []
-    for j in range(n):
-        dj = matrix[j][j] - sum(lower[j][s] ** 2 * pivots[s] for s in range(j))
-        if dj <= 0:
-            raise MassNotPositiveDefinite(f"pivot {j} is {dj}")
-        pivots.append(dj)
-        lower[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            lower[i][j] = (
-                matrix[i][j] - sum(lower[i][s] * lower[j][s] * pivots[s] for s in range(j))
-            ) / dj
-    return lower, pivots
-
-
-def _forward_solve(
-    lower: list[list[Fraction]], rhs: list[list[Fraction]]
-) -> list[list[Fraction]]:
-    """Solve L Y = RHS for unit lower-triangular L, columnwise."""
-    n = len(lower)
-    cols = len(rhs[0])
-    out = [[Fraction(0)] * cols for _ in range(n)]
-    for c in range(cols):
-        for i in range(n):
-            out[i][c] = rhs[i][c] - sum(lower[i][s] * out[s][c] for s in range(i))
-    return out
 
 
 def solve_galerkin(system: GalerkinSystem) -> list[float]:
     """Ascending eigenvalues of stiffness v = lambda mass v.
 
-    The mass matrix is factored exactly as L D L^T; the congruence
-    C = L^-1 S L^-T stays rational, and the symmetrized float matrix is formed
-    as sign(C_ij) * sqrt(C_ij^2 / (d_i d_j)) so no intermediate under- or
-    overflows, leaving only the dense symmetric eigensolve in floating point.
+    The mass matrix is factored by Cholesky, mass = L L^T, and the symmetric
+    matrix L^-1 S L^-T (two solves with L) goes to the dense symmetric
+    eigensolver.  A mass matrix that is not numerically positive definite
+    raises MassNotPositiveDefinite.
     """
-    import numpy as np  # imported here, as in gauss_jacobi
+    import numpy as np  # imported here, as in galerkin_system
 
-    n = system.size
-    lower, pivots = _ldl_exact([list(row) for row in system.mass])
-    y = _forward_solve(lower, [list(row) for row in system.stiffness])
-    # C = L^-1 S L^-T: solve L C^T = Y^T; C is exactly symmetric since S is.
-    yt = [[y[j][i] for j in range(n)] for i in range(n)]
-    c = _forward_solve(lower, yt)
-    scaled = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            cij = c[i][j]
-            t = (cij * cij) / (pivots[i] * pivots[j])
-            sign = 1.0 if cij > 0 else (-1.0 if cij < 0 else 0.0)
-            scaled[i, j] = sign * math.sqrt(float(t))
-    scaled = 0.5 * (scaled + scaled.T)
-    return [float(v) for v in np.linalg.eigvalsh(scaled)]
+    mass = np.array(system.mass, dtype=float)
+    stiff = np.array(system.stiffness, dtype=float)
+    try:
+        lower = np.linalg.cholesky(mass)
+    except np.linalg.LinAlgError as exc:
+        raise MassNotPositiveDefinite(f"Cholesky of the mass matrix failed: {exc}") from exc
+    pivots = np.diag(lower)
+    if not np.all(pivots > 0):
+        raise MassNotPositiveDefinite(f"mass pivot {float(pivots.min())} is not positive")
+    half = np.linalg.solve(lower, stiff)
+    congruent = np.linalg.solve(lower, half.T)
+    return [float(v) for v in np.linalg.eigvalsh(0.5 * (congruent + congruent.T))]
 
 
 def galerkin_spectrum(size: int, k: float) -> list[float]:
     """Ascending Galerkin eigenvalues approximating the weighted-space spectrum.
 
-    With the endpoint-vanishing polynomial trial space the discrete values sit
-    on the exact spectrum m(m-1) + k, m = 2, 3, ..., up to eigensolver
-    rounding, so the first few entries recover it to high accuracy.
+    The trial space of size s spans the exact eigenfunctions of degrees
+    2..s+1, so the discrete values equal m(m-1) + k, m = 2, ..., s+1, up to
+    floating-point rounding in assembly, factorization and eigensolve.
     """
     return solve_galerkin(galerkin_system(size, k))

@@ -45,6 +45,7 @@ from .jacobi import (
     JacobiParams,
     NONCLASSICAL,
     Normalization,
+    UndefinedNormalization,
     derivative_coefficient_squared,
     jacobi_family,
 )
@@ -378,7 +379,8 @@ def gram_matrix(
 
     The family is classical at the pairing's parameters for a Classical spec
     and the nonclassical one otherwise; the L2-orthonormal nonclassical family
-    starts at degree 2.
+    starts at degree 2.  A family member of zero or irrational squared norm
+    under the pairing raises UndefinedNormalization.
     """
     params = spec.params if isinstance(spec, Classical) else NONCLASSICAL
     degrees = _family_degrees(params, family_tag, max_degree)
@@ -386,7 +388,7 @@ def gram_matrix(
     entries = _surd_matrix(fam, fam, spec)
     for i, row in enumerate(entries):
         if not row[i].is_rational or row[i].to_fraction() <= 0:
-            raise ValueError(
+            raise UndefinedNormalization(
                 f"Gram diagonal entry {row[i]} at degree {degrees[i]} is not positive"
             )
     return GramMatrix(

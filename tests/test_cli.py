@@ -140,6 +140,19 @@ class TestGramCommand:
         assert code == 2
         assert "ld-n" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--ip", "ld", "--ld-n", "1", "--k", "0", "--family", "phi", "--max-degree", "3"),
+            ("--ip", "phi", "--family", "reference", "--max-degree", "3"),
+        ],
+    )
+    def test_degenerate_gram_is_undefined_request(self, capsys, argv):
+        # a zero Gram diagonal entry: the family is not normalizable under the pairing
+        code, out, err = run(capsys, "gram", *argv)
+        assert code == 3
+        assert out == "" and "undefined request" in err
+
 
 class TestSpectrumCommand:
     def test_sobolev_spectrum(self, capsys):
@@ -200,6 +213,18 @@ class TestNumericFailureExitCode:
 
         monkeypatch.setattr(cli, "chel_K", boom)
         code, _, err = run(capsys, "chel", "--case", "unit", "--grid", "1000")
+        assert code == 4
+        assert "numeric failure" in err
+
+    def test_indefinite_mass_maps_to_exit_4(self, capsys, monkeypatch):
+        import jsob.cli as cli
+        from jsob.numeric import MassNotPositiveDefinite
+
+        def boom(size, k):
+            raise MassNotPositiveDefinite("mass pivot 0.0 is not positive")
+
+        monkeypatch.setattr(cli, "galerkin_spectrum", boom)
+        code, _, err = run(capsys, "spectrum", "--operator", "A", "--galerkin", "10")
         assert code == 4
         assert "numeric failure" in err
 
@@ -367,6 +392,8 @@ class TestSubprocessEntry:
             "assert 'numpy' not in sys.modules, 'import'\n"
             "cli.main(['stirling', '--max-n', '6', '--format', 'csv'])\n"
             "assert 'numpy' not in sys.modules, 'stirling'\n"
+            "cli.main(['chel', '--case', 'unit', '--grid', '1000'])\n"
+            "assert 'numpy' not in sys.modules, 'chel'\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env)
