@@ -12,13 +12,19 @@ flags, then the --config file (line-oriented ``key = value``), then defaults.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 undefined request,
 4 numeric failure (a non-finite integral or a mass matrix that is not
-positive definite).  A reader that closes stdout early (``| head``)
-ends the command quietly with exit code 0.
+positive definite), 5 internal fault (an exact computation broke one of its
+own invariants, e.g. NotDivisible or MismatchWithClosedForm).  A reader that
+closes stdout early (``| head``) ends the command quietly with exit code 0.
+
+main() sets OPENBLAS_NUM_THREADS=1 unless it is already set: the Galerkin
+matrices are at most 200 x 200, too small for BLAS threads to pay for
+starting.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -89,6 +95,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNDEFINED = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 
 class UsageError(ValueError):
@@ -274,12 +281,19 @@ def _load_cache(path: str) -> dict:
 
 
 def _store_cache(path: str, cache: dict) -> None:
+    """Write the cache to a temporary file beside it, then move that over it,
+    so a write that fails leaves the previous cache file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(cache, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        os.replace(tmp, path)
     except OSError as exc:
         print(f"warning: could not write cache {path!r} ({exc})", file=sys.stderr)
+    finally:
+        with contextlib.suppress(OSError):  # gone already after os.replace
+            os.remove(tmp)
 
 
 def _record_for(params: JacobiParams, n: int, norm: Normalization, cfg: CliConfig) -> PolynomialRecord:
@@ -929,6 +943,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Before anything imports numpy, whose OpenBLAS reads this at load time.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -959,6 +975,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,13 +6,16 @@ check: products are schoolbook Fraction convolutions, not the integer kernel;
 the classical family is rebuilt from its three-term recurrence and from the
 explicit binomial sum; Jacobi-Stirling numbers come from their alternating
 sum; weighted integrals and bilinear forms are recomputed from a term-by-term
-antiderivative of the product polynomial.
+antiderivative of the product polynomial; the boundedness constant comes from
+per-cell adaptive Simpson quadrature.
 """
 
+import math
 from fractions import Fraction
 from math import factorial
 
 from jsob.algebra import Polynomial
+from jsob.numeric import NonFiniteIntegral, golden_section_max
 
 # rows j = 0..8, columns n = 0..8
 JACOBI_STIRLING_TABLE = (
@@ -168,3 +171,80 @@ def bilinear_by_products(p: Polynomial, q: Polynomial, spec) -> Fraction:
             m = j - 1
             total += cj * _weighted_by_products(p.derivative(j), q.derivative(j), m, m)
     return total
+
+
+def _adaptive_simpson(fn, a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson on [a, b]; raises NonFiniteIntegral on divergence."""
+
+    def safe(x: float) -> float:
+        try:
+            v = fn(x)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise NonFiniteIntegral(f"integrand not finite at x = {x}") from exc
+        if not math.isfinite(v):
+            raise NonFiniteIntegral(f"integrand not finite at x = {x}")
+        return v
+
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
+        xm = 0.5 * (x0 + x2)
+        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
+        fl, fr = safe(xl), safe(xr)
+        left = simpson(x0, xm, f0, fl, f1)
+        right = simpson(xm, x2, f1, fr, f2)
+        err = left + right - whole
+        if abs(err) <= 15.0 * eps or (x2 - x0) < 1e-14:
+            return left + right + err / 15.0
+        if depth > 48:
+            if abs(err) > max(1e-8, 1e-8 * abs(whole)):
+                raise NonFiniteIntegral(
+                    f"integral on [{x0}, {x2}] did not converge (residual {err:.3e})"
+                )
+            return left + right + err / 15.0
+        half = eps / 2.0
+        return recurse(x0, xm, f0, fl, f1, left, half, depth + 1) + recurse(
+            xm, x2, f1, fr, f2, right, half, depth + 1
+        )
+
+    fa, fb = safe(a), safe(b)
+    fm = safe(0.5 * (a + b))
+    whole = simpson(a, b, fa, fm, fb)
+    if not math.isfinite(whole) or abs(whole) > 1e12:
+        raise NonFiniteIntegral("integral estimate is not finite")
+    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+
+
+def chel_K_by_adaptive_simpson(instance, grid_size: int) -> tuple[float, float]:
+    """(K, argmax) with every cell integral from adaptive Simpson to 1e-14.
+
+    Its cost grows faster than linearly in grid_size near an endpoint
+    singularity, so it serves only as an oracle at small grids.
+    """
+    if grid_size < 1000:
+        raise ValueError("grid_size must be at least 1000")
+    a, b = instance.a, instance.b
+    phi2 = lambda t: instance.phi(t) ** 2 * instance.weight(t)
+    psi2 = lambda t: instance.psi(t) ** 2 * instance.weight(t)
+    xs = [a + (b - a) * i / grid_size for i in range(grid_size + 1)]
+    cell_tol = 1e-14
+
+    front = [0.0] * (grid_size + 1)
+    for i in range(1, grid_size):
+        front[i] = front[i - 1] + _adaptive_simpson(phi2, xs[i - 1], xs[i], cell_tol)
+    back = [0.0] * (grid_size + 1)
+    for i in range(grid_size - 1, 0, -1):
+        back[i] = back[i + 1] + _adaptive_simpson(psi2, xs[i], xs[i + 1], cell_tol)
+
+    best = max(range(1, grid_size), key=lambda i: front[i] * back[i])
+    lo, hi = xs[best - 1], xs[best + 1]
+    front_anchor, back_anchor = front[best - 1], back[best + 1]
+
+    def k_squared(x: float) -> float:
+        left = front_anchor + _adaptive_simpson(phi2, xs[best - 1], x, cell_tol)
+        right = back_anchor + _adaptive_simpson(psi2, x, xs[best + 1], cell_tol)
+        return left * right
+
+    x_star = golden_section_max(k_squared, lo, hi, 1e-12 * max(1.0, abs(b - a)))
+    return math.sqrt(k_squared(x_star)), x_star

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from jsob.algebra import NotDivisible
 from jsob.cli import PolynomialRecord, main
-from jsob.jacobi import JacobiParams, Normalization
+from jsob.jacobi import JacobiParams, Normalization, NotProportional, PoleInGammaRatio
+from jsob.operators import MismatchWithClosedForm, NotInWeightedSpace
+from jsob.stirling import NonIntegerResult
 
 
 @pytest.fixture(autouse=True)
@@ -229,6 +232,32 @@ class TestNumericFailureExitCode:
         assert "numeric failure" in err
 
 
+class TestInternalFaultExitCode:
+    @pytest.mark.parametrize(
+        "exc_type",
+        [
+            NotDivisible,
+            PoleInGammaRatio,
+            NotProportional,
+            NotInWeightedSpace,
+            MismatchWithClosedForm,
+            NonIntegerResult,
+        ],
+        ids=lambda exc_type: exc_type.__name__,
+    )
+    def test_arithmetic_fault_maps_to_exit_5(self, capsys, monkeypatch, exc_type):
+        import jsob.cli as cli
+
+        def boom(instance, grid):
+            raise exc_type("an exact invariant failed")
+
+        monkeypatch.setattr(cli, "chel_K", boom)
+        code, out, err = run(capsys, "chel", "--case", "unit", "--grid", "1000")
+        assert code == 5
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("internal fault:"), err
+
+
 class TestVerifyCommand:
     def test_stirling_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "stirling")
@@ -359,6 +388,25 @@ class TestPolynomialCache:
         assert "malformed cache entry" in err
         assert out == plain
 
+    def test_failed_write_keeps_previous_cache(self, capsys, tmp_path, monkeypatch):
+        import jsob.cli as cli
+
+        cache = tmp_path / "cache.json"
+        run(capsys, *self.ARGS, "--cache-path", str(cache))
+        before = cache.read_bytes()
+
+        def full_disk(obj, fh, **kwargs):
+            fh.write("{\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.json, "dump", full_disk)
+        args = [*self.ARGS[:2], "7", *self.ARGS[3:]]  # a miss: the cache is rewritten
+        code, out, err = run(capsys, *args, "--cache-path", str(cache))
+        assert code == 0 and json.loads(out)["n"] == 7
+        assert "could not write cache" in err
+        assert cache.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
     def test_cached_values_print_in_canonical_form(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
         code, plain, _ = run(capsys, *self.ARGS)
@@ -369,6 +417,17 @@ class TestPolynomialCache:
         cache.write_text(json.dumps(stored))
         code, out, _ = run(capsys, *self.ARGS, "--cache-path", str(cache))
         assert code == 0 and out == plain
+
+
+class TestBlasThreads:
+    def test_one_thread_unless_set(self, capsys, monkeypatch):
+        # setenv first, so that monkeypatch restores the variable's absence
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        run(capsys, "stirling", "--max-n", "0")
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        run(capsys, "stirling", "--max-n", "0")
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 class TestSubprocessEntry:

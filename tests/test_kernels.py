@@ -3,9 +3,11 @@
 Each fast path of the exact layer (Kronecker products, moment-vector integrals,
 recurrence-built families, the Stirling triangle, per-row Gram assembly) is
 compared with an independent slow computation from ``reference_data`` on
-seeded random inputs.
+seeded random inputs, and the composite-rule boundedness constant with the
+adaptive-Simpson one it replaced.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from jsob.jacobi import (
     jacobi_family,
     nonclassical_jacobi,
 )
+from jsob.numeric import ChelInstance, chel_K, chel_preset
 from jsob.operators import (
     Classical,
     LeftDefinite,
@@ -41,6 +44,7 @@ from jsob.operators import (
 from jsob.stirling import jacobi_stirling
 from reference_data import (
     bilinear_by_products,
+    chel_K_by_adaptive_simpson,
     integral_by_antiderivative,
     jacobi_by_binomial_sum,
     jacobi_stirling_by_sum,
@@ -203,3 +207,29 @@ class TestGramAssembly:
             fs = ScaledPolynomial(Fraction(rng.randint(1, 9), rng.randint(1, 9)), f)
             expected = Surd(bilinear_by_products(f, g, spec), fs.scale_sq)
             assert inner_product(fs, g, spec) == expected
+
+
+# Cells of width 8e-3 at grid 1000, where composite Simpson would put K^2 off
+# by about 4e-11 relative: the differential test then also pins the rule's order.
+SMOOTH_CHEL = ChelInstance(
+    name="smooth",
+    phi=lambda t: math.exp(t - 8.0),
+    psi=lambda t: 2.0 + math.cos(t),
+    weight=lambda t: 1.0 + t * t,
+    a=0.0,
+    b=8.0,
+)
+
+
+class TestChelQuadrature:
+    @pytest.mark.parametrize(
+        "instance",
+        [chel_preset("dirichlet"), chel_preset("w1v1"), chel_preset("unit"), SMOOTH_CHEL],
+        ids=lambda inst: inst.name,
+    )
+    @pytest.mark.parametrize("grid", [1000, 4000])
+    def test_against_adaptive_simpson(self, instance, grid):
+        kmax, argmax = chel_K(instance, grid)
+        k_ref, arg_ref = chel_K_by_adaptive_simpson(instance, grid)
+        assert abs(kmax * kmax - k_ref * k_ref) <= 1e-12 * k_ref * k_ref
+        assert abs(argmax - arg_ref) <= 1e-6

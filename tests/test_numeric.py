@@ -20,6 +20,7 @@ from jsob.numeric import (
     knorm_crosscheck,
     solve_galerkin,
 )
+from reference_data import chel_K_by_adaptive_simpson
 
 
 def golden_max(fn, lo, hi):
@@ -147,6 +148,82 @@ class TestChel:
         )
         with pytest.raises(NonFiniteIntegral):
             chel_K(diverging, 1000)
+
+    @pytest.mark.parametrize(
+        "chel", [chel_K, chel_K_by_adaptive_simpson], ids=["lobatto", "adaptive-simpson"]
+    )
+    def test_integrable_endpoint_singularity_raises(self, chel):
+        # psi^2 = (1 - t)^(-1/2) is integrable, but it is evaluated at t = 1,
+        # which is a grid point, by both the composite rule and the old path.
+        singular = ChelInstance(
+            name="singular",
+            phi=lambda t: 1.0,
+            psi=lambda t: (1.0 - t) ** -0.25,
+            weight=lambda t: 1.0,
+            a=0.0,
+            b=1.0,
+        )
+        with pytest.raises(NonFiniteIntegral):
+            chel(singular, 1000)
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            lambda t: 1.0 / math.sqrt(1.0 + 1e-9 - t),  # finite; Simpson and Lobatto disagree
+            lambda t: 1e8,  # a cell integral above 1e12
+        ],
+        ids=["unresolved", "huge"],
+    )
+    def test_unresolved_cell_raises(self, psi):
+        instance = ChelInstance(
+            name="near-pole", phi=lambda t: 1.0, psi=psi, weight=lambda t: 1.0, a=0.0, b=1.0
+        )
+        with pytest.raises(NonFiniteIntegral):
+            chel_K(instance, 1000)
+
+    def test_presets_at_largest_grid(self):
+        # The cell disagreement next to the log singularities does not shrink
+        # with the cell, so the check must also stay quiet at grid 100000.
+        kmax, _ = chel_K(chel_preset("dirichlet"), 100000)
+        closed = golden_max(
+            lambda x: 0.5 * (1 - x) * math.log((1 + x) / (1 - x)), 1e-9, 1 - 1e-9
+        )
+        assert abs(kmax * kmax - closed) < 1e-6
+        kmax, _ = chel_K(chel_preset("w1v1"), 100000)
+        assert abs(kmax * kmax - math.exp(-1)) < 1e-9
+        kmax, argmax = chel_K(chel_preset("unit"), 100000)
+        assert abs(kmax - 0.5) < 1e-9 and abs(argmax - 0.5) < 1e-4
+
+    def test_cost_is_linear_in_grid(self):
+        # 4 new nodes per cell x 2 integrands x 2 callables per evaluation,
+        # plus a golden-section refinement whose cost does not grow with the
+        # grid.  The dirichlet shape is where adaptive recursion grew faster.
+        calls = 0
+
+        def counted(fn):
+            def wrapper(t):
+                nonlocal calls
+                calls += 1
+                return fn(t)
+
+            return wrapper
+
+        preset = chel_preset("dirichlet")
+        instance = ChelInstance(
+            name="counted",
+            phi=counted(preset.phi),
+            psi=counted(preset.psi),
+            weight=counted(preset.weight),
+            a=preset.a,
+            b=preset.b,
+        )
+        counts = {}
+        for grid in (2000, 20000):
+            calls = 0
+            chel_K(instance, grid)
+            counts[grid] = calls
+            assert calls <= 17 * grid
+        assert 9.5 <= counts[20000] / counts[2000] <= 10.5
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
