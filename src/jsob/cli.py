@@ -10,11 +10,13 @@ Configuration keys (default_k, output_format, cache_path, float_digits) are
 resolved with precedence: JSOB_* environment variables, then command-line
 flags, then the --config file (line-oriented ``key = value``), then defaults.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 undefined request,
-4 numeric failure (a non-finite integral or a mass matrix that is not
-positive definite), 5 internal fault (an exact computation broke one of its
-own invariants, e.g. NotDivisible or MismatchWithClosedForm).  A reader that
-closes stdout early (``| head``) ends the command quietly with exit code 0.
+Exit codes: 0 ok, 1 verification failure (a verify check that fails, or that
+raises an ArithmeticError or ValueError, is reported as FAIL), 2 usage error,
+3 undefined request, 4 numeric failure (a non-finite integral or a mass
+matrix that is not positive definite), 5 internal fault (an exact computation
+broke one of its own invariants, e.g. NotDivisible or MismatchWithClosedForm).
+A reader that closes stdout early (``| head``) ends the command quietly with
+exit code 0.
 
 main() sets OPENBLAS_NUM_THREADS=1 unless it is already set: the Galerkin
 matrices are at most 200 x 200, too small for BLAS threads to pay for
@@ -262,8 +264,9 @@ class PolynomialRecord:
             Polynomial(Fraction(c) for c in self.coefficients),
         )
 
-    def cache_key(self) -> str:
-        return f"({self.alpha},{self.beta},{self.n},{self.normalization})"
+
+def _cache_key(alpha, beta, n: int, normalization: str) -> str:
+    return f"({alpha},{beta},{n},{normalization})"
 
 
 def _load_cache(path: str) -> dict:
@@ -297,12 +300,12 @@ def _store_cache(path: str, cache: dict) -> None:
 
 
 def _record_for(params: JacobiParams, n: int, norm: Normalization, cfg: CliConfig) -> PolynomialRecord:
-    key = f"({params.alpha},{params.beta},{n},{norm.value})"
+    key = _cache_key(params.alpha, params.beta, n, norm.value)
     cache = _load_cache(cfg.cache_path) if cfg.cache_path else {}
     if key in cache:
         try:
             record = PolynomialRecord.from_dict(cache[key])
-            if record.cache_key() != key:
+            if _cache_key(record.alpha, record.beta, record.n, record.normalization) != key:
                 raise ValueError("record does not describe its key")
             return record
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
@@ -354,16 +357,9 @@ def cmd_stirling(args: argparse.Namespace, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-_NORM_NAMES = {
-    "reference": Normalization.REFERENCE,
-    "l2": Normalization.L2,
-    "phi": Normalization.PHI,
-}
-
-
 def cmd_poly(args: argparse.Namespace, cfg: CliConfig) -> int:
     params = JacobiParams(_parse_rational(args.alpha), _parse_rational(args.beta))
-    record = _record_for(params, args.n, _NORM_NAMES[args.normalization], cfg)
+    record = _record_for(params, args.n, Normalization(args.normalization), cfg)
     if cfg.output_format == "json":
         _emit_json(record.to_dict())
     elif cfg.output_format == "csv":
@@ -413,7 +409,7 @@ def _ip_label(spec) -> str:
 def cmd_gram(args: argparse.Namespace, cfg: CliConfig) -> int:
     spec = _build_ip_spec(args, cfg)
     if args.family is not None:
-        family = _NORM_NAMES[args.family]
+        family = Normalization(args.family)
     else:
         family = Normalization.PHI if isinstance(spec, SobolevPhi) else Normalization.L2
     gm = gram_matrix(args.max_degree, spec, family)
@@ -555,7 +551,7 @@ def cmd_chel(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification checks
 
 # The 9x9 Jacobi-Stirling triangle, columns n = 0..8, rows j = 0..8.
 _STIRLING_REFERENCE = (
@@ -570,74 +566,32 @@ _STIRLING_REFERENCE = (
     (0, 0, 0, 0, 0, 0, 0, 0, 1),
 )
 
-Check = tuple[str, bool, str]
-
-
-def _check(name: str, ok: bool, detail: str = "") -> Check:
-    return (name, bool(ok), detail)
-
 
 def _random_poly(rng: random.Random, degree: int) -> Polynomial:
     return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree + 1)])
 
 
-def _suite_stirling() -> list[Check]:
-    checks = []
+def _is_shifted_spectrum(matrix, power: int) -> bool:
+    """True when the matrix is diagonal with (d(d-1) + 1)^power at degree d."""
+    return matrix.is_diagonal() and all(
+        matrix.entry(i, i) == Surd.from_rational(Fraction((d * (d - 1) + 1) ** power))
+        for i, d in enumerate(matrix.degrees)
+    )
+
+
+def _stirling_table(rng: random.Random) -> bool:
     table = build_table(8)
-    ok = all(
-        table.entry(n, j) == _STIRLING_REFERENCE[j][n]
-        for n in range(9)
-        for j in range(9)
+    return all(
+        table.entry(n, j) == _STIRLING_REFERENCE[j][n] for n in range(9) for j in range(9)
     )
-    checks.append(_check("stirling.table-9x9", ok))
+
+
+def _fifth_power_coefficients(rng: random.Random) -> tuple[bool, str]:
     l5 = composite_coefficients(5, 0).c
-    checks.append(
-        _check("stirling.fifth-power-coefficients", list(l5) == [0, 0, 8, 52, 20, 1], str(list(map(str, l5))))
-    )
-    ok = all(
-        verify_defining_identity(n, m, k)
-        for n in range(1, 7)
-        for m in range(2, 13)
-        for k in (Fraction(0), Fraction(1), Fraction(7, 3))
-    )
-    checks.append(_check("stirling.defining-identity", ok))
-    ok = all(
-        jacobi_stirling(n, j) == 0 for n in range(13) for j in range(n + 1, 13)
-    ) and all(jacobi_stirling(n, n) == 1 for n in range(13))
-    checks.append(_check("stirling.triangularity-and-diagonal", ok))
-    ok = all(
-        list(composite_coefficients(n, 0).c) == [jacobi_stirling(n, j) for j in range(n + 1)]
-        for n in range(1, 9)
-    )
-    checks.append(_check("stirling.zero-shift-column", ok))
-    return checks
+    return list(l5) == [0, 0, 8, 52, 20, 1], str(list(map(str, l5)))
 
 
-def _suite_orthogonality() -> list[Check]:
-    checks = []
-    checks.append(
-        _check("orthogonality.sobolev-gram-identity",
-               gram_matrix(10, SobolevPhi(), Normalization.PHI).is_identity())
-    )
-    checks.append(
-        _check("orthogonality.classical-gram-identity",
-               gram_matrix(6, Classical(JacobiParams(1, 1)), Normalization.L2).is_identity())
-    )
-    gm = gram_matrix(8, LeftDefinite(2, 1), Normalization.L2)
-    ok = gm.is_diagonal() and all(
-        gm.entry(i, i) == Surd.from_rational(Fraction((m * (m - 1) + 1) ** 2))
-        for i, m in enumerate(gm.degrees)
-    )
-    checks.append(_check("orthogonality.left-definite-gram", ok))
-    ok = all(
-        nonclassical_jacobi(n, Normalization.PHI).scale_sq
-        * integrate_weighted(
-            nonclassical_jacobi(n, Normalization.PHI).poly ** 2, -1
-        )
-        == Fraction(1, n * (n - 1))
-        for n in range(2, 13)
-    )
-    checks.append(_check("orthogonality.normalization-bridge", ok))
+def _derivative_weighted(rng: random.Random) -> bool:
     ok = True
     for params in (JacobiParams(0, 0), JacobiParams(1, 1), JacobiParams(1, 2)):
         for n in range(7):
@@ -646,18 +600,10 @@ def _suite_orthogonality() -> list[Check]:
                 if n >= 1:
                     if derivative_orthogonality_value(n, n - 1, j, params) != 0:
                         ok = False
-    checks.append(_check("orthogonality.derivative-weighted", ok))
-    ok = all(
-        knorm_crosscheck(n, a, b) < 1e-8
-        for n in range(0, 7)
-        for (a, b) in ((0.0, 0.0), (1.0, 1.0), (0.5, -0.25))
-    )
-    checks.append(_check("orthogonality.float-normalization", ok))
-    return checks
+    return ok
 
 
-def _suite_eigen() -> list[Check]:
-    checks = []
+def _differential_expression(rng: random.Random) -> bool:
     ok = True
     for k in (Fraction(0), Fraction(1)):
         for n in range(13):
@@ -665,41 +611,10 @@ def _suite_eigen() -> list[Check]:
             lam = Fraction(n * (n - 1)) + k
             if apply_ell(fam, k).poly != lam * fam.poly:
                 ok = False
-    checks.append(_check("eigen.differential-expression", ok))
-    om = operator_matrix(8, SpectrumSpec(OperatorTag.T, 1))
-    ok = om.is_diagonal() and all(
-        om.entry(i, i) == Surd.from_rational(Fraction(d * (d - 1) + 1))
-        for i, d in enumerate(om.degrees)
-    )
-    checks.append(_check("eigen.sobolev-operator-matrix", ok))
-    om = operator_matrix(8, SpectrumSpec(OperatorTag.A, 1))
-    ok = om.is_diagonal() and all(
-        om.entry(i, i) == Surd.from_rational(Fraction(d * (d - 1) + 1))
-        for i, d in enumerate(om.degrees)
-    )
-    checks.append(_check("eigen.weighted-operator-matrix", ok))
-    checks.append(
-        _check(
-            "eigen.spectra",
-            spectrum(SpectrumSpec(OperatorTag.A, 0), 4) == [2, 6, 12, 20]
-            and spectrum(SpectrumSpec(OperatorTag.T, 1), 5) == [1, 1, 3, 7, 13]
-            and spectrum(SpectrumSpec(OperatorTag.BN, 2, power=3), 3) == [4, 8, 14],
-        )
-    )
-    ok = all(
-        apply_ell_power(nonclassical_jacobi(m, Normalization.PHI), p, 1).poly
-        == (Fraction(m * (m - 1) + 1) ** p)
-        * nonclassical_jacobi(m, Normalization.PHI).poly
-        for m in range(7)
-        for p in range(1, 4)
-    )
-    checks.append(_check("eigen.composite-powers", ok))
-    return checks
+    return ok
 
 
-def _suite_identities() -> list[Check]:
-    checks = []
-    rng = random.Random(1234)
+def _lagrange_dirichlet(rng: random.Random) -> bool:
     ok = True
     for _ in range(100):
         f = _random_poly(rng, rng.randint(0, 8))
@@ -707,7 +622,10 @@ def _suite_identities() -> list[Check]:
         k = Fraction(rng.randint(0, 40), rng.randint(1, 9))
         if not verify_lagrange_identity(f, g, k) or not verify_dirichlet_identity(f, g, k):
             ok = False
-    checks.append(_check("identities.lagrange-dirichlet", ok))
+    return ok
+
+
+def _sobolev_decomposition(rng: random.Random) -> bool:
     ok = True
     for _ in range(50):
         f = _random_poly(rng, rng.randint(0, 10))
@@ -717,7 +635,10 @@ def _suite_identities() -> list[Check]:
         for low in (nonclassical_jacobi(0, Normalization.PHI), nonclassical_jacobi(1, Normalization.PHI)):
             if inner_product(ScaledPolynomial.of(f1), low, SobolevPhi()) != Surd.zero():
                 ok = False
-    checks.append(_check("identities.sobolev-decomposition", ok))
+    return ok
+
+
+def _derivative_identity(rng: random.Random) -> tuple[bool, str]:
     ok = True
     seen = 0
     for av in (-1, 0, 1, 2):
@@ -731,9 +652,10 @@ def _suite_identities() -> list[Check]:
                         seen += 1
                     except (UndefinedNormalization, PoleInGammaRatio):
                         continue
-    checks.append(_check("identities.derivative-identity", ok and seen > 0, f"{seen} cases"))
-    ok = all(factorization_check(n) > 0 for n in range(2, 9))
-    checks.append(_check("identities.endpoint-factorization", ok))
+    return ok and seen > 0, f"{seen} cases"
+
+
+def _lower_bound(rng: random.Random) -> bool:
     ok = True
     for k in (Fraction(0), Fraction(1), Fraction(7, 3)):
         for _ in range(10):
@@ -747,7 +669,10 @@ def _suite_identities() -> list[Check]:
                 ok = False
             if lower - k * norm < 0:
                 ok = False
-    checks.append(_check("identities.lower-bound", ok))
+    return ok
+
+
+def _first_left_definite_bridge(rng: random.Random) -> bool:
     ok = True
     for _ in range(10):
         f = ONE_MINUS_X2 * _random_poly(rng, rng.randint(0, 6))
@@ -760,12 +685,10 @@ def _suite_identities() -> list[Check]:
         ld0 = inner_product(ScaledPolynomial.of(f), ScaledPolynomial.of(g), LeftDefinite(1, 0))
         if phi_val != ld0:
             ok = False
-    checks.append(_check("identities.first-left-definite-bridge", ok))
-    return checks
+    return ok
 
 
-def _suite_galerkin() -> list[Check]:
-    checks = []
+def _spectrum_recovery(rng: random.Random) -> tuple[bool, str]:
     ok = True
     detail = []
     for k in (0.0, 1.0):
@@ -780,50 +703,105 @@ def _suite_galerkin() -> list[Check]:
             ok = False
         if any(v < k - 1e-9 for v in ev20):
             ok = False
-    checks.append(_check("galerkin.spectrum-recovery", ok, "; ".join(detail)))
+    return ok, "; ".join(detail)
+
+
+def _chel_dirichlet(rng: random.Random) -> tuple[bool, str]:
     kmax, _ = chel_K(chel_preset("dirichlet"), 4000)
     bound = lambda x: 0.5 * (1 - x) * math.log((1 + x) / (1 - x))
     closed = bound(golden_section_max(bound, 1e-9, 1 - 1e-9, 1e-12))
-    checks.append(
-        _check(
-            "galerkin.chel-dirichlet",
-            abs(kmax * kmax - closed) < 1e-6,
-            f"K^2 = {kmax * kmax:.9f} vs closed form {closed:.9f}",
-        )
-    )
+    return abs(kmax * kmax - closed) < 1e-6, f"K^2 = {kmax * kmax:.9f} vs closed form {closed:.9f}"
+
+
+def _chel_w1v1(rng: random.Random) -> tuple[bool, str]:
     kmax, _ = chel_K(chel_preset("w1v1"), 4000)
-    checks.append(
-        _check(
-            "galerkin.chel-w1v1",
-            abs(kmax * kmax - math.exp(-1)) < 1e-9,
-            f"K^2 = {kmax * kmax:.12f} vs 1/e",
-        )
-    )
+    return abs(kmax * kmax - math.exp(-1)) < 1e-9, f"K^2 = {kmax * kmax:.12f} vs 1/e"
+
+
+def _chel_unit(rng: random.Random) -> tuple[bool, str]:
     kmax, arg = chel_K(chel_preset("unit"), 1000)
-    checks.append(
-        _check(
-            "galerkin.chel-unit",
-            abs(kmax - 0.5) < 1e-9 and abs(arg - 0.5) < 1e-4,
-            f"K = {kmax:.12f} at {arg:.6f}",
-        )
-    )
-    return checks
+    return abs(kmax - 0.5) < 1e-9 and abs(arg - 0.5) < 1e-4, f"K = {kmax:.12f} at {arg:.6f}"
 
 
-_SUITES = {
-    "stirling": _suite_stirling,
-    "orthogonality": _suite_orthogonality,
-    "eigen": _suite_eigen,
-    "identities": _suite_identities,
-    "galerkin": _suite_galerkin,
-}
+# Every verification check, in report order.  A check takes the run's one
+# random.Random(1234), which only the identities.* checks draw from, and
+# returns ok or (ok, detail).  The suite of a check is its name up to the dot.
+_CHECKS = (
+    ("stirling.table-9x9", _stirling_table),
+    ("stirling.fifth-power-coefficients", _fifth_power_coefficients),
+    ("stirling.defining-identity", lambda rng: all(
+        verify_defining_identity(n, m, k)
+        for n in range(1, 7)
+        for m in range(2, 13)
+        for k in (Fraction(0), Fraction(1), Fraction(7, 3))
+    )),
+    ("stirling.triangularity-and-diagonal", lambda rng: all(
+        jacobi_stirling(n, j) == 0 for n in range(13) for j in range(n + 1, 13)
+    ) and all(jacobi_stirling(n, n) == 1 for n in range(13))),
+    ("stirling.zero-shift-column", lambda rng: all(
+        list(composite_coefficients(n, 0).c) == [jacobi_stirling(n, j) for j in range(n + 1)]
+        for n in range(1, 9)
+    )),
+    ("orthogonality.sobolev-gram-identity",
+     lambda rng: gram_matrix(10, SobolevPhi(), Normalization.PHI).is_identity()),
+    ("orthogonality.classical-gram-identity",
+     lambda rng: gram_matrix(6, Classical(JacobiParams(1, 1)), Normalization.L2).is_identity()),
+    ("orthogonality.left-definite-gram",
+     lambda rng: _is_shifted_spectrum(gram_matrix(8, LeftDefinite(2, 1), Normalization.L2), 2)),
+    ("orthogonality.normalization-bridge", lambda rng: all(
+        nonclassical_jacobi(n, Normalization.PHI).scale_sq
+        * integrate_weighted(nonclassical_jacobi(n, Normalization.PHI).poly ** 2, -1)
+        == Fraction(1, n * (n - 1))
+        for n in range(2, 13)
+    )),
+    ("orthogonality.derivative-weighted", _derivative_weighted),
+    ("orthogonality.float-normalization", lambda rng: all(
+        knorm_crosscheck(n, a, b) < 1e-8
+        for n in range(0, 7)
+        for (a, b) in ((0.0, 0.0), (1.0, 1.0), (0.5, -0.25))
+    )),
+    ("eigen.differential-expression", _differential_expression),
+    ("eigen.sobolev-operator-matrix",
+     lambda rng: _is_shifted_spectrum(operator_matrix(8, SpectrumSpec(OperatorTag.T, 1)), 1)),
+    ("eigen.weighted-operator-matrix",
+     lambda rng: _is_shifted_spectrum(operator_matrix(8, SpectrumSpec(OperatorTag.A, 1)), 1)),
+    ("eigen.spectra", lambda rng: (
+        spectrum(SpectrumSpec(OperatorTag.A, 0), 4) == [2, 6, 12, 20]
+        and spectrum(SpectrumSpec(OperatorTag.T, 1), 5) == [1, 1, 3, 7, 13]
+        and spectrum(SpectrumSpec(OperatorTag.BN, 2, power=3), 3) == [4, 8, 14]
+    )),
+    ("eigen.composite-powers", lambda rng: all(
+        apply_ell_power(nonclassical_jacobi(m, Normalization.PHI), p, 1).poly
+        == (Fraction(m * (m - 1) + 1) ** p) * nonclassical_jacobi(m, Normalization.PHI).poly
+        for m in range(7)
+        for p in range(1, 4)
+    )),
+    ("identities.lagrange-dirichlet", _lagrange_dirichlet),
+    ("identities.sobolev-decomposition", _sobolev_decomposition),
+    ("identities.derivative-identity", _derivative_identity),
+    ("identities.endpoint-factorization",
+     lambda rng: all(factorization_check(n) > 0 for n in range(2, 9))),
+    ("identities.lower-bound", _lower_bound),
+    ("identities.first-left-definite-bridge", _first_left_definite_bridge),
+    ("galerkin.spectrum-recovery", _spectrum_recovery),
+    ("galerkin.chel-dirichlet", _chel_dirichlet),
+    ("galerkin.chel-w1v1", _chel_w1v1),
+    ("galerkin.chel-unit", _chel_unit),
+)
 
 
 def cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    checks: list[Check] = []
-    for name in names:
-        checks.extend(_SUITES[name]())
+    rng = random.Random(1234)
+    checks = []
+    for name, check in _CHECKS:
+        if args.suite != "all" and not name.startswith(args.suite + "."):
+            continue
+        try:
+            result = check(rng)
+        except (ArithmeticError, ValueError) as exc:
+            result = (False, f"{type(exc).__name__}: {exc}")
+        ok, detail = result if isinstance(result, tuple) else (result, "")
+        checks.append((name, bool(ok), detail))
     passed = sum(1 for _, ok, _ in checks if ok)
     failed = len(checks) - passed
     if cfg.output_format == "json":
@@ -903,7 +881,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_in_range(0), required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--normalization", choices=sorted(_NORM_NAMES), default="reference")
+    p.add_argument("--normalization", choices=sorted(n.value for n in Normalization),
+                   default="reference")
     _add_common(p)
     p.set_defaults(func=cmd_poly)
 
@@ -914,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", help="classical pairing parameter")
     p.add_argument("--ld-n", dest="ld_n", type=_int_in_range(1), help="left-definite order")
     p.add_argument("--k", help="spectral shift (defaults to default_k)")
-    p.add_argument("--family", choices=sorted(_NORM_NAMES))
+    p.add_argument("--family", choices=sorted(n.value for n in Normalization))
     _add_common(p)
     p.set_defaults(func=cmd_gram)
 
@@ -935,7 +914,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chel)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", choices=("all", *sorted(_SUITES)), default="all")
+    suites = sorted({name.partition(".")[0] for name, _ in _CHECKS})
+    p.add_argument("--suite", choices=("all", *suites), default="all")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -963,9 +943,6 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except UndefinedNormalization as exc:
         print(f"undefined request: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED

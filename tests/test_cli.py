@@ -258,11 +258,82 @@ class TestInternalFaultExitCode:
         assert err.count("\n") == 1 and err.startswith("internal fault:"), err
 
 
+CHECK_NAMES = [
+    "stirling.table-9x9",
+    "stirling.fifth-power-coefficients",
+    "stirling.defining-identity",
+    "stirling.triangularity-and-diagonal",
+    "stirling.zero-shift-column",
+    "orthogonality.sobolev-gram-identity",
+    "orthogonality.classical-gram-identity",
+    "orthogonality.left-definite-gram",
+    "orthogonality.normalization-bridge",
+    "orthogonality.derivative-weighted",
+    "orthogonality.float-normalization",
+    "eigen.differential-expression",
+    "eigen.sobolev-operator-matrix",
+    "eigen.weighted-operator-matrix",
+    "eigen.spectra",
+    "eigen.composite-powers",
+    "identities.lagrange-dirichlet",
+    "identities.sobolev-decomposition",
+    "identities.derivative-identity",
+    "identities.endpoint-factorization",
+    "identities.lower-bound",
+    "identities.first-left-definite-bridge",
+    "galerkin.spectrum-recovery",
+    "galerkin.chel-dirichlet",
+    "galerkin.chel-w1v1",
+    "galerkin.chel-unit",
+]
+SUITES = ["stirling", "orthogonality", "eigen", "identities", "galerkin"]
+
+
 class TestVerifyCommand:
-    def test_stirling_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "stirling")
+    @pytest.mark.parametrize("suite", ["all", *SUITES])
+    def test_suite_passes(self, capsys, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite)
         assert code == 0
         assert "FAIL" not in out
+
+    def test_check_order_and_suite_slices(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json")
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["checks"]] == CHECK_NAMES
+        for suite in SUITES:
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--format", "json")
+            assert code == 0
+            names = [c["name"] for c in json.loads(out)["checks"]]
+            assert names == [n for n in CHECK_NAMES if n.startswith(suite + ".")]
+
+    @pytest.mark.parametrize(
+        "target, exc_type, suite, failing",
+        [
+            ("factorization_check", NotProportional, "identities",
+             "identities.endpoint-factorization"),
+            ("derivative_orthogonality_value", ValueError, "orthogonality",
+             "orthogonality.derivative-weighted"),
+        ],
+        ids=["NotProportional", "ValueError"],
+    )
+    def test_raising_check_is_reported_as_fail(
+        self, capsys, monkeypatch, target, exc_type, suite, failing
+    ):
+        import jsob.cli as cli
+
+        def boom(*args):
+            raise exc_type("an injected fault")
+
+        monkeypatch.setattr(cli, target, boom)
+        code, out, err = run(capsys, "verify", "--suite", suite)
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        expected = [n for n in CHECK_NAMES if n.startswith(suite + ".")]
+        assert [line.split()[1] for line in lines[:-1]] == expected
+        assert f"FAIL {failing}  ({exc_type.__name__}: an injected fault)" in lines
+        assert sum(line.startswith("PASS ") for line in lines) == len(expected) - 1
+        assert lines[-1] == f"suite '{suite}': {len(expected) - 1} passed, 1 failed"
 
     def test_json_report_shape(self, capsys):
         code, out, _ = run(
