@@ -34,12 +34,10 @@ from .jacobi import (
 )
 from .stirling import (
     CompositeCoefficients,
-    NonIntegerResult,
     StirlingTable,
     build_table,
     composite_coefficients,
     jacobi_stirling,
-    legendre_stirling,
     verify_defining_identity,
 )
 from .operators import (

@@ -35,10 +35,7 @@ __all__ = [
     "Polynomial",
     "ScaledPolynomial",
     "Surd",
-    "ONE",
-    "X",
     "ONE_MINUS_X2",
-    "ZERO",
     "as_fraction",
     "divide_by_weight",
     "integrate_weighted",
@@ -219,10 +216,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def reflected(self) -> "Polynomial":
-        """Return p(-x)."""
-        return Polynomial([(-1) ** i * c for i, c in enumerate(self.coeffs)])
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -243,9 +236,6 @@ class Polynomial:
         return out
 
 
-ZERO = Polynomial()
-ONE = Polynomial.one()
-X = Polynomial.x()
 ONE_MINUS_X2 = Polynomial((1, 0, -1))
 
 
@@ -439,14 +429,6 @@ class Surd:
             raise ValueError(f"{self} is irrational")
         return self.coeff
 
-    def __mul__(self, other: "Surd") -> "Surd":
-        if not isinstance(other, Surd):
-            return NotImplemented
-        return Surd(self.coeff * other.coeff, self.radicand * other.radicand)
-
-    def __float__(self) -> float:
-        return float(self.coeff) * float(self.radicand) ** 0.5
-
     def __str__(self) -> str:
         if self.is_rational:
             return str(self.coeff)
@@ -490,9 +472,6 @@ class ScaledPolynomial:
 
     def derivative(self, order: int = 1) -> "ScaledPolynomial":
         return ScaledPolynomial(self.scale_sq, self.poly.derivative(order))
-
-    def value_at(self, x: RationalLike) -> Surd:
-        return Surd(self.poly(as_fraction(x)), self.scale_sq)
 
     def same_function(self, other: "ScaledPolynomial") -> bool:
         """Exact equality of the represented functions.

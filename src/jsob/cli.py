@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: stirling, poly, gram, spectrum, chel, verify.  Output goes to
-stdout as json, csv, or pretty text; diagnostics go to stderr.  Exact
-rationals are serialized as decimal p/q strings, never floats; floats appear
-only in the numeric outputs (spectrum --galerkin, chel) with a configurable
-number of significant digits.
+Subcommands: stirling, poly, gram, spectrum, chel, verify.  Each returns one
+Report, which main() writes to stdout as json, csv, or pretty text once the
+command has finished, so a command that fails prints nothing on stdout;
+diagnostics go to stderr.  Exact rationals are serialized as decimal p/q
+strings, never floats; floats appear only in the numeric outputs (spectrum
+--galerkin, chel) with a configurable number of significant digits.
 
 Configuration keys (default_k, output_format, cache_path, float_digits) are
 resolved with precedence: JSOB_* environment variables, then command-line
@@ -187,16 +188,37 @@ def _fmt_float(x: float, digits: int) -> str:
     return f"{x:.{digits}g}"
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+@dataclass(frozen=True)
+class Report:
+    """One command's result in every output format.
+
+    payload is the JSON object; rows is the CSV table, whose first row's keys
+    are the header (booleans are written true/false); lines is the pretty
+    text.  code is the exit code.
+    """
+
+    payload: dict
+    rows: list[dict]
+    lines: list[str]
+    code: int = EXIT_OK
 
 
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _render(report: Report, output_format: str) -> None:
+    """Write the report to stdout in one piece, after the command has finished."""
+    if output_format == "json":
+        text = json.dumps(report.payload, indent=2) + "\n"
+    elif output_format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(report.rows[0].keys())
+        writer.writerows(
+            [str(v).lower() if isinstance(v, bool) else v for v in row.values()]
+            for row in report.rows
+        )
+        text = buf.getvalue()
+    else:
+        text = "".join(line + "\n" for line in report.lines)
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -321,68 +343,29 @@ def _record_for(params: JacobiParams, n: int, norm: Normalization, cfg: CliConfi
 # subcommands
 
 
-def cmd_stirling(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_stirling(args: argparse.Namespace, cfg: CliConfig) -> Report:
     table = build_table(args.max_n)
-    if cfg.output_format == "json":
-        _emit_json(
-            {
-                "command": "stirling",
-                "max_n": table.max_n,
-                "entries": [
-                    {"n": n, "j": j, "value": str(table.entry(n, j))}
-                    for n in range(table.max_n + 1)
-                    for j in range(table.max_n + 1)
-                ],
-            }
-        )
-    elif cfg.output_format == "csv":
-        rows = [
-            [str(n), str(j), str(table.entry(n, j))]
-            for n in range(table.max_n + 1)
-            for j in range(table.max_n + 1)
-        ]
-        _emit_csv(["n", "j", "value"], rows)
-    else:
-        widths = [
-            max(len(str(table.entry(n, j))) for j in range(table.max_n + 1))
-            for n in range(table.max_n + 1)
-        ]
-        for j in range(table.max_n + 1):
-            print(
-                " ".join(
-                    str(table.entry(n, j)).rjust(widths[n])
-                    for n in range(table.max_n + 1)
-                )
-            )
-    return EXIT_OK
+    size = range(table.max_n + 1)
+    values = [[str(table.entry(n, j)) for j in size] for n in size]
+    entries = [{"n": n, "j": j, "value": values[n][j]} for n in size for j in size]
+    widths = [max(map(len, column)) for column in values]
+    lines = [" ".join(values[n][j].rjust(widths[n]) for n in size) for j in size]
+    return Report({"command": "stirling", "max_n": table.max_n, "entries": entries}, entries, lines)
 
 
-def cmd_poly(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_poly(args: argparse.Namespace, cfg: CliConfig) -> Report:
     params = JacobiParams(_parse_rational(args.alpha), _parse_rational(args.beta))
     record = _record_for(params, args.n, Normalization(args.normalization), cfg)
-    if cfg.output_format == "json":
-        _emit_json(record.to_dict())
-    elif cfg.output_format == "csv":
-        header = ["alpha", "beta", "n", "normalization", "scale_squared"] + [
-            f"c{i}" for i in range(len(record.coefficients))
-        ]
-        row = [
-            record.alpha,
-            record.beta,
-            str(record.n),
-            record.normalization,
-            record.scale_squared,
-            *record.coefficients,
-        ]
-        _emit_csv(header, [row])
-    else:
-        print(
-            f"degree {record.n}, alpha = {record.alpha}, beta = {record.beta}, "
-            f"normalization = {record.normalization}"
-        )
-        print(f"scale_squared = {record.scale_squared}")
-        print(f"value = {record.to_scaled_polynomial()}")
-    return EXIT_OK
+    payload = record.to_dict()
+    row = {key: value for key, value in payload.items() if key != "coefficients"}
+    row.update((f"c{i}", c) for i, c in enumerate(record.coefficients))
+    lines = [
+        f"degree {record.n}, alpha = {record.alpha}, beta = {record.beta}, "
+        f"normalization = {record.normalization}",
+        f"scale_squared = {record.scale_squared}",
+        f"value = {record.to_scaled_polynomial()}",
+    ]
+    return Report(payload, [row], lines)
 
 
 def _build_ip_spec(args: argparse.Namespace, cfg: CliConfig):
@@ -406,148 +389,86 @@ def _ip_label(spec) -> str:
     return f"leftdefinite({spec.n},{spec.k})"
 
 
-def cmd_gram(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_gram(args: argparse.Namespace, cfg: CliConfig) -> Report:
     spec = _build_ip_spec(args, cfg)
     if args.family is not None:
         family = Normalization(args.family)
     else:
         family = Normalization.PHI if isinstance(spec, SobolevPhi) else Normalization.L2
     gm = gram_matrix(args.max_degree, spec, family)
-    if cfg.output_format == "json":
-        _emit_json(
-            {
-                "command": "gram",
-                "ip": _ip_label(spec),
-                "family": family.value,
-                "size": gm.size,
-                "degrees": list(gm.degrees),
-                "entries": [
-                    {
-                        "row": i,
-                        "col": j,
-                        "coeff": str(gm.entry(i, j).coeff),
-                        "radicand": str(gm.entry(i, j).radicand),
-                    }
-                    for i in range(gm.size)
-                    for j in range(gm.size)
-                ],
-            }
-        )
-    elif cfg.output_format == "csv":
-        rows = [
-            [str(i), str(j), str(gm.entry(i, j).coeff), str(gm.entry(i, j).radicand)]
-            for i in range(gm.size)
-            for j in range(gm.size)
-        ]
-        _emit_csv(["row", "col", "coeff", "radicand"], rows)
-    else:
-        cells = [[str(gm.entry(i, j)) for j in range(gm.size)] for i in range(gm.size)]
-        width = max(len(c) for row in cells for c in row)
-        for row in cells:
-            print(" ".join(c.rjust(width) for c in row))
-        print(f"identity: {'yes' if gm.is_identity() else 'no'}")
-    return EXIT_OK
+    size = range(gm.size)
+    entries = [
+        {"row": i, "col": j, "coeff": str(gm.entry(i, j).coeff),
+         "radicand": str(gm.entry(i, j).radicand)}
+        for i in size
+        for j in size
+    ]
+    payload = {
+        "command": "gram",
+        "ip": _ip_label(spec),
+        "family": family.value,
+        "size": gm.size,
+        "degrees": list(gm.degrees),
+        "entries": entries,
+    }
+    cells = [[str(gm.entry(i, j)) for j in size] for i in size]
+    width = max(len(c) for row in cells for c in row)
+    lines = [" ".join(c.rjust(width) for c in row) for row in cells]
+    lines.append(f"identity: {'yes' if gm.is_identity() else 'no'}")
+    return Report(payload, entries, lines)
 
 
 _OPERATORS = {"a": OperatorTag.A, "t": OperatorTag.T, "bn": OperatorTag.BN}
 
 
-def cmd_spectrum(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_spectrum(args: argparse.Namespace, cfg: CliConfig) -> Report:
     tag = _OPERATORS[args.operator.lower()]
     k = _parse_rational(args.k) if args.k is not None else cfg.default_k
-    power = args.ld_n if tag is OperatorTag.BN else None
-    if tag is OperatorTag.BN and power is None:
-        power = 1
-    spec = SpectrumSpec(tag, k, power)
-    if args.galerkin is not None:
-        if tag is OperatorTag.T:
-            raise UsageError(
-                "--galerkin discretizes the endpoint-vanishing form; use operator A or Bn"
-            )
-        numeric = galerkin_spectrum(args.galerkin, float(k))
-        count = min(args.count, len(numeric))
-        exact = spectrum(spec, count)
-        rows = []
-        for idx in range(count):
-            err = abs(numeric[idx] - float(exact[idx]))
-            rows.append(
-                {
-                    "index": idx + 2,
-                    "exact": str(exact[idx]),
-                    "numeric": _fmt_float(numeric[idx], cfg.float_digits),
-                    "abs_error": _fmt_float(err, cfg.float_digits),
-                }
-            )
-        if cfg.output_format == "json":
-            _emit_json(
-                {
-                    "command": "spectrum",
-                    "operator": tag.value,
-                    "k": str(k),
-                    "galerkin_size": args.galerkin,
-                    "entries": rows,
-                }
-            )
-        elif cfg.output_format == "csv":
-            _emit_csv(
-                ["index", "exact", "numeric", "abs_error"],
-                [[str(r["index"]), r["exact"], r["numeric"], r["abs_error"]] for r in rows],
-            )
-        else:
-            print(f"operator {tag.value}, k = {k}, galerkin size {args.galerkin}")
-            for r in rows:
-                print(
-                    f"  index {r['index']}: exact {r['exact']}, numeric {r['numeric']}, "
-                    f"abs error {r['abs_error']}"
-                )
-        return EXIT_OK
-    values = spectrum(spec, args.count)
-    start = 0 if tag is OperatorTag.T else 2
-    rows = [
-        {"index": start + i, "value": str(v)} for i, v in enumerate(values)
-    ]
-    if cfg.output_format == "json":
-        _emit_json(
-            {
-                "command": "spectrum",
-                "operator": tag.value,
-                "k": str(k),
-                "eigenvalues": rows,
-            }
+    spec = SpectrumSpec(tag, k, (args.ld_n or 1) if tag is OperatorTag.BN else None)
+    header = {"command": "spectrum", "operator": tag.value, "k": str(k)}
+    if args.galerkin is None:
+        start = 0 if tag is OperatorTag.T else 2
+        rows = [{"index": start + i, "value": str(v)}
+                for i, v in enumerate(spectrum(spec, args.count))]
+        lines = [f"operator {tag.value}, k = {k}", ", ".join(r["value"] for r in rows)]
+        return Report({**header, "eigenvalues": rows}, rows, lines)
+    if tag is OperatorTag.T:
+        raise UsageError(
+            "--galerkin discretizes the endpoint-vanishing form; use operator A or Bn"
         )
-    elif cfg.output_format == "csv":
-        _emit_csv(["index", "value"], [[str(r["index"]), r["value"]] for r in rows])
-    else:
-        print(f"operator {tag.value}, k = {k}")
-        print(", ".join(r["value"] for r in rows))
-    return EXIT_OK
+    numeric = galerkin_spectrum(args.galerkin, float(k))
+    count = min(args.count, len(numeric))
+    exact = spectrum(spec, count)
+    rows = [
+        {
+            "index": idx + 2,
+            "exact": str(exact[idx]),
+            "numeric": _fmt_float(numeric[idx], cfg.float_digits),
+            "abs_error": _fmt_float(abs(numeric[idx] - float(exact[idx])), cfg.float_digits),
+        }
+        for idx in range(count)
+    ]
+    lines = [f"operator {tag.value}, k = {k}, galerkin size {args.galerkin}"] + [
+        f"  index {r['index']}: exact {r['exact']}, numeric {r['numeric']}, "
+        f"abs error {r['abs_error']}"
+        for r in rows
+    ]
+    return Report({**header, "galerkin_size": args.galerkin, "entries": rows}, rows, lines)
 
 
-def cmd_chel(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_chel(args: argparse.Namespace, cfg: CliConfig) -> Report:
     instance = chel_preset(args.case)
     kmax, argmax = chel_K(instance, args.grid)
-    payload = {
-        "command": "chel",
+    row = {
         "case": instance.name,
         "grid": args.grid,
         "kmax": _fmt_float(kmax, cfg.float_digits),
         "kmax_squared": _fmt_float(kmax * kmax, cfg.float_digits),
         "argmax": _fmt_float(argmax, cfg.float_digits),
     }
-    if cfg.output_format == "json":
-        _emit_json(payload)
-    elif cfg.output_format == "csv":
-        _emit_csv(
-            ["case", "grid", "kmax", "kmax_squared", "argmax"],
-            [[payload["case"], str(payload["grid"]), payload["kmax"],
-              payload["kmax_squared"], payload["argmax"]]],
-        )
-    else:
-        print(
-            f"case {payload['case']}: K = {payload['kmax']} at x = {payload['argmax']} "
-            f"(K^2 = {payload['kmax_squared']})"
-        )
-    return EXIT_OK
+    line = (f"case {row['case']}: K = {row['kmax']} at x = {row['argmax']} "
+            f"(K^2 = {row['kmax_squared']})")
+    return Report({"command": "chel", **row}, [row], [line])
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +513,15 @@ def _fifth_power_coefficients(rng: random.Random) -> tuple[bool, str]:
 
 
 def _derivative_weighted(rng: random.Random) -> bool:
-    ok = True
+    # Each call compares the integral with its closed form, a(n, j)^2 on the
+    # diagonal and 0 off it, and raises MismatchWithClosedForm on a difference.
     for params in (JacobiParams(0, 0), JacobiParams(1, 1), JacobiParams(1, 2)):
         for n in range(7):
             for j in range(n + 1):
                 derivative_orthogonality_value(n, n, j, params)
                 if n >= 1:
-                    if derivative_orthogonality_value(n, n - 1, j, params) != 0:
-                        ok = False
-    return ok
+                    derivative_orthogonality_value(n, n - 1, j, params)
+    return True
 
 
 def _differential_expression(rng: random.Random) -> bool:
@@ -723,8 +644,8 @@ def _chel_unit(rng: random.Random) -> tuple[bool, str]:
     return abs(kmax - 0.5) < 1e-9 and abs(arg - 0.5) < 1e-4, f"K = {kmax:.12f} at {arg:.6f}"
 
 
-# Every verification check, in report order.  A check takes the run's one
-# random.Random(1234), which only the identities.* checks draw from, and
+# Every verification check, in report order.  A check takes a random.Random
+# seeded with its own name, which only the identities.* checks draw from, and
 # returns ok or (ok, detail).  The suite of a check is its name up to the dot.
 _CHECKS = (
     ("stirling.table-9x9", _stirling_table),
@@ -790,44 +711,28 @@ _CHECKS = (
 )
 
 
-def cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
-    rng = random.Random(1234)
+def cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> Report:
     checks = []
     for name, check in _CHECKS:
         if args.suite != "all" and not name.startswith(args.suite + "."):
             continue
         try:
-            result = check(rng)
+            result = check(random.Random(name))
         except (ArithmeticError, ValueError) as exc:
             result = (False, f"{type(exc).__name__}: {exc}")
         ok, detail = result if isinstance(result, tuple) else (result, "")
-        checks.append((name, bool(ok), detail))
-    passed = sum(1 for _, ok, _ in checks if ok)
+        checks.append({"name": name, "passed": bool(ok), "detail": detail})
+    passed = sum(c["passed"] for c in checks)
     failed = len(checks) - passed
-    if cfg.output_format == "json":
-        _emit_json(
-            {
-                "command": "verify",
-                "suite": args.suite,
-                "passed": passed,
-                "failed": failed,
-                "checks": [
-                    {"name": name, "passed": ok, "detail": detail}
-                    for name, ok, detail in checks
-                ],
-            }
-        )
-    elif cfg.output_format == "csv":
-        _emit_csv(
-            ["name", "passed", "detail"],
-            [[name, "true" if ok else "false", detail] for name, ok, detail in checks],
-        )
-    else:
-        for name, ok, detail in checks:
-            suffix = f"  ({detail})" if detail else ""
-            print(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")
-        print(f"suite '{args.suite}': {passed} passed, {failed} failed")
-    return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
+    lines = [
+        f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}"
+        + (f"  ({c['detail']})" if c["detail"] else "")
+        for c in checks
+    ]
+    lines.append(f"suite '{args.suite}': {passed} passed, {failed} failed")
+    payload = {"command": "verify", "suite": args.suite, "passed": passed,
+               "failed": failed, "checks": checks}
+    return Report(payload, checks, lines, EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED)
 
 
 # ---------------------------------------------------------------------------
@@ -933,9 +838,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = build_config(args)
-        code = args.func(args, cfg)
+        report = args.func(args, cfg)
+        _render(report, cfg.output_format)
         sys.stdout.flush()
-        return code
+        return report.code
     except BrokenPipeError:
         # The reader closed stdout early (``jsob ... | head``).  Later writes,
         # including the interpreter's final flush, go to the null device.

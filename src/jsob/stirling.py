@@ -1,4 +1,4 @@
-"""Jacobi-Stirling and Legendre-Stirling numbers and composite-power coefficients.
+"""Jacobi-Stirling numbers and composite-power coefficients.
 
 The Jacobi-Stirling numbers {n, j} form an upper-triangular table with unit
 diagonal, {n, j} = delta_{n,j} for j in {0, 1} and {n, j} = 0 for j > n.  Row
@@ -6,7 +6,8 @@ n is built from row n - 1 by the triangular recurrence
 
     {n, j} = {n-1, j-1} + j (j - 1) {n-1, j},
 
-in integers; rows are kept once built.
+in integers; rows are kept once built.  The Legendre-Stirling numbers are the
+same triangle shifted by one in both indices, {n + 1, j + 1}.
 
 The coefficients c_j(n, k) combine the triangle with powers of the spectral
 shift k >= 0 and are the coefficients of the n-th composite power of the
@@ -24,23 +25,13 @@ from math import comb
 from .algebra import RationalLike, as_fraction
 
 __all__ = [
-    "NonIntegerResult",
     "CompositeCoefficients",
     "StirlingTable",
     "jacobi_stirling",
-    "legendre_stirling",
     "composite_coefficients",
     "verify_defining_identity",
     "build_table",
 ]
-
-
-class NonIntegerResult(ArithmeticError):
-    """A Jacobi-Stirling value that is not a nonnegative integer.
-
-    The integer recurrence cannot produce one; the name stays importable for
-    callers that catch it.
-    """
 
 
 # Row n holds {n, j} for j = 0..n.  jacobi_stirling replaces the tuple with a
@@ -63,13 +54,6 @@ def jacobi_stirling(n: int, j: int) -> int:
             grown.append((0, *(prev[i - 1] + i * (i - 1) * prev[i] for i in range(1, len(prev)))))
         rows = _TRIANGLE = tuple(grown)
     return rows[n][j]
-
-
-def legendre_stirling(n: int, j: int) -> int:
-    """Legendre-Stirling number, via the index shift {n, j}_Legendre = {n+1, j+1}."""
-    if n < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
-    return jacobi_stirling(n + 1, j + 1)
 
 
 @dataclass(frozen=True)

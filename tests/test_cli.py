@@ -12,7 +12,6 @@ from jsob.algebra import NotDivisible
 from jsob.cli import PolynomialRecord, main
 from jsob.jacobi import JacobiParams, Normalization, NotProportional, PoleInGammaRatio
 from jsob.operators import MismatchWithClosedForm, NotInWeightedSpace
-from jsob.stirling import NonIntegerResult
 
 
 @pytest.fixture(autouse=True)
@@ -31,6 +30,17 @@ def run(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+# Every subcommand in every format, plus three error exits: argv, exit code,
+# stdout and stderr, byte for byte.  One case per line.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
 
 
 class TestStirlingCommand:
@@ -241,7 +251,6 @@ class TestInternalFaultExitCode:
             NotProportional,
             NotInWeightedSpace,
             MismatchWithClosedForm,
-            NonIntegerResult,
         ],
         ids=lambda exc_type: exc_type.__name__,
     )
@@ -334,6 +343,42 @@ class TestVerifyCommand:
         assert f"FAIL {failing}  ({exc_type.__name__}: an injected fault)" in lines
         assert sum(line.startswith("PASS ") for line in lines) == len(expected) - 1
         assert lines[-1] == f"suite '{suite}': {len(expected) - 1} passed, 1 failed"
+
+    def test_raising_check_does_not_shift_later_inputs(self, capsys, monkeypatch):
+        import jsob.cli as cli
+
+        drawn = []
+        decompose_w = cli.decompose_w
+        monkeypatch.setattr(cli, "decompose_w", lambda f: drawn.append(f) or decompose_w(f))
+        run(capsys, "verify", "--suite", "identities")
+        clean = list(drawn)
+        drawn.clear()
+
+        def boom(*args):
+            raise ValueError("an injected fault")
+
+        # raises on the first of its draws, before the check has drawn the rest
+        monkeypatch.setattr(cli, "verify_lagrange_identity", boom)
+        code, out, _ = run(capsys, "verify", "--suite", "identities")
+        assert code == 1
+        assert "FAIL identities.lagrange-dirichlet  (ValueError: an injected fault)" in out
+        assert len(clean) == 50 and drawn == clean
+
+    def test_derivative_weighted_compares_with_closed_form(self, capsys, monkeypatch):
+        # derivative_orthogonality_value checks every value against the closed
+        # form itself, so a wrong closed form fails the check.
+        import jsob.operators as operators
+
+        right = operators.derivative_coefficient_squared
+        monkeypatch.setattr(operators, "derivative_coefficient_squared",
+                            lambda n, j, params: right(n, j, params) + 1)
+        code, out, err = run(capsys, "verify", "--suite", "orthogonality")
+        assert code == 1 and err == ""
+        failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert len(failed) == 1
+        assert failed[0].startswith(
+            "FAIL orthogonality.derivative-weighted  (MismatchWithClosedForm: "
+        )
 
     def test_json_report_shape(self, capsys):
         code, out, _ = run(

@@ -6,7 +6,6 @@ from jsob.stirling import (
     build_table,
     composite_coefficients,
     jacobi_stirling,
-    legendre_stirling,
     verify_defining_identity,
 )
 from reference_data import JACOBI_STIRLING_TABLE
@@ -37,13 +36,15 @@ class TestJacobiStirling:
 
 
 class TestLegendreStirling:
+    # The Legendre-Stirling numbers are the Jacobi-Stirling triangle shifted by
+    # one in both indices: PS(n, j) = {n + 1, j + 1}.
     def test_shift_relation(self):
-        assert legendre_stirling(6, 4) == 1092
-        assert legendre_stirling(3, 2) == 8
+        assert jacobi_stirling(6 + 1, 4 + 1) == 1092
+        assert jacobi_stirling(3 + 1, 2 + 1) == 8
 
     def test_diagonal(self):
         for n in range(10):
-            assert legendre_stirling(n, n) == 1
+            assert jacobi_stirling(n + 1, n + 1) == 1
 
 
 class TestCompositeCoefficients:
