@@ -62,7 +62,6 @@ from .operators import (
 )
 from .numeric import (
     ChelInstance,
-    GalerkinSystem,
     MassNotPositiveDefinite,
     NonFiniteIntegral,
     QuadratureRule,

@@ -23,7 +23,6 @@ All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, isqrt, lcm, prod
@@ -56,6 +55,37 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+class Frozen:
+    """Base of the immutable value types.
+
+    ``__init__`` sets each field named in ``_fields`` once, through
+    ``object.__setattr__``; any later assignment raises AttributeError.
+    Equality and hashing compare the fields, between instances of one class.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
@@ -92,8 +122,7 @@ def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     ]
 
 
-@dataclass(frozen=True, init=False)
-class Polynomial:
+class Polynomial(Frozen):
     """Dense polynomial over Fraction in the monomial basis.
 
     ``coeffs[i]`` is the coefficient of x^i.  The tuple carries no trailing
@@ -103,6 +132,7 @@ class Polynomial:
     """
 
     coeffs: tuple[Fraction, ...]
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [as_fraction(c) for c in coeffs]
@@ -259,17 +289,14 @@ def _exact_quotient(p: Polynomial, divisor: tuple[int, ...], where: str) -> Poly
 def divide_by_weight(p: Polynomial, m: int) -> Polynomial:
     """Exact quotient p / (1 - x^2)^m for m >= 0.
 
-    Raises NotDivisible when p does not vanish to order m at both endpoints.
-    The quotient is verified by re-multiplication.
+    Raises NotDivisible when p does not vanish to order m at both endpoints:
+    each of the m divisions by 1 - x^2 checks that its remainder is zero.
     """
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
-    q = p
     for _ in range(m):
-        q = _exact_quotient(q, (1, 0, -1), "both x = 1 and x = -1")
-    if q * ONE_MINUS_X2**m != p:
-        raise AssertionError("weight division failed re-multiplication check")
-    return q
+        p = _exact_quotient(p, (1, 0, -1), "both x = 1 and x = -1")
+    return p
 
 
 # m -> (ints, den): ints[i] / den is the integral of x^i (1 - x^2)^m over [-1, 1].
@@ -371,8 +398,7 @@ def _extract_square(n: int) -> tuple[int, int]:
     return root, n
 
 
-@dataclass(frozen=True)
-class Surd:
+class Surd(Frozen):
     """A scalar coeff * sqrt(radicand) with coeff, radicand rational, radicand >= 0.
 
     Canonical form: a zero value is (0, 1); otherwise the radicand is a
@@ -384,6 +410,12 @@ class Surd:
 
     coeff: Fraction
     radicand: Fraction
+    _fields = ("coeff", "radicand")
+
+    def __init__(self, coeff: RationalLike, radicand: RationalLike):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "radicand", radicand)
+        self.__post_init__()
 
     def __post_init__(self):
         c = as_fraction(self.coeff)
@@ -437,8 +469,7 @@ class Surd:
         return f"{self.coeff}*sqrt({self.radicand})"
 
 
-@dataclass(frozen=True, init=False)
-class ScaledPolynomial:
+class ScaledPolynomial(Frozen):
     """The function sqrt(scale_sq) * poly(x) with scale_sq a positive rational.
 
     Houses orthonormal families whose normalization constants are square roots
@@ -448,6 +479,7 @@ class ScaledPolynomial:
 
     scale_sq: Fraction
     poly: Polynomial
+    _fields = ("scale_sq", "poly")
 
     def __init__(self, scale_sq: RationalLike, poly: Polynomial):
         s = as_fraction(scale_sq)

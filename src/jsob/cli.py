@@ -35,8 +35,8 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     ONE_MINUS_X2,
@@ -105,8 +105,7 @@ class UsageError(ValueError):
     """Bad argument or configuration value."""
 
 
-@dataclass(frozen=True)
-class CliConfig:
+class CliConfig(NamedTuple):
     default_k: Fraction
     output_format: str
     cache_path: str
@@ -188,8 +187,7 @@ def _fmt_float(x: float, digits: int) -> str:
     return f"{x:.{digits}g}"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One command's result in every output format.
 
     payload is the JSON object; rows is the CSV table, whose first row's keys
@@ -225,8 +223,7 @@ def _render(report: Report, output_format: str) -> None:
 # polynomial records and the cache
 
 
-@dataclass(frozen=True)
-class PolynomialRecord:
+class PolynomialRecord(NamedTuple):
     """Serializable exact description of one family member."""
 
     alpha: str
@@ -368,7 +365,16 @@ def cmd_poly(args: argparse.Namespace, cfg: CliConfig) -> Report:
     return Report(payload, [row], lines)
 
 
+def _reject_unused(args: argparse.Namespace, names: tuple[str, ...], context: str) -> None:
+    """UsageError naming each flag among ``names`` that was given but that ``context`` ignores."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"{context} does not use {', '.join(given)}")
+
+
 def _build_ip_spec(args: argparse.Namespace, cfg: CliConfig):
+    unused = {"phi": ("alpha", "beta", "ld_n", "k"), "classical": ("ld_n", "k"), "ld": ("alpha", "beta")}
+    _reject_unused(args, unused[args.ip], f"--ip {args.ip}")
     k = _parse_rational(args.k) if args.k is not None else cfg.default_k
     if args.ip == "phi":
         return SobolevPhi()
@@ -423,6 +429,8 @@ _OPERATORS = {"a": OperatorTag.A, "t": OperatorTag.T, "bn": OperatorTag.BN}
 
 def cmd_spectrum(args: argparse.Namespace, cfg: CliConfig) -> Report:
     tag = _OPERATORS[args.operator.lower()]
+    if tag is not OperatorTag.BN:
+        _reject_unused(args, ("ld_n",), f"operator {tag.value}")
     k = _parse_rational(args.k) if args.k is not None else cfg.default_k
     spec = SpectrumSpec(tag, k, (args.ld_n or 1) if tag is OperatorTag.BN else None)
     header = {"command": "spectrum", "operator": tag.value, "k": str(k)}

@@ -23,7 +23,6 @@ sign, which is exact and decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +30,7 @@ from math import factorial
 
 from .algebra import (
     ONE_MINUS_X2,
+    Frozen,
     Polynomial,
     RationalLike,
     ScaledPolynomial,
@@ -68,12 +68,12 @@ class NotProportional(ArithmeticError):
     """Two polynomials expected to be scalar multiples are not."""
 
 
-@dataclass(frozen=True, init=False)
-class JacobiParams:
+class JacobiParams(Frozen):
     """Parameter pair (alpha, beta) with alpha, beta >= -1."""
 
     alpha: Fraction
     beta: Fraction
+    _fields = ("alpha", "beta")
 
     def __init__(self, alpha: RationalLike, beta: RationalLike):
         a, b = as_fraction(alpha), as_fraction(beta)

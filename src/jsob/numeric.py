@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import as_fraction
 from .jacobi import JacobiParams, classical_jacobi
@@ -26,7 +26,6 @@ __all__ = [
     "MassNotPositiveDefinite",
     "QuadratureRule",
     "ChelInstance",
-    "GalerkinSystem",
     "gauss_jacobi",
     "knorm_crosscheck",
     "chel_preset",
@@ -46,8 +45,7 @@ class MassNotPositiveDefinite(ArithmeticError):
     """The mass matrix factorization met a nonpositive pivot."""
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     order: int
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
@@ -140,6 +138,7 @@ def knorm_crosscheck(n: int, alpha: float, beta: float) -> float:
     return abs(scale_sq * norm_sq - 1.0)
 
 
+# A dataclass, unlike the other records: perfbench/tracer.py copies it with dataclasses.replace.
 @dataclass(frozen=True)
 class ChelInstance:
     """A boundedness-constant instance: functions phi, psi and a weight on (a, b).
@@ -303,17 +302,8 @@ def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
     return math.sqrt(k_squared(x_star)), x_star
 
 
-@dataclass(frozen=True)
-class GalerkinSystem:
-    """Stiffness and mass matrices of the weak form on (1 - x^2) P_i."""
-
-    size: int
-    stiffness: tuple[tuple[float, ...], ...]
-    mass: tuple[tuple[float, ...], ...]
-
-
-def galerkin_system(size: int, k) -> GalerkinSystem:
-    """Assemble the weak form of the weighted-space operator in floats.
+def galerkin_system(size: int, k):
+    """(stiffness, mass): the weak form of the weighted-space operator, as float arrays.
 
     Trial functions b_i = (1 - x^2) P_i (Legendre P_i) vanish at the endpoints;
     stiffness = int b_i' b_j' + k int b_i b_j / (1 - x^2) and
@@ -335,15 +325,11 @@ def galerkin_system(size: int, k) -> GalerkinSystem:
     mass = (p * (w * (1.0 - x * x))[:, None]).T @ p
     stiff = (dp * w[:, None]).T @ dp + kf * mass
     # Averaging with the transpose makes both matrices exactly symmetric.
-    return GalerkinSystem(
-        size=size,
-        stiffness=tuple(map(tuple, (0.5 * (stiff + stiff.T)).tolist())),
-        mass=tuple(map(tuple, (0.5 * (mass + mass.T)).tolist())),
-    )
+    return 0.5 * (stiff + stiff.T), 0.5 * (mass + mass.T)
 
 
-def solve_galerkin(system: GalerkinSystem) -> list[float]:
-    """Ascending eigenvalues of stiffness v = lambda mass v.
+def solve_galerkin(stiffness, mass) -> list[float]:
+    """Ascending eigenvalues of stiffness v = lambda mass v (symmetric float matrices).
 
     The mass matrix is factored by Cholesky, mass = L L^T, and the symmetric
     matrix L^-1 S L^-T (two solves with L) goes to the dense symmetric
@@ -352,8 +338,6 @@ def solve_galerkin(system: GalerkinSystem) -> list[float]:
     """
     import numpy as np  # imported here, as in galerkin_system
 
-    mass = np.array(system.mass, dtype=float)
-    stiff = np.array(system.stiffness, dtype=float)
     try:
         lower = np.linalg.cholesky(mass)
     except np.linalg.LinAlgError as exc:
@@ -361,7 +345,7 @@ def solve_galerkin(system: GalerkinSystem) -> list[float]:
     pivots = np.diag(lower)
     if not np.all(pivots > 0):
         raise MassNotPositiveDefinite(f"mass pivot {float(pivots.min())} is not positive")
-    half = np.linalg.solve(lower, stiff)
+    half = np.linalg.solve(lower, stiffness)
     congruent = np.linalg.solve(lower, half.T)
     return [float(v) for v in np.linalg.eigvalsh(0.5 * (congruent + congruent.T))]
 
@@ -373,4 +357,4 @@ def galerkin_spectrum(size: int, k: float) -> list[float]:
     2..s+1, so the discrete values equal m(m-1) + k, m = 2, ..., s+1, up to
     floating-point rounding in assembly, factorization and eigensolve.
     """
-    return solve_galerkin(galerkin_system(size, k))
+    return solve_galerkin(*galerkin_system(size, k))

@@ -23,15 +23,15 @@ bilinear value times sqrt of the product of the two squared scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     ONE_MINUS_X2,
+    Frozen,
     Polynomial,
     RationalLike,
     ScaledPolynomial,
@@ -82,24 +82,26 @@ class MismatchWithClosedForm(ArithmeticError):
     """An exactly integrated value disagrees with its closed form."""
 
 
-@dataclass(frozen=True)
-class Classical:
+class Classical(Frozen):
     """Weighted-L2 pairing against (1 - x)^alpha (1 + x)^beta (integer exponents)."""
 
     params: JacobiParams
+    _fields = ("params",)
+
+    def __init__(self, params: JacobiParams):
+        object.__setattr__(self, "params", params)
 
 
-@dataclass(frozen=True)
-class SobolevPhi:
+class SobolevPhi(Frozen):
     """Boundary terms at +-1 (weight 1/2 each) plus the Dirichlet integral of f'g'."""
 
 
-@dataclass(frozen=True, init=False)
-class LeftDefinite:
+class LeftDefinite(Frozen):
     """The n-th left-definite pairing with shift k >= 0."""
 
     n: int
     k: Fraction
+    _fields = ("n", "k")
 
     def __init__(self, n: int, k: RationalLike):
         if n < 1:
@@ -120,13 +122,13 @@ class OperatorTag(Enum):
     T = "T"    # Sobolev-space realization, eigenvalues from degree 0
 
 
-@dataclass(frozen=True, init=False)
-class SpectrumSpec:
+class SpectrumSpec(Frozen):
     """Which operator's spectrum, at which shift k (Bn also carries its order)."""
 
     operator: OperatorTag
     k: Fraction
     power: int | None
+    _fields = ("operator", "k", "power")
 
     def __init__(self, operator: OperatorTag, k: RationalLike, power: int | None = None):
         kf = as_fraction(k)
@@ -142,8 +144,7 @@ class SpectrumSpec:
         object.__setattr__(self, "power", power)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """Matrix of pairwise inner products of a family, entries exact Surds."""
 
     size: int

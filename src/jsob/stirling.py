@@ -18,9 +18,9 @@ differential expression; they satisfy the defining identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .algebra import RationalLike, as_fraction
 
@@ -56,8 +56,7 @@ def jacobi_stirling(n: int, j: int) -> int:
     return rows[n][j]
 
 
-@dataclass(frozen=True)
-class CompositeCoefficients:
+class CompositeCoefficients(NamedTuple):
     """Coefficients c_j(n, k), j = 0..n, of the n-th composite power."""
 
     n: int
@@ -106,8 +105,7 @@ def verify_defining_identity(n: int, m: int, k: RationalLike) -> bool:
     return lhs == (Fraction(m * (m - 1)) + k) ** n
 
 
-@dataclass(frozen=True)
-class StirlingTable:
+class StirlingTable(NamedTuple):
     """The triangle {n, j} for 0 <= n, j <= max_n."""
 
     max_n: int

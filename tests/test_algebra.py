@@ -78,6 +78,22 @@ class TestDivideByWeight:
         with pytest.raises(NotDivisible):
             divide_by_weight(poly(-1, 1), 1)
 
+    def test_remultiplication_oracle_random(self):
+        # The quotient times (1 - x^2)^m gives back the dividend; one factor
+        # fewer than m in the dividend raises.
+        rng = random.Random(11)
+        for _ in range(40):
+            m = rng.randint(0, 4)
+            q = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                            for _ in range(rng.randint(1, 8))])
+            if q.is_zero or q(Fraction(1)) == 0 or q(Fraction(-1)) == 0:
+                continue
+            p = q * ONE_MINUS_X2**m
+            quotient = divide_by_weight(p, m)
+            assert quotient == q and quotient * ONE_MINUS_X2**m == p
+            with pytest.raises(NotDivisible):
+                divide_by_weight(p, m + 1)
+
 
 class TestIntegrateWeighted:
     def test_weight_one_mass(self):

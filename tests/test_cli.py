@@ -166,6 +166,24 @@ class TestGramCommand:
         assert code == 3
         assert out == "" and "undefined request" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--ip", "phi", "--alpha", "5"), "--alpha"),
+            (("--ip", "phi", "--beta", "1"), "--beta"),
+            (("--ip", "phi", "--ld-n", "2"), "--ld-n"),
+            (("--ip", "phi", "--k", "1"), "--k"),
+            (("--ip", "classical", "--alpha", "1", "--beta", "1", "--k", "2"), "--k"),
+            (("--ip", "classical", "--ld-n", "2"), "--ld-n"),
+            (("--ip", "ld", "--ld-n", "2", "--alpha", "1"), "--alpha"),
+            (("--ip", "ld", "--ld-n", "2", "--beta", "1"), "--beta"),
+        ],
+    )
+    def test_flag_the_pairing_ignores_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, "gram", "--max-degree", "3", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and flag in err
+
 
 class TestSpectrumCommand:
     def test_sobolev_spectrum(self, capsys):
@@ -196,6 +214,12 @@ class TestSpectrumCommand:
         payload = json.loads(out)
         for entry in payload["entries"]:
             assert float(entry["abs_error"]) < 1e-6
+
+    @pytest.mark.parametrize("operator", ["A", "T", "a", "t"])
+    def test_order_rejected_unless_bn(self, capsys, operator):
+        code, out, err = run(capsys, "spectrum", "--operator", operator, "--ld-n", "3")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--ld-n" in err
 
     def test_galerkin_rejected_for_sobolev_operator(self, capsys):
         code, _, err = run(

@@ -1,0 +1,122 @@
+"""The value types and records: equality, hashing, immutability, and which
+classes are still dataclasses."""
+
+import importlib
+import inspect
+from fractions import Fraction
+
+import pytest
+
+from jsob.algebra import Polynomial, ScaledPolynomial, Surd
+from jsob.jacobi import JacobiParams, Normalization, jacobi_family
+from jsob.operators import Classical, LeftDefinite, OperatorTag, SobolevPhi, SpectrumSpec
+
+MODULES = ("algebra", "jacobi", "stirling", "operators", "numeric", "cli")
+
+
+def test_only_chel_instance_is_a_dataclass():
+    # The benchmark tracer rebuilds a ChelInstance with dataclasses.replace.
+    dataclasses = set()
+    for name in MODULES:
+        module = importlib.import_module(f"jsob.{name}")
+        for cls_name, cls in vars(module).items():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                if hasattr(cls, "__dataclass_fields__"):
+                    dataclasses.add(f"{name}.{cls_name}")
+    assert dataclasses == {"numeric.ChelInstance"}
+
+
+# (equal pair, an unequal value) per value type; each pair is built separately.
+EQUAL_PAIRS = [
+    (lambda: JacobiParams(1, 1), lambda: JacobiParams(Fraction(1), "1"), JacobiParams(1, 2)),
+    (lambda: Polynomial((1, 0, 2)), lambda: Polynomial((Fraction(1), 0, 2, 0)), Polynomial((1, 2))),
+    (
+        lambda: ScaledPolynomial(Fraction(1, 3), Polynomial((0, 1))),
+        lambda: ScaledPolynomial("1/3", Polynomial((0, 1))),
+        ScaledPolynomial(Fraction(1, 2), Polynomial((0, 1))),
+    ),
+    (lambda: LeftDefinite(2, 1), lambda: LeftDefinite(2, Fraction(1)), LeftDefinite(2, 0)),
+    (
+        lambda: SpectrumSpec(OperatorTag.BN, 1, 2),
+        lambda: SpectrumSpec(OperatorTag.BN, "1", 2),
+        SpectrumSpec(OperatorTag.BN, 1, 3),
+    ),
+    (lambda: SpectrumSpec(OperatorTag.A, 0), lambda: SpectrumSpec(OperatorTag.A, 0), SpectrumSpec(OperatorTag.T, 0)),
+    (
+        lambda: Classical(JacobiParams(1, 1)),
+        lambda: Classical(JacobiParams(1, 1)),
+        Classical(JacobiParams(0, 0)),
+    ),
+    (lambda: SobolevPhi(), lambda: SobolevPhi(), LeftDefinite(1, 0)),
+]
+
+
+@pytest.mark.parametrize("make_a, make_b, other", EQUAL_PAIRS)
+def test_equality_and_hash(make_a, make_b, other):
+    a, b = make_a(), make_b()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != other and {a: 1}.get(other) is None
+
+
+def test_values_of_different_types_differ():
+    assert Classical(JacobiParams(1, 1)) != JacobiParams(1, 1)
+    assert SobolevPhi() != Classical(JacobiParams(-1, -1))
+    assert Polynomial((1,)) != 1
+
+
+def test_params_hit_one_cache_entry():
+    # JacobiParams is the lru_cache key of jacobi_family.
+    jacobi_family(3, JacobiParams(5, 4), Normalization.REFERENCE)
+    before = jacobi_family.cache_info()
+    jacobi_family(3, JacobiParams(Fraction(5), 4), Normalization.REFERENCE)
+    after = jacobi_family.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (JacobiParams(1, 1), "alpha"),
+        (Polynomial((1, 2)), "coeffs"),
+        (ScaledPolynomial(2, Polynomial((1,))), "scale_sq"),
+        (Surd(1, 2), "radicand"),
+        (LeftDefinite(1, 0), "k"),
+        (SpectrumSpec(OperatorTag.A, 0), "power"),
+        (Classical(JacobiParams(0, 0)), "params"),
+        (SobolevPhi(), "anything"),
+    ],
+)
+def test_fields_cannot_be_assigned_or_deleted(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+
+
+def test_int_form_is_cached():
+    p = Polynomial((Fraction(1, 2), Fraction(1, 3)))
+    assert p.int_form == ((3, 2), 6)
+    assert p.int_form is p.int_form
+
+
+def test_repr_names_the_fields():
+    assert repr(JacobiParams(1, -1)) == "JacobiParams(alpha=Fraction(1, 1), beta=Fraction(-1, 1))"
+
+
+def test_surd_construction_calls_post_init_through_the_class(monkeypatch):
+    seen = []
+    original = Surd.__post_init__
+
+    def recording(self):
+        seen.append((self.coeff, self.radicand))
+        original(self)
+
+    monkeypatch.setattr(Surd, "__post_init__", recording)
+    value = Surd(Fraction(1, 2), 8)
+    assert seen == [(Fraction(1, 2), 8)]
+    assert (value.coeff, value.radicand) == (1, 2)
+    Surd.from_rational(3)
+    assert len(seen) == 2
