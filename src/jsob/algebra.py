@@ -1,7 +1,7 @@
 """Exact rational scalars, dense polynomials, and weighted integrals on [-1, 1].
 
 The scalar field is ``fractions.Fraction``; every operation in this module is
-exact.  Polynomial arithmetic runs on an integer form, integer coefficients
+exact.  A polynomial is stored only in its integer form, integer coefficients
 over one common denominator: a product is a single bigint multiplication by
 Kronecker substitution, and sums, scalings and derivatives are integer loops.
 The central integral is
@@ -123,44 +123,44 @@ def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 class Polynomial(Frozen):
-    """Dense polynomial over Fraction in the monomial basis.
+    """Dense polynomial over the rationals in the monomial basis.
 
-    ``coeffs[i]`` is the coefficient of x^i.  The tuple carries no trailing
-    zeros; the zero polynomial is the empty tuple.  Arithmetic runs on
-    ``int_form``, the same coefficients as integers over their least common
-    denominator.
+    The one stored field is ``int_form = (ints, den)``: the coefficient of x^i
+    is ints[i] / den, in lowest terms (den > 0 and gcd(den, *ints) = 1) and
+    without trailing zeros, so the zero polynomial is ((), 1).  All
+    arithmetic runs on it; ``coeffs``, the same coefficients as Fractions, is
+    built the first time it is read.
     """
 
-    coeffs: tuple[Fraction, ...]
-    _fields = ("coeffs",)
+    int_form: tuple[tuple[int, ...], int]
+    _fields = ("int_form",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
 
-    @classmethod
-    def from_int_form(cls, ints: Sequence[int], den: int) -> "Polynomial":
-        """The polynomial sum_i (ints[i] / den) x^i, for den > 0."""
-        ints = list(ints)
+    def _store(self, ints: list[int], den: int) -> None:
         while ints and ints[-1] == 0:
             ints.pop()
         g = gcd(den, *ints)
         if g != 1:
             ints = [c // g for c in ints]
             den //= g
+        object.__setattr__(self, "int_form", (tuple(ints), den))
+
+    @classmethod
+    def from_int_form(cls, ints: Sequence[int], den: int) -> "Polynomial":
+        """The polynomial sum_i (ints[i] / den) x^i, for den > 0."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "coeffs", tuple(Fraction(c, den) for c in ints))
-        # With gcd(den, ints) = 1, den is the least common denominator.
-        poly.__dict__["int_form"] = (tuple(ints), den)
+        poly._store(list(ints), den)
         return poly
 
     @cached_property
-    def int_form(self) -> tuple[tuple[int, ...], int]:
-        """(ints, den) with coeffs[i] = ints[i] / den and den the least common denominator."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[i]`` is the coefficient of x^i; the zero polynomial has ()."""
+        ints, den = self.int_form
+        return tuple(Fraction(c, den) for c in ints)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -180,21 +180,20 @@ class Polynomial(Frozen):
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.int_form[0]
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.int_form[0]) - 1
 
     @property
     def leading(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        ints, den = self.int_form
+        return Fraction(ints[i], den) if 0 <= i < len(ints) else Fraction(0)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):

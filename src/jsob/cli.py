@@ -245,16 +245,6 @@ class PolynomialRecord(NamedTuple):
             coefficients=tuple(str(c) for c in fam.poly.coeffs),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "n": self.n,
-            "normalization": self.normalization,
-            "scale_squared": self.scale_squared,
-            "coefficients": list(self.coefficients),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "PolynomialRecord":
         """Parse a cached record, exact values in canonical form.
@@ -331,7 +321,7 @@ def _record_for(params: JacobiParams, n: int, norm: Normalization, cfg: CliConfi
             print(f"warning: ignoring malformed cache entry {key}", file=sys.stderr)
     record = PolynomialRecord.build(params, n, norm)
     if cfg.cache_path:
-        cache[key] = record.to_dict()
+        cache[key] = record._asdict()
         _store_cache(cfg.cache_path, cache)
     return record
 
@@ -353,7 +343,7 @@ def cmd_stirling(args: argparse.Namespace, cfg: CliConfig) -> Report:
 def cmd_poly(args: argparse.Namespace, cfg: CliConfig) -> Report:
     params = JacobiParams(_parse_rational(args.alpha), _parse_rational(args.beta))
     record = _record_for(params, args.n, Normalization(args.normalization), cfg)
-    payload = record.to_dict()
+    payload = record._asdict()
     row = {key: value for key, value in payload.items() if key != "coefficients"}
     row.update((f"c{i}", c) for i, c in enumerate(record.coefficients))
     lines = [
@@ -771,10 +761,6 @@ def _int_in_range(lo: int, hi: int | None = None):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a 'key = value' config file")
     parser.add_argument("--format", choices=FORMATS, help="output format")
-    parser.add_argument("--float-digits", dest="float_digits",
-                        help="significant digits for float output (6..30)")
-    parser.add_argument("--cache-path", dest="cache_path",
-                        help="polynomial cache file (empty disables)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -796,6 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--normalization", choices=sorted(n.value for n in Normalization),
                    default="reference")
+    p.add_argument("--cache-path", dest="cache_path",
+                   help="polynomial cache file (empty disables)")
     _add_common(p)
     p.set_defaults(func=cmd_poly)
 
@@ -817,12 +805,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ld-n", dest="ld_n", type=_int_in_range(1), help="order for Bn")
     p.add_argument("--galerkin", type=_int_in_range(2, 200),
                    help="also run a Galerkin discretization of this size")
+    p.add_argument("--float-digits", dest="float_digits",
+                   help="significant digits for float output (6..30)")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("chel", help="boundedness constant K for a preset instance")
     p.add_argument("--case", choices=("dirichlet", "w1v1", "unit"), required=True)
     p.add_argument("--grid", type=_int_in_range(1000), default=10000)
+    p.add_argument("--float-digits", dest="float_digits",
+                   help="significant digits for float output (6..30)")
     _add_common(p)
     p.set_defaults(func=cmd_chel)
 

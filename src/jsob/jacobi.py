@@ -36,7 +36,6 @@ from .algebra import (
     ScaledPolynomial,
     as_fraction,
     integrate_jacobi_weight,
-    integrate_weighted,
 )
 
 __all__ = [
@@ -180,59 +179,47 @@ def classical_jacobi(n: int, params: JacobiParams) -> Polynomial:
     return family[n]
 
 
-@lru_cache(maxsize=None)
 def nonclassical_jacobi(n: int, norm: Normalization) -> ScaledPolynomial:
-    """Degree-n member of the alpha = beta = -1 family in the requested normalization.
-
-    PHI: degree 0 -> 1, degree 1 -> x/sqrt(3), degree n >= 2 -> the reference
-    member scaled by sqrt(4n - 2)/(n - 1).  L2: defined for n >= 2 only, with the
-    scale fixed by the exact squared norm against (1 - x^2)^(-1).  REFERENCE:
-    the classical construction at (-1, -1) (degree 1 is the zero function).
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if norm is Normalization.REFERENCE:
-        return ScaledPolynomial.of(classical_jacobi(n, NONCLASSICAL))
-    if norm is Normalization.PHI:
-        if n == 0:
-            return ScaledPolynomial(1, Polynomial.one())
-        if n == 1:
-            return ScaledPolynomial(Fraction(1, 3), Polynomial.x())
-        return ScaledPolynomial(
-            Fraction(4 * n - 2, (n - 1) ** 2), classical_jacobi(n, NONCLASSICAL)
-        )
-    # L2: degrees 0 and 1 lie outside the weighted space.
-    if n < 2:
-        raise UndefinedNormalization(
-            f"degree-{n} member of the (-1,-1) family is not in the weighted L2 space"
-        )
-    poly = classical_jacobi(n, NONCLASSICAL)
-    norm_sq = integrate_weighted(poly * poly, -1)
-    return ScaledPolynomial(1 / norm_sq, poly)
+    """Degree-n member of the alpha = beta = -1 family in the requested normalization."""
+    return jacobi_family(n, NONCLASSICAL, norm)
 
 
 @lru_cache(maxsize=None)
 def jacobi_family(n: int, params: JacobiParams, norm: Normalization) -> ScaledPolynomial:
-    """Uniform accessor for classical and nonclassical members.
+    """Degree-n member of the Jacobi family at ``params`` in the requested normalization.
 
-    Exact L2 normalization requires integer alpha, beta >= 0 (a polynomial
-    weight with rational norms) or the nonclassical pair; PHI exists only for
-    the nonclassical pair.
+    REFERENCE: the classical construction (at (-1, -1) degree 1 is the zero
+    function).  PHI, for the nonclassical pair only: degree 0 -> 1, degree 1
+    -> x/sqrt(3), degree n >= 2 -> the reference member scaled by
+    sqrt(4n - 2)/(n - 1).  L2: the scale fixed by the exact squared norm
+    against the weight, which needs integer alpha, beta >= 0 (a polynomial
+    weight with rational norms) or the nonclassical pair, there for n >= 2 only.
     """
-    if params.is_nonclassical:
-        return nonclassical_jacobi(n, norm)
-    if norm is Normalization.REFERENCE:
-        return ScaledPolynomial.of(classical_jacobi(n, params))
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     if norm is Normalization.PHI:
-        raise UndefinedNormalization(
-            "the Sobolev normalization exists only for alpha = beta = -1"
-        )
-    if not params.is_nonnegative_integer_pair:
-        raise UndefinedNormalization(
-            f"exact L2 normalization needs integer alpha, beta >= 0, got "
-            f"({params.alpha}, {params.beta})"
-        )
+        if not params.is_nonclassical:
+            raise UndefinedNormalization(
+                "the Sobolev normalization exists only for alpha = beta = -1"
+            )
+        if n == 0:
+            return ScaledPolynomial(1, Polynomial.one())
+        if n == 1:
+            return ScaledPolynomial(Fraction(1, 3), Polynomial.x())
+        return ScaledPolynomial(Fraction(4 * n - 2, (n - 1) ** 2), classical_jacobi(n, params))
+    if norm is Normalization.L2:
+        if params.is_nonclassical and n < 2:
+            raise UndefinedNormalization(
+                f"degree-{n} member of the (-1,-1) family is not in the weighted L2 space"
+            )
+        if not params.is_nonclassical and not params.is_nonnegative_integer_pair:
+            raise UndefinedNormalization(
+                f"exact L2 normalization needs integer alpha, beta >= 0, got "
+                f"({params.alpha}, {params.beta})"
+            )
     poly = classical_jacobi(n, params)
+    if norm is Normalization.REFERENCE:
+        return ScaledPolynomial.of(poly)
     norm_sq = integrate_jacobi_weight(poly * poly, int(params.alpha), int(params.beta))
     return ScaledPolynomial(1 / norm_sq, poly)
 
@@ -292,8 +279,8 @@ def proportional_scale_squared(scaled: ScaledPolynomial, target: Polynomial) -> 
     """
     if scaled.is_zero or target.is_zero:
         raise NotProportional("zero polynomial has no proportionality constant")
-    pivot = next(i for i, c in enumerate(target.coeffs) if c != 0)
-    ratio = scaled.poly.coeff(pivot) / target.coeffs[pivot]
+    pivot = next(i for i, c in enumerate(target.int_form[0]) if c)
+    ratio = scaled.poly.coeff(pivot) / target.coeff(pivot)
     if ratio == 0 or scaled.poly != ratio * target:
         raise NotProportional(f"{scaled.poly} is not a scalar multiple of {target}")
     return scaled.scale_sq * ratio * ratio

@@ -150,8 +150,6 @@ class GramMatrix(NamedTuple):
     size: int
     degrees: tuple[int, ...]
     entries: tuple[tuple[Surd, ...], ...]
-    ip_spec: InnerProductSpec
-    family_tag: Normalization
 
     def entry(self, i: int, j: int) -> Surd:
         return self.entries[i][j]
@@ -281,7 +279,7 @@ def _pairing_values(
     """
     for p in (*rows, *cols):
         _require_vanishing(p, spec)
-    width = max((len(g.coeffs) for g in cols), default=0)
+    width = max((len(g.int_form[0]) for g in cols), default=0)
     packed_rows, orders = [], []
     for f in rows:
         terms = _row_terms(f, spec, width)
@@ -359,7 +357,12 @@ def decompose_w(f: Polynomial) -> tuple[Polynomial, Polynomial]:
 def _family_degrees(
     params: JacobiParams, tag: Normalization, max_degree: int
 ) -> tuple[int, ...]:
+    """Degrees of the family up to max_degree; UndefinedNormalization when there are none."""
     start = 2 if (params.is_nonclassical and tag is Normalization.L2) else 0
+    if max_degree < start:
+        raise UndefinedNormalization(
+            f"the {tag.value} family starts at degree {start}, above max degree {max_degree}"
+        )
     return tuple(range(start, max_degree + 1))
 
 
@@ -380,8 +383,9 @@ def gram_matrix(
 
     The family is classical at the pairing's parameters for a Classical spec
     and the nonclassical one otherwise; the L2-orthonormal nonclassical family
-    starts at degree 2.  A family member of zero or irrational squared norm
-    under the pairing raises UndefinedNormalization.
+    starts at degree 2.  A family with no member of degree <= max_degree, or
+    a member of zero or irrational squared norm under the pairing, raises
+    UndefinedNormalization.
     """
     params = spec.params if isinstance(spec, Classical) else NONCLASSICAL
     degrees = _family_degrees(params, family_tag, max_degree)
@@ -392,13 +396,7 @@ def gram_matrix(
             raise UndefinedNormalization(
                 f"Gram diagonal entry {row[i]} at degree {degrees[i]} is not positive"
             )
-    return GramMatrix(
-        size=len(fam),
-        degrees=degrees,
-        entries=entries,
-        ip_spec=spec,
-        family_tag=family_tag,
-    )
+    return GramMatrix(len(fam), degrees, entries)
 
 
 def operator_matrix(max_degree: int, spec: SpectrumSpec) -> GramMatrix:
@@ -418,14 +416,7 @@ def operator_matrix(max_degree: int, spec: SpectrumSpec) -> GramMatrix:
     degrees = _family_degrees(NONCLASSICAL, tag, max_degree)
     fam = [jacobi_family(d, NONCLASSICAL, tag) for d in degrees]
     images = [apply_ell(p, spec.k) for p in fam]
-    entries = _surd_matrix(images, fam, ip)
-    return GramMatrix(
-        size=len(fam),
-        degrees=degrees,
-        entries=entries,
-        ip_spec=ip,
-        family_tag=tag,
-    )
+    return GramMatrix(len(fam), degrees, _surd_matrix(images, fam, ip))
 
 
 def verify_lagrange_identity(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -59,6 +60,78 @@ class TestPolynomialArithmetic:
     def test_zero_normalization(self):
         assert Polynomial((0, 0, 0)).is_zero
         assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
+
+
+
+class TestIntegerForm:
+    """int_form = (ints, den) is a polynomial's one stored field, in lowest terms."""
+
+    @staticmethod
+    def assert_canonical(p):
+        ints, den = p.int_form
+        assert den > 0 and gcd(den, *ints) == 1
+        assert not ints or ints[-1] != 0
+
+    def test_common_factor_is_divided_out(self):
+        p = Polynomial.from_int_form([6, -4, 2], 4)
+        assert p.int_form == ((3, -2, 1), 2)
+        assert p.coeffs == (Fraction(3, 2), -1, Fraction(1, 2))
+
+    def test_fractions_share_their_least_common_denominator(self):
+        assert poly(Fraction(1, 6), Fraction(-3, 4), 2).int_form == ((2, -9, 24), 12)
+
+    def test_trailing_zeros_are_dropped(self):
+        assert Polynomial.from_int_form([2, 0, 0], 6).int_form == ((1,), 3)
+        assert poly(1, Fraction(1, 2), 0, 0).int_form == ((2, 1), 2)
+
+    @pytest.mark.parametrize(
+        "make",
+        [Polynomial, lambda: poly(0, 0), lambda: Polynomial.from_int_form([0, 0], 7),
+         lambda: Polynomial.from_int_form([], 5), lambda: poly(1, 2) - poly(1, 2)],
+    )
+    def test_zero_polynomial(self, make):
+        p = make()
+        assert p.int_form == ((), 1)
+        assert p.coeffs == () and p.is_zero and p.degree == -1 and p.leading == 0
+        assert p == Polynomial.zero() and hash(p) == hash(Polynomial.zero())
+
+    def test_from_int_form_matches_fraction_constructor_random(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            den = rng.randint(1, 60)
+            ints = [rng.randint(-30, 30) for _ in range(rng.randint(0, 7))] + [0] * rng.randint(0, 2)
+            fractions = [Fraction(c, den) for c in ints]
+            a, b = Polynomial.from_int_form(ints, den), Polynomial(fractions)
+            assert a.int_form == b.int_form
+            assert a == b and hash(a) == hash(b)
+            while fractions and fractions[-1] == 0:
+                fractions.pop()
+            assert a.coeffs == b.coeffs == tuple(fractions)
+            assert a.degree == len(fractions) - 1
+            assert a.leading == (fractions[-1] if fractions else 0)
+            assert [a.coeff(i) for i in range(-1, 9)] == [
+                fractions[i] if 0 <= i < len(fractions) else 0 for i in range(-1, 9)
+            ]
+            self.assert_canonical(a)
+
+    def test_arithmetic_results_are_canonical(self):
+        rng = random.Random(29)
+        for _ in range(50):
+            a = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 6))])
+            b = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 6))])
+            for p in (a + b, a - b, a * b, Fraction(6, 5) * a, a.derivative(), a - a):
+                self.assert_canonical(p)
+
+    def test_one_stored_field_and_a_lazy_view(self):
+        p = poly(Fraction(1, 2), 3)
+        assert vars(p) == {"int_form": ((1, 6), 2)}
+        assert repr(p) == "Polynomial(int_form=((1, 6), 2))"
+        assert p.coeffs == (Fraction(1, 2), 3)
+        assert p.coeffs is p.coeffs
+        with pytest.raises(AttributeError):
+            p.coeffs = ()
+        with pytest.raises(AttributeError):
+            p.int_form = ((1,), 1)
 
 
 class TestDivideByWeight:

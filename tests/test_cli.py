@@ -107,7 +107,7 @@ class TestPolyCommand:
 
     def test_record_round_trip(self):
         record = PolynomialRecord.build(JacobiParams(-1, -1), 5, Normalization.PHI)
-        again = PolynomialRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+        again = PolynomialRecord.from_dict(json.loads(json.dumps(record._asdict())))
         assert again == record
         assert again.to_scaled_polynomial() == record.to_scaled_polynomial()
 
@@ -167,6 +167,22 @@ class TestGramCommand:
         assert out == "" and "undefined request" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--ip", "ld", "--ld-n", "2", "--k", "1"),
+            ("--ip", "phi", "--family", "l2"),
+            ("--ip", "classical", "--alpha=-1", "--beta=-1"),
+        ],
+        ids=("ld", "phi-l2", "classical"),
+    )
+    def test_family_without_members_is_undefined_request(self, capsys, argv):
+        # the L2-orthonormal (-1,-1) family starts at degree 2
+        for fmt in ("json", "csv", "pretty"):
+            code, out, err = run(capsys, "gram", *argv, "--max-degree", "1", "--format", fmt)
+            assert (code, out) == (3, "")
+            assert err == "undefined request: the l2 family starts at degree 2, above max degree 1\n"
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (("--ip", "phi", "--alpha", "5"), "--alpha"),
@@ -183,6 +199,31 @@ class TestGramCommand:
         code, out, err = run(capsys, "gram", "--max-degree", "3", *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and flag in err
+
+
+# A valid call of each subcommand, to which the test adds a flag it does not read.
+BASE_CALLS = {
+    "stirling": ("--max-n", "2"),
+    "poly": ("--n", "2", "--alpha=-1", "--beta=-1"),
+    "gram": ("--ip", "phi", "--max-degree", "1"),
+    "spectrum": ("--operator", "T", "--count", "2"),
+    "chel": ("--case", "unit", "--grid", "1000"),
+    "verify": ("--suite", "stirling"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, "--cache-path") for command in ("stirling", "gram", "spectrum", "chel", "verify")]
+    + [(command, "--float-digits") for command in ("stirling", "poly", "gram", "verify")],
+)
+def test_flag_the_command_does_not_read_is_usage_error(capsys, tmp_path, command, flag):
+    value = str(tmp_path / "cache.json") if flag == "--cache-path" else "9"
+    assert run(capsys, command, *BASE_CALLS[command])[0] == 0
+    code, out, err = run(capsys, command, *BASE_CALLS[command], flag, value)
+    assert (code, out) == (2, "")
+    assert flag in err
+    assert not (tmp_path / "cache.json").exists()
 
 
 class TestSpectrumCommand:
@@ -597,6 +638,33 @@ class TestSubprocessEntry:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
+
+    def test_benchmark_tracer_runs_the_cli(self, tmp_path):
+        # perfbench/tracer.py wraps jsob functions by name and reads the
+        # jacobi_family cache; a rename in src/ that breaks it fails here.
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        argv = ["poly", "--n", "6", "--alpha=-1", "--beta=-1", "--normalization", "phi",
+                "--cache-path"]
+        trace = tmp_path / "trace.json"
+        traced = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv,
+             str(tmp_path / "traced-cache.json")],
+            capture_output=True, text=True, env=env,
+        )
+        plain = subprocess.run(
+            [sys.executable, "-m", "jsob", *argv, str(tmp_path / "plain-cache.json")],
+            capture_output=True, text=True, env=env,
+        )
+        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
+        assert (traced.stdout, traced.stderr) == (plain.stdout, plain.stderr)
+        data = json.loads(trace.read_text())
+        counters, spans = data["counters"], data["spans"]
+        assert counters["jacobi.family.misses"] >= 1 and "jacobi.family.hits" in counters
+        assert spans["algebra.mul"][0] >= 1
+        assert (counters["cli.cache.lookups"], counters["cli.cache.writes"]) == (1, 1)
+        assert counters["cli.cache.bytes"] == (tmp_path / "traced-cache.json").stat().st_size
+        assert {"cli.cache.lookup", "cli.cache.read", "cli.cache.write"} <= spans.keys()
 
     def test_closed_pipe_ends_quietly(self):
         env = dict(os.environ)

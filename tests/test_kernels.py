@@ -187,11 +187,17 @@ class TestGramAssembly:
     def test_operator_matrix_against_pairwise_products(self, operator, power):
         spec = SpectrumSpec(OperatorTag(operator), Fraction(3, 2), power)
         om = operator_matrix(7, spec)
-        fam = [jacobi_family(d, NONCLASSICAL, om.family_tag) for d in om.degrees]
+        # The family and the pairing each operator is realized in.
+        if operator == "T":
+            tag, ip = Normalization.PHI, SobolevPhi()
+        else:
+            tag = Normalization.L2
+            ip = LeftDefinite(power, spec.k) if power else Classical(NONCLASSICAL)
+        fam = [jacobi_family(d, NONCLASSICAL, tag) for d in om.degrees]
         for i, fi in enumerate(fam):
             image = apply_ell(fi, spec.k)
             for j, fj in enumerate(fam):
-                value = bilinear_by_products(image.poly, fj.poly, om.ip_spec)
+                value = bilinear_by_products(image.poly, fj.poly, ip)
                 assert om.entry(i, j) == Surd(value, fi.scale_sq * fj.scale_sq)
 
     @pytest.mark.parametrize(
