@@ -174,10 +174,6 @@ class Polynomial(Frozen):
     def x(cls) -> "Polynomial":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, power: int, coeff: RationalLike = 1) -> "Polynomial":
-        return cls([0] * power + [as_fraction(coeff)])
-
     @property
     def is_zero(self) -> bool:
         return not self.int_form[0]
@@ -496,10 +492,6 @@ class ScaledPolynomial(Frozen):
     @property
     def is_zero(self) -> bool:
         return self.poly.is_zero
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
 
     def derivative(self, order: int = 1) -> "ScaledPolynomial":
         return ScaledPolynomial(self.scale_sq, self.poly.derivative(order))

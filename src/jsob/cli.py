@@ -10,6 +10,8 @@ strings, never floats; floats appear only in the numeric outputs (spectrum
 Configuration keys (default_k, output_format, cache_path, float_digits) are
 resolved with precedence: JSOB_* environment variables, then command-line
 flags, then the --config file (line-oriented ``key = value``), then defaults.
+default_k has no flag of its own: --k on gram and spectrum replaces it for
+that command, whatever the environment says.
 
 Exit codes: 0 ok, 1 verification failure (a verify check that fails, or that
 raises an ArithmeticError or ValueError, is reported as FAIL), 2 usage error,
@@ -144,7 +146,6 @@ def build_config(args: argparse.Namespace) -> CliConfig:
     """Resolve the configuration: env > flags > config file > defaults."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     flag_values = {
-        "default_k": getattr(args, "k", None),
         "output_format": getattr(args, "format", None),
         "cache_path": getattr(args, "cache_path", None),
         "float_digits": getattr(args, "float_digits", None),
@@ -393,11 +394,11 @@ def cmd_gram(args: argparse.Namespace, cfg: CliConfig) -> Report:
         family = Normalization.PHI if isinstance(spec, SobolevPhi) else Normalization.L2
     gm = gram_matrix(args.max_degree, spec, family)
     size = range(gm.size)
+    surds = [[gm.entry(i, j) for j in size] for i in size]
     entries = [
-        {"row": i, "col": j, "coeff": str(gm.entry(i, j).coeff),
-         "radicand": str(gm.entry(i, j).radicand)}
-        for i in size
-        for j in size
+        {"row": i, "col": j, "coeff": str(s.coeff), "radicand": str(s.radicand)}
+        for i, row in enumerate(surds)
+        for j, s in enumerate(row)
     ]
     payload = {
         "command": "gram",
@@ -407,7 +408,7 @@ def cmd_gram(args: argparse.Namespace, cfg: CliConfig) -> Report:
         "degrees": list(gm.degrees),
         "entries": entries,
     }
-    cells = [[str(gm.entry(i, j)) for j in size] for i in size]
+    cells = [[str(s) for s in row] for row in surds]
     width = max(len(c) for row in cells for c in row)
     lines = [" ".join(c.rjust(width) for c in row) for row in cells]
     lines.append(f"identity: {'yes' if gm.is_identity() else 'no'}")

@@ -145,29 +145,34 @@ class SpectrumSpec(Frozen):
 
 
 class GramMatrix(NamedTuple):
-    """Matrix of pairwise inner products of a family, entries exact Surds."""
+    """Matrix of pairwise inner products of a family, kept as the rational
+    bilinear values plus one squared scale per member: entry (i, j) is
+    values[i][j] * sqrt(scales[i] * scales[j])."""
 
-    size: int
     degrees: tuple[int, ...]
-    entries: tuple[tuple[Surd, ...], ...]
+    values: tuple[tuple[Fraction, ...], ...]
+    scales: tuple[Fraction, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.degrees)
 
     def entry(self, i: int, j: int) -> Surd:
-        return self.entries[i][j]
+        return Surd(self.values[i][j], self.scales[i] * self.scales[j])
 
     def diagonal(self) -> tuple[Surd, ...]:
-        return tuple(self.entries[i][i] for i in range(self.size))
+        return tuple(self.entry(i, i) for i in range(self.size))
 
     def is_diagonal(self) -> bool:
         return all(
-            self.entries[i][j] == Surd.zero()
-            for i in range(self.size)
-            for j in range(self.size)
-            if i != j
+            v == 0 for i, row in enumerate(self.values) for j, v in enumerate(row) if i != j
         )
 
     def is_identity(self) -> bool:
-        one = Surd.from_rational(1)
-        return self.is_diagonal() and all(d == one for d in self.diagonal())
+        # sqrt(s * s) = s, so a diagonal entry is the rational values[i][i] * scales[i].
+        return self.is_diagonal() and all(
+            row[i] * s == 1 for i, (row, s) in enumerate(zip(self.values, self.scales))
+        )
 
 
 def _as_scaled(f: Polynomial | ScaledPolynomial) -> ScaledPolynomial:
@@ -270,7 +275,7 @@ def _row_terms(f: Polynomial, spec: InnerProductSpec, width: int) -> list:
 
 def _pairing_values(
     rows: Sequence[Polynomial], cols: Sequence[Polynomial], spec: InnerProductSpec
-) -> list[list[Fraction]]:
+) -> tuple[tuple[Fraction, ...], ...]:
     """Exact bilinear values B(f, g) for every f in rows and g in cols.
 
     Per row, the terms are folded into one integer vector over one
@@ -301,10 +306,10 @@ def _pairing_values(
             done = d
             vector += [*tower, *[0] * (width - len(tower))]
         packed_cols.append((vector, den))
-    return [
-        [Fraction(sum(map(mul, rv, cv)), rd * cd) for cv, cd in packed_cols]
+    return tuple(
+        tuple(Fraction(sum(map(mul, rv, cv)), rd * cd) for cv, cd in packed_cols)
         for rv, rd in packed_rows
-    ]
+    )
 
 
 def inner_product(
@@ -366,16 +371,6 @@ def _family_degrees(
     return tuple(range(start, max_degree + 1))
 
 
-def _surd_matrix(
-    rows: list[ScaledPolynomial], cols: list[ScaledPolynomial], spec: InnerProductSpec
-) -> tuple[tuple[Surd, ...], ...]:
-    values = _pairing_values([f.poly for f in rows], [g.poly for g in cols], spec)
-    return tuple(
-        tuple(Surd(v, f.scale_sq * g.scale_sq) for v, g in zip(row, cols))
-        for row, f in zip(values, rows)
-    )
-
-
 def gram_matrix(
     max_degree: int, spec: InnerProductSpec, family_tag: Normalization
 ) -> GramMatrix:
@@ -383,20 +378,27 @@ def gram_matrix(
 
     The family is classical at the pairing's parameters for a Classical spec
     and the nonclassical one otherwise; the L2-orthonormal nonclassical family
-    starts at degree 2.  A family with no member of degree <= max_degree, or
-    a member of zero or irrational squared norm under the pairing, raises
-    UndefinedNormalization.
+    starts at degree 2.  A family with no member of degree <= max_degree, a
+    member outside the pairing's weighted space, or a member of nonpositive
+    squared norm under the pairing raises UndefinedNormalization.
     """
     params = spec.params if isinstance(spec, Classical) else NONCLASSICAL
     degrees = _family_degrees(params, family_tag, max_degree)
     fam = [jacobi_family(d, params, family_tag) for d in degrees]
-    entries = _surd_matrix(fam, fam, spec)
-    for i, row in enumerate(entries):
-        if not row[i].is_rational or row[i].to_fraction() <= 0:
+    polys = [f.poly for f in fam]
+    try:
+        values = _pairing_values(polys, polys, spec)
+    except NotInWeightedSpace as exc:
+        raise UndefinedNormalization(
+            f"the {family_tag.value} family does not fit this pairing ({exc})"
+        ) from exc
+    gm = GramMatrix(degrees, values, tuple(f.scale_sq for f in fam))
+    for i, (row, s) in enumerate(zip(values, gm.scales)):
+        if row[i] * s <= 0:
             raise UndefinedNormalization(
-                f"Gram diagonal entry {row[i]} at degree {degrees[i]} is not positive"
+                f"Gram diagonal entry {gm.entry(i, i)} at degree {degrees[i]} is not positive"
             )
-    return GramMatrix(len(fam), degrees, entries)
+    return gm
 
 
 def operator_matrix(max_degree: int, spec: SpectrumSpec) -> GramMatrix:
@@ -415,8 +417,9 @@ def operator_matrix(max_degree: int, spec: SpectrumSpec) -> GramMatrix:
         tag, ip = Normalization.L2, LeftDefinite(spec.power, spec.k)
     degrees = _family_degrees(NONCLASSICAL, tag, max_degree)
     fam = [jacobi_family(d, NONCLASSICAL, tag) for d in degrees]
-    images = [apply_ell(p, spec.k) for p in fam]
-    return GramMatrix(len(fam), degrees, _surd_matrix(images, fam, ip))
+    images = [apply_ell(p.poly, spec.k) for p in fam]
+    values = _pairing_values(images, [p.poly for p in fam], ip)
+    return GramMatrix(degrees, values, tuple(p.scale_sq for p in fam))
 
 
 def verify_lagrange_identity(

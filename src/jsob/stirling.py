@@ -106,21 +106,20 @@ def verify_defining_identity(n: int, m: int, k: RationalLike) -> bool:
 
 
 class StirlingTable(NamedTuple):
-    """The triangle {n, j} for 0 <= n, j <= max_n."""
+    """The triangle {n, j} for 0 <= n, j <= max_n, as its rows 0..max_n."""
 
-    max_n: int
-    entries: dict[tuple[int, int], int]
+    rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def max_n(self) -> int:
+        return len(self.rows) - 1
 
     def entry(self, n: int, j: int) -> int:
-        return self.entries[(n, j)]
+        return self.rows[n][j] if j <= n else 0
 
 
 def build_table(max_n: int) -> StirlingTable:
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    entries = {
-        (n, j): jacobi_stirling(n, j)
-        for n in range(max_n + 1)
-        for j in range(max_n + 1)
-    }
-    return StirlingTable(max_n=max_n, entries=entries)
+    jacobi_stirling(max_n, 0)  # grows the triangle to row max_n
+    return StirlingTable(_TRIANGLE[:max_n + 1])

@@ -183,6 +183,26 @@ class TestGramCommand:
             assert err == "undefined request: the l2 family starts at degree 2, above max degree 1\n"
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--ip", "classical", "--alpha=-1", "--beta=-1", "--family", "phi"),
+             "the phi family does not fit this pairing (classical pairing: argument does "
+             "not vanish at x = 1, so it lies outside the weighted space)"),
+            (("--ip", "ld", "--ld-n", "1", "--k", "1", "--family", "reference"),
+             "the reference family does not fit this pairing (left-definite pairing "
+             "(j = 0 term): argument does not vanish at x = 1, so it lies outside the "
+             "weighted space)"),
+        ],
+        ids=("classical-phi", "ld-reference"),
+    )
+    def test_family_outside_the_weighted_space_is_undefined_request(self, capsys, argv, message):
+        # the pairing's weight is singular at +-1 and the family does not vanish there
+        for fmt in ("json", "csv", "pretty"):
+            code, out, err = run(capsys, "gram", *argv, "--max-degree", "3", "--format", fmt)
+            assert (code, out) == (3, "")
+            assert err == f"undefined request: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (("--ip", "phi", "--alpha", "5"), "--alpha"),
@@ -495,6 +515,25 @@ class TestConfigPrecedence:
         assert code == 0
         _, rows = parse_csv(out)
         assert [v for _, v in rows] == ["4", "8", "14"]
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("abc", "error: not a rational number: 'abc'\n"),
+         ("-1", "error: the shift k must be nonnegative\n")],
+        ids=("not-rational", "negative"),
+    )
+    def test_bad_k_flag_names_the_flag_value(self, capsys, value, message):
+        # --k is parsed once, by the command, not folded into default_k
+        for cmd in (("spectrum", "--operator", "A"), ("gram", "--ip", "ld", "--ld-n", "1",
+                                                      "--max-degree", "3")):
+            code, out, err = run(capsys, *cmd, f"--k={value}")
+            assert (code, out, err) == (2, "", message)
+
+    def test_k_flag_wins_over_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("JSOB_DEFAULT_K", "2")
+        code, out, _ = run(capsys, "spectrum", "--operator", "A", "--k", "1", "--count", "2")
+        assert code == 0
+        assert out.splitlines()[0] == "operator A, k = 1"
 
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "jsob.conf"

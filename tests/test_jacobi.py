@@ -88,7 +88,7 @@ class TestNonclassicalJacobi:
 
     def test_degree(self):
         for n in range(21):
-            assert nonclassical_jacobi(n, Normalization.PHI).degree == n
+            assert nonclassical_jacobi(n, Normalization.PHI).poly.degree == n
 
     def test_l2_undefined_for_low_degrees(self):
         for n in (0, 1):

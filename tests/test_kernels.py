@@ -32,6 +32,7 @@ from jsob.jacobi import (
 from jsob.numeric import ChelInstance, chel_K, chel_preset
 from jsob.operators import (
     Classical,
+    GramMatrix,
     LeftDefinite,
     OperatorTag,
     SobolevPhi,
@@ -107,7 +108,7 @@ class TestIntegrals:
     def test_moment_cache_grows(self):
         # No other test uses m = 9: a short polynomial fills the cached moment
         # vector, then a long one must extend it.
-        short, long = Polynomial.monomial(2), Polynomial([1] * 150)
+        short, long = Polynomial((0, 0, 1)), Polynomial([1] * 150)
         assert integrate_weighted(short, 9) == integral_by_antiderivative(short, 9)
         assert integrate_weighted(long, 9) == integral_by_antiderivative(long, 9)
 
@@ -172,16 +173,45 @@ class TestGramAssembly:
             (LeftDefinite(2, 1), Normalization.L2, 7),
             (LeftDefinite(3, Fraction(7, 3)), Normalization.L2, 6),
             (LeftDefinite(1, 0), Normalization.L2, 7),
+            (SobolevPhi(), Normalization.L2, 6),
+            (Classical(JacobiParams(2, 1)), Normalization.REFERENCE, 5),
         ],
     )
     def test_family_matrix_against_pairwise_products(self, spec, tag, max_degree):
         gm = gram_matrix(max_degree, spec, tag)
         params = spec.params if isinstance(spec, Classical) else NONCLASSICAL
         fam = [jacobi_family(d, params, tag) for d in gm.degrees]
-        for i, fi in enumerate(fam):
-            for j, fj in enumerate(fam):
-                value = bilinear_by_products(fi.poly, fj.poly, spec)
-                assert gm.entry(i, j) == Surd(value, fi.scale_sq * fj.scale_sq)
+        entries = [
+            [Surd(bilinear_by_products(fi.poly, fj.poly, spec), fi.scale_sq * fj.scale_sq)
+             for fj in fam]
+            for fi in fam
+        ]
+        for i, row in enumerate(entries):
+            for j, expected in enumerate(row):
+                assert gm.entry(i, j) == expected
+        # The predicates against their per-entry definitions.
+        diagonal = tuple(entries[i][i] for i in range(len(fam)))
+        is_diagonal = all(
+            v == Surd.zero() for i, row in enumerate(entries) for j, v in enumerate(row) if i != j
+        )
+        assert gm.size == len(fam)
+        assert gm.diagonal() == diagonal
+        assert gm.is_diagonal() == is_diagonal
+        assert gm.is_identity() == (
+            is_diagonal and all(d == Surd.from_rational(1) for d in diagonal)
+        )
+
+    def test_hand_built_matrix_with_off_diagonal_value(self):
+        # No reachable call produces an off-diagonal value; the entry still
+        # carries the product of the two scales under its root.
+        v = Fraction(5, 7)
+        gm = GramMatrix((0, 1), ((Fraction(1, 2), v), (v, Fraction(1, 3))), (Fraction(2), Fraction(3)))
+        assert gm.size == 2
+        assert gm.entry(0, 1) == Surd(v, 6) == gm.entry(1, 0)
+        assert not gm.entry(0, 1).is_rational
+        assert gm.diagonal() == (Surd.from_rational(1), Surd.from_rational(1))
+        assert not gm.is_diagonal()
+        assert not gm.is_identity()
 
     @pytest.mark.parametrize("operator,power", [("T", None), ("A", None), ("Bn", 1), ("Bn", 2)])
     def test_operator_matrix_against_pairwise_products(self, operator, power):

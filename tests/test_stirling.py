@@ -107,7 +107,7 @@ class TestBuildTable:
 
     def test_trivial_table(self):
         table = build_table(0)
-        assert table.entries == {(0, 0): 1}
+        assert table.rows == ((1,),)
 
     def test_specific_entry(self):
         assert build_table(5).entry(5, 2) == 8
