@@ -2,8 +2,8 @@
 
 The scalar field is ``fractions.Fraction``; every operation in this module is
 exact.  A polynomial is stored only in its integer form, integer coefficients
-over one common denominator: a product is a single bigint multiplication by
-Kronecker substitution, and sums, scalings and derivatives are integer loops.
+over one common denominator; products, sums, scalings and derivatives are
+integer loops, a product being a plain convolution.
 The central integral is
 
     integrate_weighted(p, m) = integral of p(x) * (1 - x^2)^m over [-1, 1]
@@ -88,38 +88,21 @@ class Frozen:
     __delattr__ = __setattr__
 
 
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    """sum_i coeffs[i] * 256^(width*i), for |coeffs[i]| < 256^width."""
-    zero = bytes(width)
-    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
-    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
 def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two integer polynomials (Kronecker substitution).
+    """Coefficients of the product of two integer polynomials (plain convolution).
 
-    Both operands are evaluated at x = 256^width, where a slot of width bytes
-    holds any product coefficient together with its sign, so one bigint
-    multiplication yields the product.  Adding 256^width / 2 to every slot of
-    the product makes each slot a nonnegative digit, which reads back
-    directly from the bytes.
+    The outer loop runs over the shorter operand and skips its zero
+    coefficients: nearly every product here has a factor of at most three
+    coefficients, a recurrence step or the weight 1 - x^2.
     """
-    if not a or not b:
-        return []
-    if len(a) == 1 or len(b) == 1:
-        (c,), other = (a, b) if len(a) == 1 else (b, a)
-        return [c * v for v in other]
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1
-    size = len(a) + len(b) - 1
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    raw = (_pack(a, width) * _pack(b, width) + offset).to_bytes(size * width, "little")
-    return [
-        int.from_bytes(raw[i : i + width], "little") - half
-        for i in range(0, size * width, width)
-    ]
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, v in enumerate(b, i):
+                out[j] += c * v
+    return out
 
 
 class Polynomial(Frozen):

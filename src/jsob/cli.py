@@ -435,7 +435,7 @@ def cmd_spectrum(args: argparse.Namespace, cfg: CliConfig) -> Report:
         raise UsageError(
             "--galerkin discretizes the endpoint-vanishing form; use operator A or Bn"
         )
-    numeric = galerkin_spectrum(args.galerkin, float(k))
+    numeric = galerkin_spectrum(args.galerkin, k)
     count = min(args.count, len(numeric))
     exact = spectrum(spec, count)
     rows = [

@@ -38,7 +38,7 @@ __all__ = [
 
 
 class NonFiniteIntegral(ArithmeticError):
-    """A tail integral is numerically divergent or non-finite."""
+    """A tail or stiffness integral is numerically divergent or non-finite."""
 
 
 class MassNotPositiveDefinite(ArithmeticError):
@@ -309,23 +309,31 @@ def galerkin_system(size: int, k):
     stiffness = int b_i' b_j' + k int b_i b_j / (1 - x^2) and
     mass = int b_i b_j / (1 - x^2).  The integrands are polynomials of degree
     at most 2 * size, so the (size + 2)-point Gauss-Legendre rule is exact for
-    them; b_i' = i P_{i-1} - (i + 2) x P_i needs no differentiation.
+    them; b_i' = i P_{i-1} - (i + 2) x P_i needs no differentiation.  A shift
+    k or a stiffness entry beyond float range raises NonFiniteIntegral.
     """
     import numpy as np  # imported here so that the exact commands start without numpy
     from numpy.polynomial.legendre import leggauss, legvander
 
     if not 2 <= size <= 200:
         raise ValueError("size must be between 2 and 200")
-    kf = float(as_fraction(k))
+    try:
+        kf = float(as_fraction(k))
+    except OverflowError as exc:
+        raise NonFiniteIntegral("the shift k does not fit a finite float") from exc
     x, w = leggauss(size + 2)
     p = legvander(x, size - 1)
     i = np.arange(size)
     p_prev = np.hstack([np.zeros((len(x), 1)), p[:, :-1]])
     dp = i * p_prev - (i + 2) * x[:, None] * p
     mass = (p * (w * (1.0 - x * x))[:, None]).T @ p
-    stiff = (dp * w[:, None]).T @ dp + kf * mass
-    # Averaging with the transpose makes both matrices exactly symmetric.
-    return 0.5 * (stiff + stiff.T), 0.5 * (mass + mass.T)
+    with np.errstate(over="ignore"):
+        stiff = (dp * w[:, None]).T @ dp + kf * mass
+        # Averaging with the transpose makes both matrices exactly symmetric.
+        stiff = 0.5 * (stiff + stiff.T)
+    if not np.isfinite(stiff).all():
+        raise NonFiniteIntegral("the Galerkin stiffness integrals are not finite")
+    return stiff, 0.5 * (mass + mass.T)
 
 
 def solve_galerkin(stiffness, mass) -> list[float]:
@@ -350,7 +358,7 @@ def solve_galerkin(stiffness, mass) -> list[float]:
     return [float(v) for v in np.linalg.eigvalsh(0.5 * (congruent + congruent.T))]
 
 
-def galerkin_spectrum(size: int, k: float) -> list[float]:
+def galerkin_spectrum(size: int, k) -> list[float]:
     """Ascending Galerkin eigenvalues approximating the weighted-space spectrum.
 
     The trial space of size s spans the exact eigenfunctions of degrees

@@ -179,24 +179,11 @@ def _as_scaled(f: Polynomial | ScaledPolynomial) -> ScaledPolynomial:
     return f if isinstance(f, ScaledPolynomial) else ScaledPolynomial.of(f)
 
 
-def _ell_poly(p: Polynomial, k: Fraction, params: JacobiParams) -> Polynomial:
-    """-(1-x^2) p'' + (alpha - beta + (alpha+beta+2) x) p' + k p, exact."""
-    first = Polynomial(
-        (params.alpha - params.beta, params.alpha + params.beta + 2)
-    )
-    return -1 * (ONE_MINUS_X2 * p.derivative(2)) + first * p.derivative() + k * p
-
-
-def apply_ell(
-    f: Polynomial | ScaledPolynomial,
-    k: RationalLike,
-    params: JacobiParams = NONCLASSICAL,
-):
-    """Apply the differential expression; the scale factor passes through unchanged."""
-    kf = as_fraction(k)
-    if isinstance(f, Polynomial):
-        return _ell_poly(f, kf, params)
-    return ScaledPolynomial(f.scale_sq, _ell_poly(f.poly, kf, params))
+def apply_ell(f: Polynomial | ScaledPolynomial, k: RationalLike):
+    """k y - (1-x^2) y'', exact; the scale factor passes through unchanged."""
+    p = f if isinstance(f, Polynomial) else f.poly
+    image = as_fraction(k) * p - ONE_MINUS_X2 * p.derivative(2)
+    return image if p is f else ScaledPolynomial(f.scale_sq, image)
 
 
 def apply_ell_power(
@@ -205,7 +192,7 @@ def apply_ell_power(
     """The n-th composite power of the nonclassical expression, via c_j(n, k).
 
     Evaluates (1-x^2) * sum_j (-1)^j c_j ((1-x^2)^(j-1) y^(j))^(j) exactly;
-    equal to n-fold application of ``apply_ell`` at alpha = beta = -1.
+    equal to n-fold application of ``apply_ell``.
     """
     kf = as_fraction(k)
     scaled = _as_scaled(f)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -325,6 +326,19 @@ class TestNumericFailureExitCode:
         code, _, err = run(capsys, "spectrum", "--operator", "A", "--galerkin", "10")
         assert code == 4
         assert "numeric failure" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("operator", ["A", "Bn"])
+    @pytest.mark.parametrize("k", ["1e400", "1e308"])
+    def test_shift_beyond_float_range_maps_to_exit_4(self, capsys, k, operator, fmt):
+        # 1e400 has no float; at 1e308 the stiffness entries overflow.  A warning
+        # on its way to stderr is raised here instead.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "spectrum", "--operator", operator, "--k", k,
+                                 "--galerkin", "10", "--format", fmt)
+        assert (code, out) == (4, "")
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
 class TestInternalFaultExitCode:

@@ -1,6 +1,6 @@
 """Differential tests: the integer kernels against the slow oracles they replaced.
 
-Each fast path of the exact layer (Kronecker products, moment-vector integrals,
+Each fast path of the exact layer (integer products, moment-vector integrals,
 recurrence-built families, the Stirling triangle, per-row Gram assembly) is
 compared with an independent slow computation from ``reference_data`` on
 seeded random inputs, and the composite-rule boundedness constant with the
@@ -54,6 +54,9 @@ from reference_data import (
 
 PARAMETERS = [Fraction(v) for v in (-1, "-1/2", 0, "1/2", 1, 2)]
 
+# 201 coefficients of up to several hundred bits each.
+MEMBER_200 = classical_jacobi(200, JacobiParams(1, 1)).coeffs
+
 
 def random_poly(rng: random.Random, degree: int, bits: int = 8) -> Polynomial:
     """Mixed-sign coefficients with numerators and denominators up to ``bits`` bits."""
@@ -71,6 +74,18 @@ class TestProduct:
             a = random_poly(rng, rng.randint(-1, 30), bits)
             b = random_poly(rng, rng.randint(-1, 30), rng.choice((1, 4, 16, 64, 200)))
             assert a * b == schoolbook_product(a, b)
+        # The shapes the program forms: a factor of 1-3 coefficients (a
+        # recurrence step or 1 - x^2) against 60-200 integers of several
+        # hundred bits over one denominator, in both operand orders.
+        for _ in range(40):
+            short = random_poly(rng, rng.randint(0, 2), rng.choice((1, 16, 64)))
+            top = 2 ** rng.choice((200, 400))
+            long = Polynomial.from_int_form(
+                [rng.randint(-top, top) for _ in range(rng.randint(60, 200))],
+                rng.randint(1, top),
+            )
+            assert short * long == schoolbook_product(short, long)
+            assert long * short == schoolbook_product(long, short)
 
     @pytest.mark.parametrize(
         "a,b",
@@ -81,6 +96,10 @@ class TestProduct:
             ((-1, -1, -1), (-1, -1)),
             ((0, 0, 1), (0, 1)),
             ((Fraction(1, 2**300), -(2**300)), (2**300, Fraction(-1, 3**200), 7)),
+            ((Fraction(-5, 3),), MEMBER_200),
+            ((3, -7), MEMBER_200),
+            ((1, 0, -1), MEMBER_200),
+            ((Fraction(2, 5), Fraction(-1, 7), 9), MEMBER_200[:60]),
         ],
     )
     def test_edge_operands(self, a, b):

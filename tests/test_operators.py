@@ -49,15 +49,6 @@ class TestApplyEll:
                 lam = Fraction(n * (n - 1)) + k
                 assert apply_ell(fam, k).poly == lam * fam.poly
 
-    def test_eigen_relation_classical(self):
-        from jsob.jacobi import classical_jacobi
-
-        params = JacobiParams(1, 1)
-        p = classical_jacobi(3, params)
-        k = Fraction(2)
-        # eigenvalue n (n + alpha + beta + 1) + k = 3 * 6 + 2
-        assert apply_ell(p, k, params) == 20 * p
-
     def test_scale_passthrough(self):
         fam = nonclassical_jacobi(5, Normalization.PHI)
         assert apply_ell(fam, 1).scale_sq == fam.scale_sq
