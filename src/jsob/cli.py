@@ -21,9 +21,9 @@ broke one of its own invariants, e.g. NotDivisible or MismatchWithClosedForm).
 A reader that closes stdout early (``| head``) ends the command quietly with
 exit code 0.
 
-main() sets OPENBLAS_NUM_THREADS=1 unless it is already set: the Galerkin
-matrices are at most 200 x 200, too small for BLAS threads to pay for
-starting.
+main() sets OPENBLAS_NUM_THREADS=1 unless it is already set: the
+Gauss-Jacobi matrices behind verify's float checks are too small for BLAS
+threads to pay for starting.
 """
 
 from __future__ import annotations
@@ -829,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Before anything imports numpy, whose OpenBLAS reads this at load time.
+    # Before gauss_jacobi imports numpy, whose OpenBLAS reads this at load time.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:

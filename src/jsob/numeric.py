@@ -4,11 +4,9 @@ constants, and a Galerkin reproduction of the weighted-space spectrum.
 Everything exact lives elsewhere; this module is where doubles are allowed.
 Gauss-Jacobi rules (needed for non-integer parameters, where the weight has
 algebraic endpoint singularities that defeat plain Gauss-Legendre) come from
-the Golub-Welsch tridiagonal eigenproblem.  The Galerkin discretization uses
-the nested, well-conditioned basis (1 - x^2) P_i (Legendre P_i), is assembled
-in floats with a Gauss-Legendre rule that is exact for its polynomial
-integrands, and is reduced to a symmetric eigenproblem by a float Cholesky
-factorization of the mass matrix.
+the Golub-Welsch tridiagonal eigenproblem, the one use of numpy.  The Galerkin
+discretization on the basis (1 - x^2) P_i (Legendre P_i) splits into two
+tridiagonal pencils with closed-form entries, solved by Sturm counts and Newton.
 """
 
 from __future__ import annotations
@@ -303,66 +301,103 @@ def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
 
 
 def galerkin_system(size: int, k):
-    """(stiffness, mass): the weak form of the weighted-space operator, as float arrays.
+    """(even, odd): the weak form of the weighted-space operator as two tridiagonal
+    pencils, each (stiff_diag, stiff_off, mass_diag, mass_off), tuples of floats.
 
     Trial functions b_i = (1 - x^2) P_i (Legendre P_i) vanish at the endpoints;
-    stiffness = int b_i' b_j' + k int b_i b_j / (1 - x^2) and
-    mass = int b_i b_j / (1 - x^2).  The integrands are polynomials of degree
-    at most 2 * size, so the (size + 2)-point Gauss-Legendre rule is exact for
-    them; b_i' = i P_{i-1} - (i + 2) x P_i needs no differentiation.  A shift
-    k or a stiffness entry beyond float range raises NonFiniteIntegral.
+    S_ij = int b_i' b_j' + k int b_i b_j / (1 - x^2) and M_ij = int b_i b_j / (1 - x^2)
+    couple only i and i +- 2 (J. Shen, SIAM J. Sci. Comput. 15, 1994).  With
+    h_n = int P_n^2, x P_i = a_i P_{i+1} + b_i P_{i-1} and
+    b_i' = (i-1) b_i P_{i-1} - (i+2) a_i P_{i+1}, each entry is a closed form,
+    computed exactly and rounded once; one beyond float range raises NonFiniteIntegral.
     """
-    import numpy as np  # imported here so that the exact commands start without numpy
-    from numpy.polynomial.legendre import leggauss, legvander
-
     if not 2 <= size <= 200:
         raise ValueError("size must be between 2 and 200")
+    k, h = as_fraction(k), lambda n: Fraction(2, 2 * n + 1)
+    a, b = (lambda i: Fraction(i + 1, 2 * i + 1)), (lambda i: Fraction(i, 2 * i + 1))
+    up = [a(i) ** 2 * h(i + 1) for i in range(size)]
+    down = [b(i) ** 2 * h(i - 1) for i in range(size)]  # b_0 = 0 meets h_{-1} = -2
+    m_diag = [h(i) - up[i] - down[i] for i in range(size)]
+    m_off = [-a(i) * b(i + 2) * h(i + 1) for i in range(size - 2)]
+    s_diag = [(i - 1) ** 2 * down[i] + (i + 2) ** 2 * up[i] + k * m_diag[i] for i in range(size)]
+    s_off = [((i + 1) * (i + 2) + k) * m_off[i] for i in range(size - 2)]
     try:
-        kf = float(as_fraction(k))
+        rounded = [tuple(map(float, part)) for part in (s_diag, s_off, m_diag, m_off)]
     except OverflowError as exc:
-        raise NonFiniteIntegral("the shift k does not fit a finite float") from exc
-    x, w = leggauss(size + 2)
-    p = legvander(x, size - 1)
-    i = np.arange(size)
-    p_prev = np.hstack([np.zeros((len(x), 1)), p[:, :-1]])
-    dp = i * p_prev - (i + 2) * x[:, None] * p
-    mass = (p * (w * (1.0 - x * x))[:, None]).T @ p
-    with np.errstate(over="ignore"):
-        stiff = (dp * w[:, None]).T @ dp + kf * mass
-        # Averaging with the transpose makes both matrices exactly symmetric.
-        stiff = 0.5 * (stiff + stiff.T)
-    if not np.isfinite(stiff).all():
-        raise NonFiniteIntegral("the Galerkin stiffness integrals are not finite")
-    return stiff, 0.5 * (mass + mass.T)
+        raise NonFiniteIntegral("the Galerkin stiffness entries do not fit a finite float") from exc
+    return tuple(tuple(part[p::2] for part in rounded) for p in (0, 1))
 
 
-def solve_galerkin(stiffness, mass) -> list[float]:
-    """Ascending eigenvalues of stiffness v = lambda mass v (symmetric float matrices).
+def _scan(rows, sigma: float) -> tuple[int, float]:
+    """(eigenvalues below sigma, d/dsigma log|det(S - sigma M)|) from one pass of
+    the LDL^T pivot recurrence of S - sigma M and of its derivative."""
+    count, slope, d, dd = 0, 0.0, 1.0, 0.0
+    for s, m, s_prev, m_prev in rows:
+        off = s_prev - sigma * m_prev
+        t = off / d  # off * (off / d): off * off overflows for shifts near 1e300
+        d, dd = s - sigma * m - off * t, t * (2.0 * m_prev + t * dd) - m
+        d = d or 1e-300  # a zero pivot counts as positive
+        count += d < 0.0
+        slope += dd / d
+    return count, slope
 
-    The mass matrix is factored by Cholesky, mass = L L^T, and the symmetric
-    matrix L^-1 S L^-T (two solves with L) goes to the dense symmetric
-    eigensolver.  A mass matrix that is not numerically positive definite
-    raises MassNotPositiveDefinite.
+
+def _refine(rows, lo: float, hi: float, index: int) -> float:
+    """Eigenvalue `index`, the only one in (lo, hi]: Newton on det(S - sigma M), with
+    bisection when a step leaves the bracket, which every count narrows, or fails to halve."""
+    sigma, last = 0.5 * lo + 0.5 * hi, hi - lo
+    for _ in range(100):
+        count, slope = _scan(rows, sigma)
+        lo, hi = (sigma, hi) if count <= index else (lo, sigma)
+        step = -1.0 / slope if slope and math.isfinite(slope) else math.nan
+        new = sigma + step
+        if abs(step) <= 4e-16 * abs(sigma):
+            return new
+        if not (lo < new < hi and abs(step) <= 0.5 * abs(last)):
+            new = 0.5 * lo + 0.5 * hi
+            if not lo < new < hi:  # no float left between lo and hi
+                return new
+        sigma, last = new, new - sigma
+    return sigma
+
+
+def solve_galerkin(block) -> list[float]:
+    """Ascending eigenvalues of one tridiagonal pencil S v = lambda M v.
+
+    The negative pivots of the LDL^T factorization of S - sigma M count the
+    eigenvalues below sigma (G. Peters and J. H. Wilkinson, Comput. J. 12, 1969);
+    bisection on these counts, shared by all eigenvalues, isolates each one for
+    _refine.  A mass pivot that is not positive (or is NaN) raises
+    MassNotPositiveDefinite, a spectrum with no finite bracket NonFiniteIntegral.
     """
-    import numpy as np  # imported here, as in galerkin_system
-
-    try:
-        lower = np.linalg.cholesky(mass)
-    except np.linalg.LinAlgError as exc:
-        raise MassNotPositiveDefinite(f"Cholesky of the mass matrix failed: {exc}") from exc
-    pivots = np.diag(lower)
-    if not np.all(pivots > 0):
-        raise MassNotPositiveDefinite(f"mass pivot {float(pivots.min())} is not positive")
-    half = np.linalg.solve(lower, stiffness)
-    congruent = np.linalg.solve(lower, half.T)
-    return [float(v) for v in np.linalg.eigvalsh(0.5 * (congruent + congruent.T))]
+    s_diag, s_off, m_diag, m_off = block
+    d = 1.0
+    for m, m_prev in zip(m_diag, (0.0, *m_off)):
+        if not (d := m - m_prev * (m_prev / d)) > 0.0:
+            raise MassNotPositiveDefinite(f"mass pivot {d} is not positive")
+    rows, n = tuple(zip(s_diag, m_diag, (0.0, *s_off), (0.0, *m_off))), len(s_diag)
+    # Doubled until it brackets the spectrum or, within 1030 doublings, overflows.
+    radius = 2.0 * max(1.0, *(abs(s / m) for s, m, _, _ in rows))
+    while math.isfinite(radius) and (_scan(rows, -radius)[0] or _scan(rows, radius)[0] < n):
+        radius *= 2.0
+    if not math.isfinite(radius):
+        raise NonFiniteIntegral("the Galerkin eigenvalues have no finite bracket")
+    values, pending = [0.0] * n, [(-radius, 0, radius, n, 0)]
+    while pending:  # (lo, hi] holds eigenvalues c_lo .. c_hi - 1 after `depth` halvings
+        lo, c_lo, hi, c_hi, depth = pending.pop()
+        mid = 0.5 * lo + 0.5 * hi
+        if c_hi - c_lo == 1:
+            values[c_lo] = _refine(rows, lo, hi, c_lo)
+        elif depth == 200 or not lo < mid < hi:  # a cluster at float resolution
+            values[c_lo:c_hi] = [mid] * (c_hi - c_lo)
+        elif c_hi > c_lo:
+            c_mid = min(max(_scan(rows, mid)[0], c_lo), c_hi)
+            pending += [(lo, c_lo, mid, c_mid, depth + 1), (mid, c_mid, hi, c_hi, depth + 1)]
+    return values
 
 
 def galerkin_spectrum(size: int, k) -> list[float]:
-    """Ascending Galerkin eigenvalues approximating the weighted-space spectrum.
-
-    The trial space of size s spans the exact eigenfunctions of degrees
-    2..s+1, so the discrete values equal m(m-1) + k, m = 2, ..., s+1, up to
-    floating-point rounding in assembly, factorization and eigensolve.
-    """
-    return solve_galerkin(*galerkin_system(size, k))
+    """Ascending Galerkin eigenvalues approximating the weighted-space spectrum: the
+    trial space of size s spans the exact eigenfunctions of degrees 2..s+1, so they
+    equal m(m-1) + k, m = 2, ..., s+1, up to rounding in assembly and eigensolve."""
+    return sorted(v for block in galerkin_system(size, k) for v in solve_galerkin(block))

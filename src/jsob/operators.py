@@ -144,6 +144,9 @@ class SpectrumSpec(Frozen):
         object.__setattr__(self, "power", power)
 
 
+_ZERO = Surd.zero()  # immutable, so every zero cell can share it
+
+
 class GramMatrix(NamedTuple):
     """Matrix of pairwise inner products of a family, kept as the rational
     bilinear values plus one squared scale per member: entry (i, j) is
@@ -158,6 +161,8 @@ class GramMatrix(NamedTuple):
         return len(self.degrees)
 
     def entry(self, i: int, j: int) -> Surd:
+        if self.values[i][j] == 0:  # every off-diagonal cell of an orthogonal family
+            return _ZERO
         return Surd(self.values[i][j], self.scales[i] * self.scales[j])
 
     def diagonal(self) -> tuple[Surd, ...]:

@@ -7,15 +7,17 @@ the classical family is rebuilt from its three-term recurrence and from the
 explicit binomial sum; Jacobi-Stirling numbers come from their alternating
 sum; weighted integrals and bilinear forms are recomputed from a term-by-term
 antiderivative of the product polynomial; the boundedness constant comes from
-per-cell adaptive Simpson quadrature.
+per-cell adaptive Simpson quadrature; the Galerkin pencil is assembled as dense
+matrices by Gauss-Legendre quadrature and solved by Cholesky and a dense
+symmetric eigensolver (numpy).
 """
 
 import math
 from fractions import Fraction
 from math import factorial
 
-from jsob.algebra import Polynomial
-from jsob.numeric import NonFiniteIntegral, golden_section_max
+from jsob.algebra import Polynomial, as_fraction
+from jsob.numeric import MassNotPositiveDefinite, NonFiniteIntegral, golden_section_max
 
 # rows j = 0..8, columns n = 0..8
 JACOBI_STIRLING_TABLE = (
@@ -248,3 +250,59 @@ def chel_K_by_adaptive_simpson(instance, grid_size: int) -> tuple[float, float]:
 
     x_star = golden_section_max(k_squared, lo, hi, 1e-12 * max(1.0, abs(b - a)))
     return math.sqrt(k_squared(x_star)), x_star
+
+
+def galerkin_system_dense(size: int, k):
+    """(stiffness, mass): the weak form of the weighted-space operator, as float arrays.
+
+    Trial functions b_i = (1 - x^2) P_i (Legendre P_i) vanish at the endpoints;
+    stiffness = int b_i' b_j' + k int b_i b_j / (1 - x^2) and
+    mass = int b_i b_j / (1 - x^2).  The integrands are polynomials of degree
+    at most 2 * size, so the (size + 2)-point Gauss-Legendre rule is exact for
+    them; b_i' = i P_{i-1} - (i + 2) x P_i needs no differentiation.  A shift
+    k or a stiffness entry beyond float range raises NonFiniteIntegral.
+    """
+    import numpy as np
+    from numpy.polynomial.legendre import leggauss, legvander
+
+    if not 2 <= size <= 200:
+        raise ValueError("size must be between 2 and 200")
+    try:
+        kf = float(as_fraction(k))
+    except OverflowError as exc:
+        raise NonFiniteIntegral("the shift k does not fit a finite float") from exc
+    x, w = leggauss(size + 2)
+    p = legvander(x, size - 1)
+    i = np.arange(size)
+    p_prev = np.hstack([np.zeros((len(x), 1)), p[:, :-1]])
+    dp = i * p_prev - (i + 2) * x[:, None] * p
+    mass = (p * (w * (1.0 - x * x))[:, None]).T @ p
+    with np.errstate(over="ignore"):
+        stiff = (dp * w[:, None]).T @ dp + kf * mass
+        # Averaging with the transpose makes both matrices exactly symmetric.
+        stiff = 0.5 * (stiff + stiff.T)
+    if not np.isfinite(stiff).all():
+        raise NonFiniteIntegral("the Galerkin stiffness integrals are not finite")
+    return stiff, 0.5 * (mass + mass.T)
+
+
+def solve_galerkin_dense(stiffness, mass) -> list[float]:
+    """Ascending eigenvalues of stiffness v = lambda mass v (symmetric float matrices).
+
+    The mass matrix is factored by Cholesky, mass = L L^T, and the symmetric
+    matrix L^-1 S L^-T (two solves with L) goes to the dense symmetric
+    eigensolver.  A mass matrix that is not numerically positive definite
+    raises MassNotPositiveDefinite.
+    """
+    import numpy as np
+
+    try:
+        lower = np.linalg.cholesky(mass)
+    except np.linalg.LinAlgError as exc:
+        raise MassNotPositiveDefinite(f"Cholesky of the mass matrix failed: {exc}") from exc
+    pivots = np.diag(lower)
+    if not np.all(pivots > 0):
+        raise MassNotPositiveDefinite(f"mass pivot {float(pivots.min())} is not positive")
+    half = np.linalg.solve(lower, stiffness)
+    congruent = np.linalg.solve(lower, half.T)
+    return [float(v) for v in np.linalg.eigvalsh(0.5 * (congruent + congruent.T))]

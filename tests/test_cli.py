@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -339,6 +340,17 @@ class TestNumericFailureExitCode:
                                  "--galerkin", "10", "--format", fmt)
         assert (code, out) == (4, "")
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", ["1e300", "8.9e307"])
+    def test_huge_shift_below_float_range_succeeds(self, capsys, k):
+        # Pivot recurrences square off-diagonals of about k and bisection
+        # averages brackets near k; neither may overflow.
+        code, out, err = run(capsys, "spectrum", "--operator", "A", "--k", k,
+                             "--galerkin", "10", "--format", "json")
+        assert (code, err) == (0, "")
+        for entry in json.loads(out)["entries"]:
+            assert math.isfinite(float(entry["numeric"]))
+            assert math.isfinite(float(entry["abs_error"]))
 
 
 class TestInternalFaultExitCode:
@@ -687,6 +699,10 @@ class TestSubprocessEntry:
             "assert 'numpy' not in sys.modules, 'stirling'\n"
             "cli.main(['chel', '--case', 'unit', '--grid', '1000'])\n"
             "assert 'numpy' not in sys.modules, 'chel'\n"
+            "cli.main(['spectrum', '--operator', 'A', '--galerkin', '64'])\n"
+            "assert 'numpy' not in sys.modules, 'spectrum A'\n"
+            "cli.main(['spectrum', '--operator', 'Bn', '--ld-n', '2', '--galerkin', '12'])\n"
+            "assert 'numpy' not in sys.modules, 'spectrum Bn'\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env)
@@ -718,6 +734,22 @@ class TestSubprocessEntry:
         assert (counters["cli.cache.lookups"], counters["cli.cache.writes"]) == (1, 1)
         assert counters["cli.cache.bytes"] == (tmp_path / "traced-cache.json").stat().st_size
         assert {"cli.cache.lookup", "cli.cache.read", "cli.cache.write"} <= spans.keys()
+
+        # The Galerkin spans keep their names; the per-shift pivot scan, which
+        # runs thousands of times, stays private and so untraced.
+        argv = ["spectrum", "--operator", "A", "--galerkin", "12", "--format", "csv"]
+        traced = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv],
+            capture_output=True, text=True, env=env,
+        )
+        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
+        assert traced.stdout == plain.stdout
+        spans = json.loads(trace.read_text())["spans"]
+        assert spans["numeric.galerkin.assemble"][0] == 1
+        assert spans["numeric.galerkin.solve"][0] == 2
+        assert not any(name.startswith("numeric._") for name in spans)
 
     def test_closed_pipe_ends_quietly(self):
         env = dict(os.environ)

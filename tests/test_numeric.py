@@ -20,7 +20,11 @@ from jsob.numeric import (
     knorm_crosscheck,
     solve_galerkin,
 )
-from reference_data import chel_K_by_adaptive_simpson
+from reference_data import (
+    chel_K_by_adaptive_simpson,
+    galerkin_system_dense,
+    solve_galerkin_dense,
+)
 
 
 def golden_max(fn, lo, hi):
@@ -270,21 +274,68 @@ class TestGalerkin:
             assert abs(value - exact) <= 1e-10 * exact
 
     def test_system_matrices_symmetric(self):
-        for matrix in galerkin_system(8, Fraction(1)):
-            assert matrix.shape == (8, 8)
-            assert (matrix == matrix.T).all()
+        # A block stores one off-diagonal, so S and M are symmetric by
+        # construction; the even block holds indices 0, 2, ..., the odd 1, 3, ...
+        for size in (7, 8):
+            even, odd = galerkin_system(size, Fraction(1))
+            for block, start in ((even, 0), (odd, 1)):
+                n = len(range(start, size, 2))
+                assert [len(field) for field in block] == [n, n - 1, n, n - 1]
 
     def test_basis_is_not_the_eigenbasis(self):
         # On the eigenbasis both matrices would be diagonal and the eigensolve
         # would only read them back.
-        for matrix in galerkin_system(8, Fraction(1)):
-            off = max(abs(matrix[i][j]) for i in range(8) for j in range(8) if i != j)
-            assert off > 1e-2
+        for _, stiff_off, _, mass_off in galerkin_system(8, Fraction(1)):
+            assert max(abs(v) for v in stiff_off) > 1e-2
+            assert max(abs(v) for v in mass_off) > 1e-2
 
     def test_mass_positive_definite_required(self):
-        identity = np.eye(2)
-        with pytest.raises(MassNotPositiveDefinite):
-            solve_galerkin(identity, np.ones((2, 2)))
-        # LAPACK's Cholesky passes a NaN through instead of failing on it
-        with pytest.raises(MassNotPositiveDefinite):
-            solve_galerkin(identity, np.diag([1.0, math.nan]))
+        # One block (stiff_diag, stiff_off, mass_diag, mass_off); the first mass
+        # is [[1, 1], [1, 1]], whose second pivot is 0.
+        stiff = ((1.0, 1.0), (0.0,))
+        for mass in (((1.0, 1.0), (1.0,)), ((-1.0, 1.0), (0.0,)), ((1.0, math.nan), (0.0,))):
+            with pytest.raises(MassNotPositiveDefinite):
+                solve_galerkin((*stiff, *mass))
+
+    def test_nonfinite_bracket_raises(self):
+        # Eigenvalues near 1e308: twice the largest Rayleigh quotient overflows.
+        with pytest.raises(NonFiniteIntegral):
+            galerkin_spectrum(10, Fraction(10) ** 308)
+        with pytest.raises(NonFiniteIntegral):
+            galerkin_spectrum(10, -Fraction(10) ** 308)
+
+    @pytest.mark.parametrize("size", [2, 3, 12, 64, 200])
+    @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
+    def test_band_matches_dense_oracle(self, size, k):
+        # The oracle's quadrature rounds at the scale of the largest entry (its
+        # off-band entries reach 3.5e-13 at size 200), so both comparisons are
+        # relative to that entry.
+        blocks = galerkin_system(size, k)
+        for dense, diag, off in zip(galerkin_system_dense(size, k), (0, 2), (1, 3)):
+            tol = 1e-13 * float(np.abs(dense).max())
+            for parity, block in enumerate(blocks):
+                for r, value in enumerate(block[diag]):
+                    i = parity + 2 * r
+                    assert abs(value - dense[i, i]) <= tol
+                for r, value in enumerate(block[off]):
+                    i = parity + 2 * r
+                    assert abs(value - dense[i, i + 2]) <= tol
+            band = [abs(dense[i, j]) for i in range(size) for j in range(size)
+                    if abs(i - j) not in (0, 2)]
+            assert max(band, default=0.0) <= tol
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 12, 63, 64, 199, 200])
+    @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
+    def test_eigenvalues_match_dense_oracle(self, size, k):
+        ev = galerkin_spectrum(size, k)
+        reference = solve_galerkin_dense(*galerkin_system_dense(size, k))
+        assert len(ev) == len(reference) == size
+        for value, expected in zip(ev, reference):
+            assert abs(value - expected) <= 1e-10 * abs(expected)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 12, 63, 64, 199, 200])
+    @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
+    def test_eigenvalues_near_rounding_of_exact_spectrum(self, size, k):
+        for m, value in enumerate(galerkin_spectrum(size, k), start=2):
+            exact = float(m * (m - 1) + k)
+            assert abs(value - exact) <= 1e-13 * exact
