@@ -20,10 +20,6 @@ matrix that is not positive definite), 5 internal fault (an exact computation
 broke one of its own invariants, e.g. NotDivisible or MismatchWithClosedForm).
 A reader that closes stdout early (``| head``) ends the command quietly with
 exit code 0.
-
-main() sets OPENBLAS_NUM_THREADS=1 unless it is already set: the
-Gauss-Jacobi matrices behind verify's float checks are too small for BLAS
-threads to pay for starting.
 """
 
 from __future__ import annotations
@@ -829,8 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Before gauss_jacobi imports numpy, whose OpenBLAS reads this at load time.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

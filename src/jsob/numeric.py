@@ -1,12 +1,13 @@
 """Floating-point layer: quadrature, normalization cross-checks, boundedness
 constants, and a Galerkin reproduction of the weighted-space spectrum.
 
-Everything exact lives elsewhere; this module is where doubles are allowed.
-Gauss-Jacobi rules (needed for non-integer parameters, where the weight has
-algebraic endpoint singularities that defeat plain Gauss-Legendre) come from
-the Golub-Welsch tridiagonal eigenproblem, the one use of numpy.  The Galerkin
-discretization on the basis (1 - x^2) P_i (Legendre P_i) splits into two
-tridiagonal pencils with closed-form entries, solved by Sturm counts and Newton.
+Everything exact lives elsewhere; this module is where doubles are allowed,
+in pure Python.  The Galerkin discretization on the basis (1 - x^2) P_i
+(Legendre P_i) splits into two tridiagonal pencils with closed-form entries,
+solved by Sturm counts and Newton.  Gauss-Jacobi rules (needed for non-integer
+parameters, where the weight has algebraic endpoint singularities that defeat
+plain Gauss-Legendre) come from the Golub-Welsch tridiagonal eigenproblem,
+which the same solver handles with the identity as mass.
 """
 
 from __future__ import annotations
@@ -55,45 +56,33 @@ class QuadratureRule(NamedTuple):
 def gauss_jacobi(order: int, alpha: float, beta: float) -> QuadratureRule:
     """Gauss-Jacobi rule for the weight (1-x)^alpha (1+x)^beta, alpha, beta > -1.
 
-    Golub-Welsch: eigenvalues of the symmetric tridiagonal recurrence matrix
-    are the nodes; the weights come from the first eigenvector components and
-    the zeroth moment 2^(alpha+beta+1) B(alpha+1, beta+1).
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    recurrence matrix, found by solve_galerkin with the identity as mass; each
+    weight is the Christoffel number mu0 / sum_j p_j(x)^2, with p_j the
+    orthonormal recurrence polynomials and mu0 = 2^(alpha+beta+1) B(alpha+1, beta+1).
     """
-    import numpy as np  # imported here so that the exact commands start without numpy
-
     if order < 1:
         raise ValueError("order must be positive")
     if alpha <= -1 or beta <= -1:
         raise ValueError("parameters must exceed -1")
     ab = alpha + beta
-    diag = np.zeros(order)
-    diag[0] = (beta - alpha) / (ab + 2.0)
-    j = np.arange(1, order, dtype=float)
-    if order > 1:
-        diag[1:] = (beta * beta - alpha * alpha) / ((2 * j + ab) * (2 * j + ab + 2))
-    off = np.zeros(order - 1)
-    if order > 1:
-        # j = 1 separately: the general formula has a removable (ab + 1) factor.
-        off[0] = math.sqrt(4.0 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3)))
-        if order > 2:
-            jj = j[1:]
-            s = 2 * jj + ab
-            num = 4 * jj * (jj + alpha) * (jj + beta) * (jj + ab)
-            off[1:] = np.sqrt(num / (s * s * (s * s - 1)))
-    matrix = np.diag(diag)
-    if order > 1:
-        matrix += np.diag(off, 1) + np.diag(off, -1)
-    values, vectors = np.linalg.eigh(matrix)
-    mu0 = (
-        2.0 ** (ab + 1)
-        * math.gamma(alpha + 1)
-        * math.gamma(beta + 1)
-        / math.gamma(ab + 2)
-    )
-    weights = mu0 * vectors[0, :] ** 2
-    return QuadratureRule(
-        order=order, nodes=tuple(float(v) for v in values), weights=tuple(weights)
-    )
+    diag = [(beta - alpha) / (ab + 2.0)]
+    diag += [(beta * beta - alpha * alpha) / ((2 * j + ab) * (2 * j + ab + 2)) for j in range(1, order)]
+    # j = 1 separately: the general formula has a removable (ab + 1) factor.
+    off = [math.sqrt(4.0 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3)))][: order - 1]
+    for j in range(2, order):
+        s = 2 * j + ab
+        off.append(math.sqrt(4 * j * (j + alpha) * (j + beta) * (j + ab) / (s * s * (s * s - 1))))
+    nodes = solve_galerkin((diag, off, [1.0] * order, [0.0] * (order - 1)))
+    mu0 = 2.0 ** (ab + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) / math.gamma(ab + 2)
+    weights = []
+    for x in nodes:
+        p_prev, p, total = 0.0, 1.0, 1.0
+        for a, b_prev, b in zip(diag, (0.0, *off), off):
+            p_prev, p = p, ((x - a) * p - b_prev * p_prev) / b
+            total += p * p
+        weights.append(mu0 / total)
+    return QuadratureRule(order=order, nodes=tuple(nodes), weights=tuple(weights))
 
 
 def _orthonormal_scale_squared(n: int, alpha: float, beta: float) -> float:
@@ -344,14 +333,19 @@ def _scan(rows, sigma: float) -> tuple[int, float]:
 
 def _refine(rows, lo: float, hi: float, index: int) -> float:
     """Eigenvalue `index`, the only one in (lo, hi]: Newton on det(S - sigma M), with
-    bisection when a step leaves the bracket, which every count narrows, or fails to halve."""
+    bisection when a step leaves the bracket, which every count narrows, or fails to halve.
+    An infinite slope (a pivot that rounded to zero) accepts sigma; the step stops below
+    4e-16 of sigma or, for an eigenvalue at or near 0, of the starting bracket."""
     sigma, last = 0.5 * lo + 0.5 * hi, hi - lo
+    floor = 4e-16 * max(abs(lo), abs(hi))
     for _ in range(100):
         count, slope = _scan(rows, sigma)
+        if math.isinf(slope):
+            return sigma
         lo, hi = (sigma, hi) if count <= index else (lo, sigma)
         step = -1.0 / slope if slope and math.isfinite(slope) else math.nan
         new = sigma + step
-        if abs(step) <= 4e-16 * abs(sigma):
+        if abs(step) <= max(4e-16 * abs(sigma), floor):
             return new
         if not (lo < new < hi and abs(step) <= 0.5 * abs(last)):
             new = 0.5 * lo + 0.5 * hi

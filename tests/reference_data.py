@@ -9,7 +9,8 @@ sum; weighted integrals and bilinear forms are recomputed from a term-by-term
 antiderivative of the product polynomial; the boundedness constant comes from
 per-cell adaptive Simpson quadrature; the Galerkin pencil is assembled as dense
 matrices by Gauss-Legendre quadrature and solved by Cholesky and a dense
-symmetric eigensolver (numpy).
+symmetric eigensolver, and Gauss-Jacobi rules take their nodes and weights from
+the eigenvalues and eigenvectors of the dense Jacobi matrix (numpy).
 """
 
 import math
@@ -17,7 +18,12 @@ from fractions import Fraction
 from math import factorial
 
 from jsob.algebra import Polynomial, as_fraction
-from jsob.numeric import MassNotPositiveDefinite, NonFiniteIntegral, golden_section_max
+from jsob.numeric import (
+    MassNotPositiveDefinite,
+    NonFiniteIntegral,
+    QuadratureRule,
+    golden_section_max,
+)
 
 # rows j = 0..8, columns n = 0..8
 JACOBI_STIRLING_TABLE = (
@@ -306,3 +312,47 @@ def solve_galerkin_dense(stiffness, mass) -> list[float]:
     half = np.linalg.solve(lower, stiffness)
     congruent = np.linalg.solve(lower, half.T)
     return [float(v) for v in np.linalg.eigvalsh(0.5 * (congruent + congruent.T))]
+
+
+def gauss_jacobi_by_eigh(order: int, alpha: float, beta: float) -> QuadratureRule:
+    """Gauss-Jacobi rule for the weight (1-x)^alpha (1+x)^beta, alpha, beta > -1.
+
+    Golub-Welsch: eigenvalues of the symmetric tridiagonal recurrence matrix
+    are the nodes; the weights come from the first eigenvector components and
+    the zeroth moment 2^(alpha+beta+1) B(alpha+1, beta+1).
+    """
+    import numpy as np
+
+    if order < 1:
+        raise ValueError("order must be positive")
+    if alpha <= -1 or beta <= -1:
+        raise ValueError("parameters must exceed -1")
+    ab = alpha + beta
+    diag = np.zeros(order)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    j = np.arange(1, order, dtype=float)
+    if order > 1:
+        diag[1:] = (beta * beta - alpha * alpha) / ((2 * j + ab) * (2 * j + ab + 2))
+    off = np.zeros(order - 1)
+    if order > 1:
+        # j = 1 separately: the general formula has a removable (ab + 1) factor.
+        off[0] = math.sqrt(4.0 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3)))
+        if order > 2:
+            jj = j[1:]
+            s = 2 * jj + ab
+            num = 4 * jj * (jj + alpha) * (jj + beta) * (jj + ab)
+            off[1:] = np.sqrt(num / (s * s * (s * s - 1)))
+    matrix = np.diag(diag)
+    if order > 1:
+        matrix += np.diag(off, 1) + np.diag(off, -1)
+    values, vectors = np.linalg.eigh(matrix)
+    mu0 = (
+        2.0 ** (ab + 1)
+        * math.gamma(alpha + 1)
+        * math.gamma(beta + 1)
+        / math.gamma(ab + 2)
+    )
+    weights = mu0 * vectors[0, :] ** 2
+    return QuadratureRule(
+        order=order, nodes=tuple(float(v) for v in values), weights=tuple(weights)
+    )

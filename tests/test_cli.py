@@ -665,17 +665,6 @@ class TestPolynomialCache:
         assert code == 0 and out == plain
 
 
-class TestBlasThreads:
-    def test_one_thread_unless_set(self, capsys, monkeypatch):
-        # setenv first, so that monkeypatch restores the variable's absence
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-        run(capsys, "stirling", "--max-n", "0")
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-        run(capsys, "stirling", "--max-n", "0")
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-
-
 class TestSubprocessEntry:
     def test_module_invocation(self):
         env = dict(os.environ)
@@ -703,10 +692,36 @@ class TestSubprocessEntry:
             "assert 'numpy' not in sys.modules, 'spectrum A'\n"
             "cli.main(['spectrum', '--operator', 'Bn', '--ld-n', '2', '--galerkin', '12'])\n"
             "assert 'numpy' not in sys.modules, 'spectrum Bn'\n"
+            "cli.main(['verify', '--suite', 'all'])\n"
+            "assert 'numpy' not in sys.modules, 'verify'\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
+
+    def test_every_command_runs_without_numpy(self):
+        # A None entry in sys.modules makes every import of numpy fail.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        commands = [
+            ["stirling", "--max-n", "6"],
+            ["poly", "--n", "3", "--alpha=1/2", "--beta=-1/3"],
+            ["gram", "--ip", "ld", "--ld-n", "2", "--k", "1", "--max-degree", "4"],
+            ["spectrum", "--operator", "A", "--k", "1", "--count", "4", "--galerkin", "12"],
+            ["spectrum", "--operator", "Bn", "--ld-n", "2", "--galerkin", "12"],
+            ["chel", "--case", "dirichlet", "--grid", "1000"],
+            ["verify", "--suite", "all"],
+        ]
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from jsob.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
 
     def test_benchmark_tracer_runs_the_cli(self, tmp_path):
         # perfbench/tracer.py wraps jsob functions by name and reads the

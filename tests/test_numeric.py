@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 from jsob.algebra import ONE_MINUS_X2, Polynomial, integrate_weighted
+from jsob import numeric
 from jsob.numeric import (
     ChelInstance,
     MassNotPositiveDefinite,
@@ -23,6 +25,7 @@ from jsob.numeric import (
 from reference_data import (
     chel_K_by_adaptive_simpson,
     galerkin_system_dense,
+    gauss_jacobi_by_eigh,
     solve_galerkin_dense,
 )
 
@@ -49,6 +52,9 @@ def legendre_rule(order):
     return QuadratureRule(order, tuple(nodes.tolist()), tuple(weights.tolist()))
 
 
+GJ_PARAMETERS = [(0.0, 0.0), (1.0, 1.0), (0.5, -0.25), (2.0, 1.0), (-0.5, -0.5)]
+
+
 class TestGaussJacobi:
     def test_moment_zero(self):
         # integral of (1-x)^0.5 (1+x)^(-0.25) equals mu0 reproduced by the rule
@@ -66,6 +72,39 @@ class TestGaussJacobi:
         gl = legendre_rule(6)
         for a, b in zip(gj.nodes, gl.nodes):
             assert a == pytest.approx(b, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha, beta", GJ_PARAMETERS)
+    def test_matches_eigh_oracle(self, alpha, beta):
+        for order in range(1, 41):
+            rule, reference = gauss_jacobi(order, alpha, beta), gauss_jacobi_by_eigh(order, alpha, beta)
+            assert len(rule.nodes) == len(rule.weights) == order
+            for x, w, x_ref, w_ref in zip(*rule[1:], *reference[1:]):
+                assert abs(x - x_ref) <= 1e-14
+                assert abs(w - w_ref) <= 1e-11 * w_ref
+
+    @pytest.mark.parametrize("alpha, beta", GJ_PARAMETERS)
+    def test_exact_moments(self, alpha, beta):
+        # x = 2t - 1 turns the moments into Beta integrals:
+        # int x^k w / mu0 = sum_i C(k, i) 2^i (-1)^(k-i) prod_{l<i} (b+1+l)/(a+b+2+l),
+        # exact in Fraction.  An odd power is measured against the even moment
+        # below it, which bounds int |x|^k w.
+        a, b = Fraction(alpha), Fraction(beta)
+        beta_ratios = [Fraction(1)]  # B(b+1+i, a+1) / B(b+1, a+1)
+        for i in range(79):
+            beta_ratios.append(beta_ratios[-1] * (b + 1 + i) / (a + b + 2 + i))
+        ratios = [sum(comb(k, i) * 2**i * (-1) ** (k - i) * beta_ratios[i] for i in range(k + 1))
+                  for k in range(80)]
+        mu0 = gauss_jacobi(1, alpha, beta).weights[0]  # the order-1 weight is mu0 itself
+        for order in range(1, 41):
+            rule = gauss_jacobi(order, alpha, beta)
+            for k in range(2 * order):
+                got = rule.integrate(lambda x: x**k)
+                assert abs(got - mu0 * float(ratios[k])) <= 1e-13 * mu0 * float(ratios[k - k % 2])
+
+    def test_rejects_bad_input(self):
+        for args in ((0, 0.0, 0.0), (3, -1.0, 0.0), (3, 0.0, -1.5)):
+            with pytest.raises(ValueError):
+                gauss_jacobi(*args)
 
 
 class TestKnormCrosscheck:
@@ -303,6 +342,38 @@ class TestGalerkin:
             galerkin_spectrum(10, Fraction(10) ** 308)
         with pytest.raises(NonFiniteIntegral):
             galerkin_spectrum(10, -Fraction(10) ** 308)
+
+    def test_refinement_stops_short_of_the_cap(self, monkeypatch):
+        # galerkin_spectrum(10, -2) has the eigenvalue 0 (m = 2), whose Newton
+        # steps never fall below a bound relative to the iterate, and the
+        # eigenvalue 54, whose last iterate met a pivot that rounded to zero.
+        # Without an absolute stop and an exit on an infinite slope they took
+        # 100 and 54 of the call's 216 pivot scans.
+        scans, per_refinement = [], []
+        scan, refine = numeric._scan, numeric._refine
+
+        def counting_scan(rows, sigma):
+            scans.append(sigma)
+            return scan(rows, sigma)
+
+        def counting_refine(*args):
+            before = len(scans)
+            value = refine(*args)
+            per_refinement.append(len(scans) - before)
+            return value
+
+        monkeypatch.setattr(numeric, "_scan", counting_scan)
+        monkeypatch.setattr(numeric, "_refine", counting_refine)
+        ev = galerkin_spectrum(10, -2)
+        assert len(scans) < 216 and max(per_refinement) < 100
+        for m, value in enumerate(ev, start=2):
+            assert abs(value - (m * (m - 1) - 2)) <= 1e-13 * max(1, m * (m - 1) - 2)
+        # Odd-order rules with alpha = beta have the node 0.
+        per_refinement.clear()
+        for order in (1, 5, 11, 41):
+            rule = gauss_jacobi(order, 0.5, 0.5)
+            assert abs(rule.nodes[order // 2]) <= 1e-15
+        assert max(per_refinement) < 100
 
     @pytest.mark.parametrize("size", [2, 3, 12, 64, 200])
     @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
