@@ -15,7 +15,8 @@ weighted L^2 space with weight (1 - x^2)^(-1).
 
 Square roots of rationals enter through normalization constants; they are kept
 closed under multiplication by the ``Surd`` type (a rational coefficient times
-the square root of a rational) and by ``ScaledPolynomial`` (a polynomial times
+the square root of a rational, stored as its sign and its rational square, so
+no radicand is ever factored) and by ``ScaledPolynomial`` (a polynomial times
 the square root of a positive rational).
 
 All values are immutable and all functions are pure.
@@ -351,84 +352,54 @@ def integrate_jacobi_weight(p: Polynomial, a: int, b: int) -> Fraction:
     return integrate_weighted(*symmetric_weight_form(p, a, b))
 
 
-# Primes whose squares are pulled out of radicands; any remaining perfect
-# square is caught by the isqrt trial.
-_SQUARE_TRIAL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-    53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
-)
-
-
-def _extract_square(n: int) -> tuple[int, int]:
-    """Split n >= 1 as root^2 * rest with rest free of small square factors."""
-    root = 1
-    for p in _SQUARE_TRIAL_PRIMES:
-        pp = p * p
-        if pp > n:
-            break
-        while n % pp == 0:
-            n //= pp
-            root *= p
-    s = isqrt(n)
-    if s * s == n:
-        root *= s
-        n = 1
-    return root, n
-
-
 class Surd(Frozen):
     """A scalar coeff * sqrt(radicand) with coeff, radicand rational, radicand >= 0.
 
-    Canonical form: a zero value is (0, 1); otherwise the radicand is a
-    positive integer with its small square factors (and any square remainder)
-    absorbed into the coefficient, the denominator rationalized.  That form
-    can leave a large square factor in the radicand, so equality and hashing
-    compare the sign and coeff^2 * radicand, which is exact for any radicand.
+    Stored as ``sign`` (-1, 0 or 1) and ``square = coeff^2 * radicand``, a
+    Fraction; zero is (0, 0).  The pair is canonical without factoring
+    anything, so the stored fields give equality and hashing.  ``coeff`` and
+    ``radicand`` are a view built on first read: (value, 1) for a rational
+    value, else (sign, square).
     """
 
-    coeff: Fraction
-    radicand: Fraction
-    _fields = ("coeff", "radicand")
+    sign: int
+    square: Fraction
+    _fields = ("sign", "square")
 
     def __init__(self, coeff: RationalLike, radicand: RationalLike):
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "radicand", radicand)
-        self.__post_init__()
+        self.__post_init__(coeff, radicand)
 
-    def __post_init__(self):
-        c = as_fraction(self.coeff)
-        r = as_fraction(self.radicand)
+    def __post_init__(self, coeff: RationalLike, radicand: RationalLike):
+        c, r = as_fraction(coeff), as_fraction(radicand)
         if r < 0:
             raise ValueError("radicand must be nonnegative")
-        if c == 0 or r == 0:
-            c, r = Fraction(0), Fraction(1)
-        else:
-            num_root, num_rest = _extract_square(r.numerator)
-            den_root, den_rest = _extract_square(r.denominator)
-            # sqrt(num/den) = (num_root / (den_root * den_rest)) * sqrt(num_rest * den_rest)
-            c *= Fraction(num_root, den_root * den_rest)
-            r = Fraction(num_rest * den_rest)
-        object.__setattr__(self, "coeff", c)
-        object.__setattr__(self, "radicand", r)
-
-    def _value_key(self) -> tuple[bool, bool, Fraction]:
-        return self.coeff > 0, self.coeff < 0, self.coeff * self.coeff * self.radicand
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Surd):
-            return NotImplemented
-        return self._value_key() == other._value_key()
-
-    def __hash__(self) -> int:
-        return hash(self._value_key())
+        square = c * c * r
+        object.__setattr__(self, "sign", ((c > 0) - (c < 0)) if square else 0)
+        object.__setattr__(self, "square", square)
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "Surd":
-        return cls(as_fraction(value), Fraction(1))
+        return cls(value, 1)
 
     @classmethod
     def zero(cls) -> "Surd":
-        return cls(Fraction(0), Fraction(1))
+        return cls(0, 0)
+
+    @cached_property
+    def _view(self) -> tuple[Fraction, Fraction]:
+        num, den = self.square.numerator, self.square.denominator
+        root_num, root_den = isqrt(num), isqrt(den)
+        if root_num * root_num == num and root_den * root_den == den:
+            return Fraction(self.sign * root_num, root_den), Fraction(1)
+        return Fraction(self.sign), self.square
+
+    @property
+    def coeff(self) -> Fraction:
+        return self._view[0]
+
+    @property
+    def radicand(self) -> Fraction:
+        return self._view[1]
 
     @property
     def is_rational(self) -> bool:
@@ -442,9 +413,7 @@ class Surd(Frozen):
     def __str__(self) -> str:
         if self.is_rational:
             return str(self.coeff)
-        if self.coeff == 1:
-            return f"sqrt({self.radicand})"
-        return f"{self.coeff}*sqrt({self.radicand})"
+        return f"{'-' if self.sign < 0 else ''}sqrt({self.square})"
 
 
 class ScaledPolynomial(Frozen):

@@ -774,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stirling)
 
     p = sub.add_parser("poly", help="emit one family member exactly")
-    p.add_argument("--n", type=_int_in_range(0), required=True)
+    p.add_argument("--n", type=_int_in_range(0, 400), required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--normalization", choices=sorted(n.value for n in Normalization),
@@ -798,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="exact spectra; optionally a Galerkin check")
     p.add_argument("--operator", choices=("A", "T", "Bn", "a", "t", "bn"), required=True)
     p.add_argument("--k", help="spectral shift (defaults to default_k)")
-    p.add_argument("--count", type=_int_in_range(1), default=8)
+    p.add_argument("--count", type=_int_in_range(1, 100000), default=8)
     p.add_argument("--ld-n", dest="ld_n", type=_int_in_range(1), help="order for Bn")
     p.add_argument("--galerkin", type=_int_in_range(2, 200),
                    help="also run a Galerkin discretization of this size")
@@ -809,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chel", help="boundedness constant K for a preset instance")
     p.add_argument("--case", choices=("dirichlet", "w1v1", "unit"), required=True)
-    p.add_argument("--grid", type=_int_in_range(1000), default=10000)
+    p.add_argument("--grid", type=_int_in_range(1000, 100000), default=10000)
     p.add_argument("--float-digits", dest="float_digits",
                    help="significant digits for float output (6..30)")
     _add_common(p)

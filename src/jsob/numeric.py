@@ -319,23 +319,26 @@ def galerkin_system(size: int, k):
 
 def _scan(rows, sigma: float) -> tuple[int, float]:
     """(eigenvalues below sigma, d/dsigma log|det(S - sigma M)|) from one pass of
-    the LDL^T pivot recurrence of S - sigma M and of its derivative."""
+    the LDL^T pivot recurrence of S - sigma M and of its derivative.  The slope is
+    infinite when the last pivot, and with it the determinant, is exactly zero."""
     count, slope, d, dd = 0, 0.0, 1.0, 0.0
     for s, m, s_prev, m_prev in rows:
         off = s_prev - sigma * m_prev
-        t = off / d  # off * (off / d): off * off overflows for shifts near 1e300
+        # off * (off / d): off * off overflows for shifts near 1e300.  A zero pivot
+        # counts as positive and, before the last row, is taken as 1e-300.
+        t = off / (d or 1e-300)
         d, dd = s - sigma * m - off * t, t * (2.0 * m_prev + t * dd) - m
-        d = d or 1e-300  # a zero pivot counts as positive
         count += d < 0.0
-        slope += dd / d
-    return count, slope
+        slope += dd / (d or 1e-300)
+    return count, slope if d else math.inf
 
 
 def _refine(rows, lo: float, hi: float, index: int) -> float:
     """Eigenvalue `index`, the only one in (lo, hi]: Newton on det(S - sigma M), with
     bisection when a step leaves the bracket, which every count narrows, or fails to halve.
-    An infinite slope (a pivot that rounded to zero) accepts sigma; the step stops below
-    4e-16 of sigma or, for an eigenvalue at or near 0, of the starting bracket."""
+    An infinite slope (a zero determinant, or a pivot that rounded to zero) accepts
+    sigma; the step stops below 4e-16 of sigma or, for an eigenvalue at or near 0,
+    of the starting bracket."""
     sigma, last = 0.5 * lo + 0.5 * hi, hi - lo
     floor = 4e-16 * max(abs(lo), abs(hi))
     for _ in range(100):

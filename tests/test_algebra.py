@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -282,13 +282,45 @@ class TestSurd:
             assert surd_product(surd_product(a, b), c) == surd_product(a, surd_product(b, c))
 
     def test_equality_is_exact_beyond_trial_primes(self):
-        # 101 exceeds the trial-division primes, so 101^2 stays in the radicand.
+        # 101^2 is a square factor no small-prime trial division would find;
+        # the stored square 20402 is the same for both, so is the string.
         a = Surd(Fraction(1), Fraction(2 * 101**2))
         b = Surd(Fraction(101), Fraction(2))
         assert a == b and hash(a) == hash(b)
         assert a != Surd(Fraction(-101), Fraction(2))
         assert a != Surd(Fraction(101), Fraction(3))
-        assert str(a) == "sqrt(20402)" and str(b) == "101*sqrt(2)"
+        assert str(a) == str(b) == "sqrt(20402)"
+        assert str(Surd(Fraction(-101), Fraction(2))) == "-sqrt(20402)"
+
+    def test_equality_is_sign_and_square(self):
+        def sign_and_square(c, r):
+            q = c * c * r
+            return ((c > 0) - (c < 0) if q else 0), q
+
+        # Drawn from a small pool so that distinct (c, r) pairs often share a value.
+        rng = random.Random(31)
+        draws = [
+            (Fraction(rng.choice((-1, 1)) * rng.randint(0, 12), rng.randint(1, 6)),
+             Fraction(rng.randint(0, 36), rng.randint(1, 9)))
+            for _ in range(300)
+        ]
+        for c, r in draws[:60]:
+            s = Surd(c, r)
+            for c2, r2 in draws:
+                same = sign_and_square(c, r) == sign_and_square(c2, r2)
+                assert (s == Surd(c2, r2)) is same
+                if same:
+                    assert hash(s) == hash(Surd(c2, r2))
+            q = c * c * r
+            perfect = all(isqrt(v) ** 2 == v for v in (q.numerator, q.denominator))
+            assert s.is_rational is perfect
+            if perfect:
+                value = s.to_fraction()
+                assert value * value == q and value * c >= 0
+                assert Surd.from_rational(value) == s and Surd.from_rational(value).to_fraction() == value
+            else:
+                with pytest.raises(ValueError):
+                    s.to_fraction()
 
 
 class TestScaledPolynomial:

@@ -248,6 +248,22 @@ def test_flag_the_command_does_not_read_is_usage_error(capsys, tmp_path, command
     assert not (tmp_path / "cache.json").exists()
 
 
+# Each size flag with its cap and a call that sets it.
+SIZE_CAPS = [
+    (("poly", "--alpha=-1", "--beta=-1", "--format", "csv", "--n"), 400),
+    (("chel", "--case", "unit", "--grid"), 100000),
+    (("spectrum", "--operator", "A", "--format", "csv", "--count"), 100000),
+]
+
+
+@pytest.mark.parametrize("call, cap", SIZE_CAPS, ids=[f"{c[0]} {c[-1]}" for c, _ in SIZE_CAPS])
+def test_size_flag_is_capped(capsys, call, cap):
+    assert run(capsys, *call, str(cap))[0] == 0
+    code, out, err = run(capsys, *call, str(cap + 1))
+    assert (code, out) == (2, "")
+    assert f"{call[-1]}: value must be in [" in err and f", {cap}]: {cap + 1}" in err
+
+
 class TestSpectrumCommand:
     def test_sobolev_spectrum(self, capsys):
         code, out, _ = run(
@@ -765,6 +781,18 @@ class TestSubprocessEntry:
         assert spans["numeric.galerkin.assemble"][0] == 1
         assert spans["numeric.galerkin.solve"][0] == 2
         assert not any(name.startswith("numeric._") for name in spans)
+
+        # The tracer times every Surd construction through Surd.__post_init__.
+        argv = ["gram", "--ip", "phi", "--max-degree", "3", "--format", "json"]
+        traced = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv],
+            capture_output=True, text=True, env=env,
+        )
+        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
+        assert traced.stdout == plain.stdout
+        assert json.loads(trace.read_text())["spans"]["algebra.surd"][0] >= 1
 
     def test_closed_pipe_ends_quietly(self):
         env = dict(os.environ)

@@ -134,7 +134,8 @@ class TestInnerProduct:
         f = nonclassical_jacobi(2, Normalization.PHI)
         g = ScaledPolynomial(Fraction(2), ONE_MINUS_X2)
         value = inner_product(f, g, SobolevPhi())
-        assert value.radicand == 3  # sqrt(6 * 2) = 2 sqrt(3)
+        # The scales multiply to sqrt(6 * 2) = 2 sqrt(3); the bilinear value is -2/3.
+        assert value == Surd(Fraction(-4, 3), 3)
 
 
 class TestDerivativeOrthogonalityValue:

@@ -110,9 +110,9 @@ def test_surd_construction_calls_post_init_through_the_class(monkeypatch):
     seen = []
     original = Surd.__post_init__
 
-    def recording(self):
-        seen.append((self.coeff, self.radicand))
-        original(self)
+    def recording(self, coeff, radicand):
+        seen.append((coeff, radicand))
+        original(self, coeff, radicand)
 
     monkeypatch.setattr(Surd, "__post_init__", recording)
     value = Surd(Fraction(1, 2), 8)
