@@ -317,7 +317,8 @@ class TestSurd:
             if perfect:
                 value = s.to_fraction()
                 assert value * value == q and value * c >= 0
-                assert Surd.from_rational(value) == s and Surd.from_rational(value).to_fraction() == value
+                again = Surd.from_rational(value)
+                assert again == s and again.to_fraction() == value
             else:
                 with pytest.raises(ValueError):
                     s.to_fraction()

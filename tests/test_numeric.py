@@ -52,7 +52,9 @@ def legendre_rule(order):
     return QuadratureRule(order, tuple(nodes.tolist()), tuple(weights.tolist()))
 
 
-GJ_PARAMETERS = [(0.0, 0.0), (1.0, 1.0), (0.5, -0.25), (2.0, 1.0), (-0.5, -0.5), (0.5, 0.5), (2.0, 2.0)]
+GJ_PARAMETERS = [
+    (0.0, 0.0), (1.0, 1.0), (0.5, -0.25), (2.0, 1.0), (-0.5, -0.5), (0.5, 0.5), (2.0, 2.0),
+]
 
 
 class TestGaussJacobi:
