@@ -15,7 +15,6 @@ from .algebra import (
     Surd,
     as_fraction,
     divide_by_weight,
-    integrate_jacobi_weight,
     integrate_weighted,
 )
 from .jacobi import (
@@ -26,11 +25,9 @@ from .jacobi import (
     PoleInGammaRatio,
     UndefinedNormalization,
     check_derivative_identity,
-    classical_jacobi,
     derivative_coefficient_squared,
     factorization_check,
     jacobi_family,
-    nonclassical_jacobi,
 )
 from .stirling import (
     CompositeCoefficients,

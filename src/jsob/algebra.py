@@ -39,7 +39,6 @@ __all__ = [
     "as_fraction",
     "divide_by_weight",
     "integrate_weighted",
-    "integrate_jacobi_weight",
     "symmetric_weight_form",
     "weighted_moments",
 ]
@@ -342,14 +341,6 @@ def symmetric_weight_form(p: Polynomial, a: int, b: int) -> tuple[Polynomial, in
         q, b = _exact_quotient(q, (1, 1), "x = -1"), 0
     m = min(a, b)
     return q * Polynomial((1, -1)) ** (a - m) * Polynomial((1, 1)) ** (b - m), m
-
-
-def integrate_jacobi_weight(p: Polynomial, a: int, b: int) -> Fraction:
-    """Exact integral of p(x) (1 - x)^a (1 + x)^b over [-1, 1] for integer a, b >= -1.
-
-    A negative exponent requires the corresponding linear factor to divide p.
-    """
-    return integrate_weighted(*symmetric_weight_form(p, a, b))
 
 
 class Surd(Frozen):

@@ -52,7 +52,6 @@ from .jacobi import (
     check_derivative_identity,
     factorization_check,
     jacobi_family,
-    nonclassical_jacobi,
 )
 from .numeric import (
     MassNotPositiveDefinite,
@@ -523,7 +522,7 @@ def _differential_expression(rng: random.Random) -> bool:
     ok = True
     for k in (Fraction(0), Fraction(1)):
         for n in range(13):
-            fam = nonclassical_jacobi(n, Normalization.PHI)
+            fam = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
             lam = Fraction(n * (n - 1)) + k
             if apply_ell(fam, k).poly != lam * fam.poly:
                 ok = False
@@ -548,7 +547,8 @@ def _sobolev_decomposition(rng: random.Random) -> bool:
         f1, f2 = decompose_w(f)
         if f1 + f2 != f or f1(Fraction(1)) != 0 or f1(Fraction(-1)) != 0 or f2.degree > 1:
             ok = False
-        for low in (nonclassical_jacobi(0, Normalization.PHI), nonclassical_jacobi(1, Normalization.PHI)):
+        for low in (jacobi_family(0, NONCLASSICAL, Normalization.PHI),
+                    jacobi_family(1, NONCLASSICAL, Normalization.PHI)):
             if inner_product(ScaledPolynomial.of(f1), low, SobolevPhi()) != Surd.zero():
                 ok = False
     return ok
@@ -665,8 +665,8 @@ _CHECKS = (
     ("orthogonality.left-definite-gram",
      lambda rng: _is_shifted_spectrum(gram_matrix(8, LeftDefinite(2, 1), Normalization.L2), 2)),
     ("orthogonality.normalization-bridge", lambda rng: all(
-        nonclassical_jacobi(n, Normalization.PHI).scale_sq
-        * integrate_weighted(nonclassical_jacobi(n, Normalization.PHI).poly ** 2, -1)
+        jacobi_family(n, NONCLASSICAL, Normalization.PHI).scale_sq
+        * integrate_weighted(jacobi_family(n, NONCLASSICAL, Normalization.PHI).poly ** 2, -1)
         == Fraction(1, n * (n - 1))
         for n in range(2, 13)
     )),
@@ -687,8 +687,8 @@ _CHECKS = (
         and spectrum(SpectrumSpec(OperatorTag.BN, 2, power=3), 3) == [4, 8, 14]
     )),
     ("eigen.composite-powers", lambda rng: all(
-        apply_ell_power(nonclassical_jacobi(m, Normalization.PHI), p, 1).poly
-        == (Fraction(m * (m - 1) + 1) ** p) * nonclassical_jacobi(m, Normalization.PHI).poly
+        apply_ell_power(jacobi_family(m, NONCLASSICAL, Normalization.PHI), p, 1).poly
+        == (Fraction(m * (m - 1) + 1) ** p) * jacobi_family(m, NONCLASSICAL, Normalization.PHI).poly
         for m in range(7)
         for p in range(1, 4)
     )),
@@ -755,13 +755,21 @@ def _int_in_range(lo: int, hi: int | None = None):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError, which main reports on
+    one stderr line; subparsers are built from the same class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a 'key = value' config file")
     parser.add_argument("--format", choices=FORMATS, help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jsob",
         description="Exact nonclassical Jacobi families, their orthogonality "
         "structures, spectra, and numeric cross-checks.",
@@ -789,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ip", choices=("phi", "classical", "ld"), required=True)
     p.add_argument("--alpha", help="classical pairing parameter")
     p.add_argument("--beta", help="classical pairing parameter")
-    p.add_argument("--ld-n", dest="ld_n", type=_int_in_range(1), help="left-definite order")
+    p.add_argument("--ld-n", dest="ld_n", type=_int_in_range(1, 16), help="left-definite order")
     p.add_argument("--k", help="spectral shift (defaults to default_k)")
     p.add_argument("--family", choices=sorted(n.value for n in Normalization))
     _add_common(p)
@@ -799,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", choices=("A", "T", "Bn", "a", "t", "bn"), required=True)
     p.add_argument("--k", help="spectral shift (defaults to default_k)")
     p.add_argument("--count", type=_int_in_range(1, 100000), default=8)
-    p.add_argument("--ld-n", dest="ld_n", type=_int_in_range(1), help="order for Bn")
+    p.add_argument("--ld-n", dest="ld_n", type=_int_in_range(1, 16), help="order for Bn")
     p.add_argument("--galerkin", type=_int_in_range(2, 200),
                    help="also run a Galerkin discretization of this size")
     p.add_argument("--float-digits", dest="float_digits",
@@ -825,18 +833,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 for --help.
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         cfg = build_config(args)
         report = args.func(args, cfg)
         _render(report, cfg.output_format)
         sys.stdout.flush()
         return report.code
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except BrokenPipeError:
         # The reader closed stdout early (``jsob ... | head``).  Later writes,
         # including the interpreter's final flush, go to the null device.

@@ -1,20 +1,22 @@
 """Jacobi polynomial families, classical and nonclassical.
 
-Three normalizations are supported:
+``jacobi_family(n, params, norm)`` is the one constructor of a member.  Every
+degree comes from the three-term recurrence seeded with closed-form P_0, P_1
+and P_2, and both scales are closed forms.  Three normalizations:
 
 * ``Normalization.REFERENCE`` -- the textbook family, any parameters >= -1,
   P_n(1) = binom(n + alpha, n).  For alpha = beta = -1 this family has
   P_1 identically zero and degrees >= 2 vanishing at both endpoints.
 * ``Normalization.L2`` -- orthonormal in the weighted space with weight
-  (1 - x)^alpha (1 + x)^beta.  Exact mode covers integer alpha, beta >= 0
-  (polynomial weight, rational squared norms) and the nonclassical family
-  for degree >= 2, whose squared norm against (1 - x^2)^(-1) is
-  1 / (n (n - 1)).  The degree 0 and 1 members of the nonclassical family
-  are not in that space.
+  (1 - x)^alpha (1 + x)^beta: the reference member over the square root of
+  its squared norm h_n (DLMF Table 18.3.1).  Exact mode covers integer
+  alpha, beta >= 0 (polynomial weight, rational squared norms) and the
+  nonclassical family for degree >= 2, where the same h_n holds.  The
+  degree 0 and 1 members of the nonclassical family are not in that space.
 * ``Normalization.PHI`` -- the Sobolev-orthonormal convention for the
   nonclassical family only: degree 0 is 1, degree 1 is x / sqrt(3), and for
   n >= 2 the renormalization sqrt(4n - 2) / (n - 1) is applied to the
-  reference member, the binomial sum with upper indices n - 1.
+  reference member.
 
 Square-root scale factors live in ``ScaledPolynomial``; identity checks
 between such functions compare squared forms plus the leading-coefficient
@@ -35,7 +37,6 @@ from .algebra import (
     RationalLike,
     ScaledPolynomial,
     as_fraction,
-    integrate_jacobi_weight,
 )
 
 __all__ = [
@@ -45,8 +46,6 @@ __all__ = [
     "UndefinedNormalization",
     "PoleInGammaRatio",
     "NotProportional",
-    "classical_jacobi",
-    "nonclassical_jacobi",
     "jacobi_family",
     "derivative_coefficient_squared",
     "check_derivative_identity",
@@ -107,29 +106,22 @@ class Normalization(Enum):
     PHI = "phi"
 
 
-def _generalized_binomial(top: Fraction, j: int) -> Fraction:
-    """binom(top, j) as a falling-factorial product over j!, exact for rational top."""
-    num = Fraction(1)
-    for i in range(j):
-        num *= top - i
-    return num / factorial(j)
+def _seeds(params: JacobiParams) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """P_0, P_1 and P_2 in closed form, which seed the recurrence.
 
-
-# (x - 1)/2 and (x + 1)/2, the shifted variables of the binomial expansion.
-_U = Polynomial((Fraction(-1, 2), Fraction(1, 2)))
-_V = Polynomial((Fraction(1, 2), Fraction(1, 2)))
-
-
-def _binomial_sum(n: int, params: JacobiParams) -> Polynomial:
-    """sum_v binom(n+alpha, v) binom(n+beta, n-v) ((x-1)/2)^(n-v) ((x+1)/2)^v."""
-    total = Polynomial.zero()
-    for v in range(n + 1):
-        c = _generalized_binomial(n + params.alpha, v) * _generalized_binomial(
-            n + params.beta, n - v
-        )
-        if c != 0:
-            total = total + c * (_U ** (n - v) * _V**v)
-    return total
+    In u = x - 1 the coefficient of (u/2)^v in P_n is
+    binom(n+a, n-v) (n+a+b+1)_v / v!, so P_n(1) = binom(n+a, n):
+    P_1 = (a+1) + (a+b+2) u/2 and
+    P_2 = (a+1)(a+2)/2 + (a+2)(a+b+3) u/2 + (a+b+3)(a+b+4) u^2/8.
+    """
+    a, b = params.alpha, params.beta
+    d0, d1 = a + 1, (a + b + 2) / 2  # P_1 = d0 + d1 u
+    c0, c1, c2 = (a + 1) * (a + 2) / 2, (a + 2) * (a + b + 3) / 2, (a + b + 3) * (a + b + 4) / 8
+    return (
+        Polynomial.one(),
+        Polynomial((d0 - d1, d1)),
+        Polynomial((c0 - c1 + c2, c1 - 2 * c2, c2)),
+    )
 
 
 def _recurrence_step(
@@ -154,46 +146,34 @@ def _recurrence_step(
 _FAMILIES: dict[JacobiParams, tuple[Polynomial, ...]] = {}
 
 
-def classical_jacobi(n: int, params: JacobiParams) -> Polynomial:
-    """Degree-n Jacobi polynomial in the reference normalization, expanded.
+def _reference(n: int, params: JacobiParams) -> Polynomial:
+    """Degree-n member in the reference normalization, expanded.
 
-    Degrees 0..2 come from the explicit sum
-    P_n(x) = sum_v binom(n+alpha, v) binom(n+beta, n-v) ((x-1)/2)^(n-v) ((x+1)/2)^v,
-    so that P_n(1) = binom(n+alpha, n); generalized binomials are evaluated as
-    falling-factorial products, which keeps non-integer rational parameters
-    exact.  Higher degrees follow by the three-term recurrence; every degree
-    built is kept for later calls.
+    Degrees 0..2 are the closed-form seeds, higher degrees follow by the
+    three-term recurrence; every degree built is kept for later calls.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    family = _FAMILIES.get(params, ())
+    family = _FAMILIES.get(params) or _seeds(params)
     if len(family) <= n:
         grown = list(family)
         for m in range(len(grown), n + 1):
-            grown.append(
-                _binomial_sum(m, params)
-                if m <= 2
-                else _recurrence_step(m, params, grown[m - 1], grown[m - 2])
-            )
-        family = _FAMILIES[params] = tuple(grown)
+            grown.append(_recurrence_step(m, params, grown[m - 1], grown[m - 2]))
+        family = tuple(grown)
+    _FAMILIES[params] = family
     return family[n]
-
-
-def nonclassical_jacobi(n: int, norm: Normalization) -> ScaledPolynomial:
-    """Degree-n member of the alpha = beta = -1 family in the requested normalization."""
-    return jacobi_family(n, NONCLASSICAL, norm)
 
 
 @lru_cache(maxsize=None)
 def jacobi_family(n: int, params: JacobiParams, norm: Normalization) -> ScaledPolynomial:
-    """Degree-n member of the Jacobi family at ``params`` in the requested normalization.
+    """Degree-n member of the Jacobi family at ``params`` in the requested
+    normalization; the one constructor of every member.
 
-    REFERENCE: the classical construction (at (-1, -1) degree 1 is the zero
-    function).  PHI, for the nonclassical pair only: degree 0 -> 1, degree 1
-    -> x/sqrt(3), degree n >= 2 -> the reference member scaled by
-    sqrt(4n - 2)/(n - 1).  L2: the scale fixed by the exact squared norm
-    against the weight, which needs integer alpha, beta >= 0 (a polynomial
-    weight with rational norms) or the nonclassical pair, there for n >= 2 only.
+    REFERENCE: the closed-form seeds and the three-term recurrence (at
+    (-1, -1) degree 1 is the zero function).  PHI, for the nonclassical pair
+    only: degree 0 -> 1, degree 1 -> x/sqrt(3), degree n >= 2 -> the reference
+    member scaled by sqrt(4n - 2)/(n - 1).  L2: the reference member over
+    sqrt(h_n), h_n = 2^(a+b+1) (n+a)! (n+b)! / ((2n+a+b+1) n! (n+a+b)!) its
+    squared norm, for integer alpha, beta >= 0 (a polynomial weight with
+    rational norms) or the nonclassical pair, there for n >= 2 only.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -206,7 +186,7 @@ def jacobi_family(n: int, params: JacobiParams, norm: Normalization) -> ScaledPo
             return ScaledPolynomial(1, Polynomial.one())
         if n == 1:
             return ScaledPolynomial(Fraction(1, 3), Polynomial.x())
-        return ScaledPolynomial(Fraction(4 * n - 2, (n - 1) ** 2), classical_jacobi(n, params))
+        return ScaledPolynomial(Fraction(4 * n - 2, (n - 1) ** 2), _reference(n, params))
     if norm is Normalization.L2:
         if params.is_nonclassical and n < 2:
             raise UndefinedNormalization(
@@ -217,11 +197,14 @@ def jacobi_family(n: int, params: JacobiParams, norm: Normalization) -> ScaledPo
                 f"exact L2 normalization needs integer alpha, beta >= 0, got "
                 f"({params.alpha}, {params.beta})"
             )
-    poly = classical_jacobi(n, params)
-    if norm is Normalization.REFERENCE:
-        return ScaledPolynomial.of(poly)
-    norm_sq = integrate_jacobi_weight(poly * poly, int(params.alpha), int(params.beta))
-    return ScaledPolynomial(1 / norm_sq, poly)
+        a, b = int(params.alpha), int(params.beta)
+        # h_n, the squared norm of the reference member (DLMF Table 18.3.1).
+        h = Fraction(2) ** (a + b + 1) * Fraction(
+            factorial(n + a) * factorial(n + b),
+            (2 * n + a + b + 1) * factorial(n) * factorial(n + a + b),
+        )
+        return ScaledPolynomial(1 / h, _reference(n, params))
+    return ScaledPolynomial.of(_reference(n, params))
 
 
 def derivative_coefficient_squared(n: int, j: int, params: JacobiParams) -> Fraction:
@@ -294,6 +277,6 @@ def factorization_check(n: int) -> Fraction:
     """
     if n < 2:
         raise ValueError("factorization applies to degrees >= 2")
-    tilde = nonclassical_jacobi(n, Normalization.PHI)
-    base = ONE_MINUS_X2 * classical_jacobi(n - 2, JacobiParams(1, 1))
+    tilde = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
+    base = ONE_MINUS_X2 * jacobi_family(n - 2, JacobiParams(1, 1), Normalization.REFERENCE).poly
     return proportional_scale_squared(tilde, base)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .algebra import as_fraction
-from .jacobi import JacobiParams, classical_jacobi
+from .jacobi import JacobiParams, Normalization, jacobi_family
 
 __all__ = [
     "NonFiniteIntegral",
@@ -118,7 +118,7 @@ def knorm_crosscheck(n: int, alpha: float, beta: float) -> float:
     if not (alpha > -1 and beta > -1):
         raise ValueError("parameters must exceed -1")
     params = JacobiParams(Fraction(alpha), Fraction(beta))
-    poly = classical_jacobi(n, params)
+    poly = jacobi_family(n, params, Normalization.REFERENCE).poly
     scale_sq = _orthonormal_scale_squared(n, alpha, beta)
     rule = gauss_jacobi(n + 5, alpha, beta)
     norm_sq = rule.integrate(lambda x: float(poly(x)) ** 2)

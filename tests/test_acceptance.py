@@ -17,11 +17,12 @@ from jsob.algebra import (
 )
 from jsob.jacobi import (
     JacobiParams,
+    NONCLASSICAL,
     Normalization,
     PoleInGammaRatio,
     UndefinedNormalization,
     check_derivative_identity,
-    nonclassical_jacobi,
+    jacobi_family,
 )
 from jsob.numeric import chel_K, chel_preset, galerkin_spectrum
 from jsob.operators import (
@@ -102,7 +103,7 @@ def test_criterion_05_eigenvalue_equations():
     with Budget("criterion 5: eigenvalue relations and diagonal operator matrix", 10.0):
         for k in (Fraction(0), Fraction(1)):
             for n in range(21):
-                fam = nonclassical_jacobi(n, Normalization.PHI)
+                fam = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
                 lam = Fraction(n * (n - 1)) + k
                 assert apply_ell(fam, k).poly == lam * fam.poly
             om = operator_matrix(10, SpectrumSpec(OperatorTag.T, k))
@@ -114,7 +115,7 @@ def test_criterion_05_eigenvalue_equations():
 def test_criterion_06_left_definite_orthogonality():
     with Budget("criterion 6: left-definite orthogonality (m, l <= 10, n <= 3)", 30.0):
         k = Fraction(1)
-        fams = {m: nonclassical_jacobi(m, Normalization.L2) for m in range(2, 11)}
+        fams = {m: jacobi_family(m, NONCLASSICAL, Normalization.L2) for m in range(2, 11)}
         for n in range(1, 4):
             spec = LeftDefinite(n, k)
             for m, fm in fams.items():
@@ -175,8 +176,8 @@ def test_criterion_09_sobolev_decomposition():
     with Budget("criterion 9: direct-sum decomposition (50 random)", 5.0):
         rng = random.Random(99)
         low_modes = [
-            nonclassical_jacobi(0, Normalization.PHI),
-            nonclassical_jacobi(1, Normalization.PHI),
+            jacobi_family(0, NONCLASSICAL, Normalization.PHI),
+            jacobi_family(1, NONCLASSICAL, Normalization.PHI),
         ]
         for _ in range(50):
             f = rand_poly(rng, rng.randint(0, 10))
@@ -230,7 +231,7 @@ def test_criterion_11_chel_constants():
 def test_criterion_12_normalization_bridge():
     with Budget("criterion 12: weighted squared norms equal 1/(n(n-1))", 5.0):
         for n in range(2, 13):
-            fam = nonclassical_jacobi(n, Normalization.PHI)
+            fam = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
             assert fam.scale_sq * integrate_weighted(fam.poly * fam.poly, -1) == (
                 Fraction(1, n * (n - 1))
             )

@@ -11,8 +11,8 @@ from jsob.algebra import (
     ScaledPolynomial,
     Surd,
     divide_by_weight,
-    integrate_jacobi_weight,
     integrate_weighted,
+    symmetric_weight_form,
 )
 from reference_data import integral_by_antiderivative
 
@@ -225,17 +225,17 @@ class TestIntegrateJacobiWeight:
         rng = random.Random(17)
         for m in range(0, 3):
             p = Polynomial([rng.randint(-9, 9) for _ in range(8)])
-            assert integrate_jacobi_weight(p, m, m) == integrate_weighted(p, m)
+            assert integrate_weighted(*symmetric_weight_form(p, m, m)) == integrate_weighted(p, m)
 
     def test_mixed_negative_exponent(self):
         # p = (1 - x) q integrates against (1-x)^(-1) as plain q
         q = poly(2, 0, 3)
         p = poly(1, -1) * q
-        assert integrate_jacobi_weight(p, -1, 0) == integrate_weighted(q, 0)
+        assert integrate_weighted(*symmetric_weight_form(p, -1, 0)) == integrate_weighted(q, 0)
 
     def test_mixed_not_divisible(self):
         with pytest.raises(NotDivisible):
-            integrate_jacobi_weight(poly(1, 1), -1, 0)
+            integrate_weighted(*symmetric_weight_form(poly(1, 1), -1, 0))
 
 
 class TestSurd:

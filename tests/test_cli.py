@@ -64,7 +64,7 @@ class TestStirlingCommand:
     def test_negative_max_n_is_usage_error(self, capsys):
         code, _, err = run(capsys, "stirling", "--max-n", "-1")
         assert code == 2
-        assert "usage" in err.lower()
+        assert len(err.splitlines()) == 1
 
     def test_json_and_csv_agree(self, capsys):
         code, js, _ = run(capsys, "stirling", "--max-n", "4", "--format", "json")
@@ -253,6 +253,8 @@ SIZE_CAPS = [
     (("poly", "--alpha=-1", "--beta=-1", "--format", "csv", "--n"), 400),
     (("chel", "--case", "unit", "--grid"), 100000),
     (("spectrum", "--operator", "A", "--format", "csv", "--count"), 100000),
+    (("gram", "--ip", "ld", "--k", "1", "--max-degree", "2", "--format", "csv", "--ld-n"), 16),
+    (("spectrum", "--operator", "Bn", "--format", "csv", "--ld-n"), 16),
 ]
 
 
@@ -262,6 +264,7 @@ def test_size_flag_is_capped(capsys, call, cap):
     code, out, err = run(capsys, *call, str(cap + 1))
     assert (code, out) == (2, "")
     assert f"{call[-1]}: value must be in [" in err and f", {cap}]: {cap + 1}" in err
+    assert len(err.splitlines()) == 1
 
 
 class TestSpectrumCommand:
@@ -793,6 +796,23 @@ class TestSubprocessEntry:
         assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
         assert traced.stdout == plain.stdout
         assert json.loads(trace.read_text())["spans"]["algebra.surd"][0] >= 1
+
+        # Each member is requested through jacobi_family alone, so the span
+        # counts every call once: 6 members, 6 calls.
+        argv = ["gram", "--ip", "classical", "--alpha", "1", "--beta", "1", "--max-degree", "5",
+                "--format", "json"]
+        traced = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv],
+            capture_output=True, text=True, env=env,
+        )
+        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
+        assert traced.stdout == plain.stdout
+        data = json.loads(trace.read_text())
+        counters = data["counters"]
+        family_calls = counters["jacobi.family.hits"] + counters["jacobi.family.misses"]
+        assert data["spans"]["jacobi.family"][0] == family_calls == 6
 
     def test_closed_pipe_ends_quietly(self):
         env = dict(os.environ)

@@ -7,6 +7,7 @@ from jsob.algebra import (
     Polynomial,
     ScaledPolynomial,
     integrate_weighted,
+    symmetric_weight_form,
 )
 from jsob.jacobi import (
     JacobiParams,
@@ -16,19 +17,21 @@ from jsob.jacobi import (
     PoleInGammaRatio,
     UndefinedNormalization,
     check_derivative_identity,
-    classical_jacobi,
     derivative_coefficient_squared,
     factorization_check,
     jacobi_family,
-    nonclassical_jacobi,
     proportional_scale_squared,
 )
-from reference_data import jacobi_by_recurrence
+from reference_data import jacobi_by_binomial_sum, jacobi_by_recurrence
+
+
+def reference(n, params):
+    return jacobi_family(n, params, Normalization.REFERENCE).poly
 
 
 class TestClassicalJacobi:
     def test_degree_zero_is_one(self):
-        assert classical_jacobi(0, JacobiParams(Fraction(1, 2), 2)) == Polynomial.one()
+        assert reference(0, JacobiParams(Fraction(1, 2), 2)) == Polynomial.one()
 
     @pytest.mark.parametrize(
         "alpha,beta", [(0, 0), (1, 1), (1, 2), (Fraction(1, 2), Fraction(-1, 4))]
@@ -37,15 +40,15 @@ class TestClassicalJacobi:
         a, b = Fraction(alpha), Fraction(beta)
         # a + 1 + (a + b + 2)(x - 1)/2, expanded
         expected = Polynomial(((a - b) / 2, (a + b + 2) / 2))
-        assert classical_jacobi(1, JacobiParams(a, b)) == expected
+        assert reference(1, JacobiParams(a, b)) == expected
 
     def test_degree_one_nonclassical_vanishes(self):
-        assert classical_jacobi(1, NONCLASSICAL).is_zero
+        assert reference(1, NONCLASSICAL).is_zero
 
     def test_value_at_one(self):
         # P_n(1) = binom(n + alpha, n)
-        assert classical_jacobi(3, JacobiParams(1, 1))(Fraction(1)) == 4
-        assert classical_jacobi(2, JacobiParams(2, 0))(Fraction(1)) == 6
+        assert reference(3, JacobiParams(1, 1))(Fraction(1)) == 4
+        assert reference(2, JacobiParams(2, 0))(Fraction(1)) == 6
 
     @pytest.mark.parametrize(
         "alpha,beta", [(0, 0), (1, 1), (1, 2), (Fraction(1, 2), Fraction(-1, 4))]
@@ -53,7 +56,7 @@ class TestClassicalJacobi:
     def test_against_recurrence_oracle(self, alpha, beta):
         params = JacobiParams(Fraction(alpha), Fraction(beta))
         for n in range(9):
-            assert classical_jacobi(n, params) == jacobi_by_recurrence(n, alpha, beta)
+            assert reference(n, params) == jacobi_by_recurrence(n, alpha, beta)
 
     def test_rejects_parameters_below_minus_one(self):
         with pytest.raises(ValueError):
@@ -62,62 +65,62 @@ class TestClassicalJacobi:
 
 class TestNonclassicalJacobi:
     def test_degree_zero_phi(self):
-        assert nonclassical_jacobi(0, Normalization.PHI) == ScaledPolynomial(
+        assert jacobi_family(0, NONCLASSICAL, Normalization.PHI) == ScaledPolynomial(
             1, Polynomial.one()
         )
 
     def test_degree_one_phi(self):
-        fam = nonclassical_jacobi(1, Normalization.PHI)
+        fam = jacobi_family(1, NONCLASSICAL, Normalization.PHI)
         assert fam.scale_sq == Fraction(1, 3) and fam.poly == Polynomial.x()
 
     def test_degree_two_phi(self):
-        fam = nonclassical_jacobi(2, Normalization.PHI)
+        fam = jacobi_family(2, NONCLASSICAL, Normalization.PHI)
         assert fam.scale_sq == 6
         assert fam.poly == Polynomial((Fraction(-1, 4), 0, Fraction(1, 4)))
 
     def test_boundary_roots(self):
         for n in range(2, 21):
-            poly = nonclassical_jacobi(n, Normalization.PHI).poly
+            poly = jacobi_family(n, NONCLASSICAL, Normalization.PHI).poly
             assert poly(Fraction(1)) == 0 and poly(Fraction(-1)) == 0
 
     def test_parity(self):
         for n in range(21):
-            poly = nonclassical_jacobi(n, Normalization.PHI).poly
+            poly = jacobi_family(n, NONCLASSICAL, Normalization.PHI).poly
             reflected = Polynomial([(-1) ** i * c for i, c in enumerate(poly.coeffs)])
             assert reflected == (-1) ** n * poly
 
     def test_degree(self):
         for n in range(21):
-            assert nonclassical_jacobi(n, Normalization.PHI).poly.degree == n
+            assert jacobi_family(n, NONCLASSICAL, Normalization.PHI).poly.degree == n
 
     def test_l2_undefined_for_low_degrees(self):
         for n in (0, 1):
             with pytest.raises(UndefinedNormalization):
-                nonclassical_jacobi(n, Normalization.L2)
+                jacobi_family(n, NONCLASSICAL, Normalization.L2)
 
     def test_normalization_bridge(self):
         # oracle: exact integration of the squared polynomial part
         for n in range(2, 13):
-            fam = nonclassical_jacobi(n, Normalization.PHI)
+            fam = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
             norm_sq = fam.scale_sq * integrate_weighted(fam.poly * fam.poly, -1)
             assert norm_sq == Fraction(1, n * (n - 1))
 
     def test_l2_is_unit_norm(self):
         for n in range(2, 10):
-            fam = nonclassical_jacobi(n, Normalization.L2)
+            fam = jacobi_family(n, NONCLASSICAL, Normalization.L2)
             assert fam.scale_sq * integrate_weighted(fam.poly * fam.poly, -1) == 1
 
     def test_l2_vs_phi_squared_ratio(self):
         for n in range(2, 10):
-            l2 = nonclassical_jacobi(n, Normalization.L2)
-            phi = nonclassical_jacobi(n, Normalization.PHI)
+            l2 = jacobi_family(n, NONCLASSICAL, Normalization.L2)
+            phi = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
             scaled = ScaledPolynomial(n * (n - 1) * phi.scale_sq, phi.poly)
             assert l2.same_function(scaled)
 
     def test_reference_wraps_classical(self):
-        fam = nonclassical_jacobi(4, Normalization.REFERENCE)
+        fam = jacobi_family(4, NONCLASSICAL, Normalization.REFERENCE)
         assert fam.scale_sq == 1
-        assert fam.poly == classical_jacobi(4, NONCLASSICAL)
+        assert fam.poly == jacobi_by_binomial_sum(4, -1, -1)
 
 
 class TestJacobiFamily:
@@ -132,14 +135,12 @@ class TestJacobiFamily:
             jacobi_family(3, JacobiParams(-1, 0), Normalization.L2)
 
     def test_classical_l2_unit_norm(self):
-        from jsob.algebra import integrate_jacobi_weight
-
-        for (a, b) in ((0, 0), (1, 1), (2, 1)):
-            for n in range(6):
+        # The closed-form scale against the exact integral of the square.
+        for (a, b, low) in ((0, 0, 0), (1, 1, 0), (2, 1, 0), (0, 2, 0), (3, 1, 0), (-1, -1, 2)):
+            for n in range(low, 61):
                 fam = jacobi_family(n, JacobiParams(a, b), Normalization.L2)
-                assert fam.scale_sq * integrate_jacobi_weight(
-                    fam.poly * fam.poly, a, b
-                ) == 1
+                norm_sq = integrate_weighted(*symmetric_weight_form(fam.poly * fam.poly, a, b))
+                assert fam.scale_sq * norm_sq == 1, (a, b, n)
 
 
 class TestDerivativeCoefficient:
@@ -207,7 +208,7 @@ class TestFactorizationCheck:
 
     def test_negative_control(self):
         # perturbing the factor by +x destroys proportionality
-        tilde = nonclassical_jacobi(2, Normalization.PHI)
+        tilde = jacobi_family(2, NONCLASSICAL, Normalization.PHI)
         perturbed = ONE_MINUS_X2 * (Polynomial.one() + Polynomial.x())
         with pytest.raises(NotProportional):
             proportional_scale_squared(tilde, perturbed)

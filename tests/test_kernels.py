@@ -18,16 +18,14 @@ from jsob.algebra import (
     Polynomial,
     ScaledPolynomial,
     Surd,
-    integrate_jacobi_weight,
     integrate_weighted,
+    symmetric_weight_form,
 )
 from jsob.jacobi import (
     JacobiParams,
     NONCLASSICAL,
     Normalization,
-    classical_jacobi,
     jacobi_family,
-    nonclassical_jacobi,
 )
 from jsob.numeric import ChelInstance, chel_K, chel_preset
 from jsob.operators import (
@@ -55,7 +53,7 @@ from reference_data import (
 PARAMETERS = [Fraction(v) for v in (-1, "-1/2", 0, "1/2", 1, 2)]
 
 # 201 coefficients of up to several hundred bits each.
-MEMBER_200 = classical_jacobi(200, JacobiParams(1, 1)).coeffs
+MEMBER_200 = jacobi_family(200, JacobiParams(1, 1), Normalization.REFERENCE).poly.coeffs
 
 
 def random_poly(rng: random.Random, degree: int, bits: int = 8) -> Polynomial:
@@ -141,7 +139,7 @@ class TestIntegrals:
             if b == -1:
                 p = p * Polynomial((1, 1))
             spec = Classical(JacobiParams(a, b))
-            assert integrate_jacobi_weight(p, a, b) == bilinear_by_products(
+            assert integrate_weighted(*symmetric_weight_form(p, a, b)) == bilinear_by_products(
                 p, Polynomial.one(), spec
             )
 
@@ -152,20 +150,29 @@ class TestFamilies:
     def test_recurrence_against_binomial_sum(self, alpha, beta):
         params = JacobiParams(alpha, beta)
         for n in range(0, 19, 3):
-            assert classical_jacobi(n, params) == jacobi_by_binomial_sum(n, alpha, beta)
+            member = jacobi_family(n, params, Normalization.REFERENCE).poly
+            assert member == jacobi_by_binomial_sum(n, alpha, beta)
+
+    @pytest.mark.parametrize("alpha", PARAMETERS)
+    @pytest.mark.parametrize("beta", PARAMETERS)
+    def test_seeds_against_binomial_sum(self, alpha, beta):
+        # The closed-form P_0, P_1, P_2, alpha + beta = -1 and -2 included.
+        params = JacobiParams(alpha, beta)
+        for n in range(3):
+            member = jacobi_family(n, params, Normalization.REFERENCE).poly
+            assert member == jacobi_by_binomial_sum(n, alpha, beta)
 
     @pytest.mark.parametrize(
         "alpha,beta", [(-1, -1), (Fraction(-1, 2), Fraction(-1, 2)), (-1, 0), (1, 1)]
     )
     def test_long_recurrence(self, alpha, beta):
-        # alpha + beta = -1 and -2 included, where the explicit degrees 0..2 seed it.
-        assert classical_jacobi(30, JacobiParams(alpha, beta)) == jacobi_by_binomial_sum(
-            30, alpha, beta
-        )
+        # alpha + beta = -1 and -2 included, where the closed-form degrees 0..2 seed it.
+        member = jacobi_family(30, JacobiParams(alpha, beta), Normalization.REFERENCE).poly
+        assert member == jacobi_by_binomial_sum(30, alpha, beta)
 
     def test_sobolev_member_is_renormalized_reference(self):
         for n in range(2, 25):
-            fam = nonclassical_jacobi(n, Normalization.PHI)
+            fam = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
             assert fam.scale_sq == Fraction(4 * n - 2, (n - 1) ** 2)
             assert fam.poly == jacobi_by_binomial_sum(n, -1, -1)
 

@@ -10,7 +10,7 @@ from jsob.algebra import (
     Surd,
     integrate_weighted,
 )
-from jsob.jacobi import JacobiParams, NONCLASSICAL, Normalization, nonclassical_jacobi
+from jsob.jacobi import JacobiParams, NONCLASSICAL, Normalization, jacobi_family
 from jsob.operators import (
     Classical,
     LeftDefinite,
@@ -45,12 +45,12 @@ class TestApplyEll:
     def test_eigen_relation_nonclassical(self):
         for k in (Fraction(0), Fraction(1), Fraction(7, 3)):
             for n in range(11):
-                fam = nonclassical_jacobi(n, Normalization.PHI)
+                fam = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
                 lam = Fraction(n * (n - 1)) + k
                 assert apply_ell(fam, k).poly == lam * fam.poly
 
     def test_scale_passthrough(self):
-        fam = nonclassical_jacobi(5, Normalization.PHI)
+        fam = jacobi_family(5, NONCLASSICAL, Normalization.PHI)
         assert apply_ell(fam, 1).scale_sq == fam.scale_sq
 
 
@@ -63,7 +63,7 @@ class TestApplyEllPower:
         for m in range(9):
             for n in range(1, 5):
                 for k in (Fraction(0), Fraction(1)):
-                    fam = nonclassical_jacobi(m, Normalization.PHI)
+                    fam = jacobi_family(m, NONCLASSICAL, Normalization.PHI)
                     lam = (Fraction(m * (m - 1)) + k) ** n
                     assert apply_ell_power(fam, n, k).poly == lam * fam.poly
 
@@ -81,17 +81,17 @@ class TestApplyEllPower:
 
 class TestInnerProduct:
     def test_sobolev_constant(self):
-        p0 = nonclassical_jacobi(0, Normalization.PHI)
+        p0 = jacobi_family(0, NONCLASSICAL, Normalization.PHI)
         assert inner_product(p0, p0, SobolevPhi()) == Surd.from_rational(1)
 
     def test_sobolev_linear(self):
-        p1 = nonclassical_jacobi(1, Normalization.PHI)
+        p1 = jacobi_family(1, NONCLASSICAL, Normalization.PHI)
         # 1/2 * 1/3 + 1/2 * 1/3 + integral of 1/3 over [-1, 1] = 1
         assert inner_product(p1, p1, SobolevPhi()) == Surd.from_rational(1)
 
     def test_left_definite_orthogonality(self):
         k = Fraction(1)
-        fams = {m: nonclassical_jacobi(m, Normalization.L2) for m in range(2, 9)}
+        fams = {m: jacobi_family(m, NONCLASSICAL, Normalization.L2) for m in range(2, 9)}
         for n in range(1, 4):
             spec = LeftDefinite(n, k)
             for m, fm in fams.items():
@@ -131,7 +131,7 @@ class TestInnerProduct:
         ) == Surd.from_rational(expected)
 
     def test_surd_closure(self):
-        f = nonclassical_jacobi(2, Normalization.PHI)
+        f = jacobi_family(2, NONCLASSICAL, Normalization.PHI)
         g = ScaledPolynomial(Fraction(2), ONE_MINUS_X2)
         value = inner_product(f, g, SobolevPhi())
         # The scales multiply to sqrt(6 * 2) = 2 sqrt(3); the bilinear value is -2/3.
@@ -315,7 +315,7 @@ class TestLowerBoundAndBridges:
         k = Fraction(1)
         for n in range(1, 4):
             for m in range(2, 7):
-                fam = nonclassical_jacobi(m, Normalization.L2)
+                fam = jacobi_family(m, NONCLASSICAL, Normalization.L2)
                 ld = inner_product(fam, fam, LeftDefinite(n, k)).to_fraction()
                 base = inner_product(fam, fam, Classical(NONCLASSICAL)).to_fraction()
                 assert ld >= k**n * base
@@ -323,8 +323,8 @@ class TestLowerBoundAndBridges:
     def test_orthogonal_decomposition_against_low_modes(self):
         rng = random.Random(18)
         low = [
-            nonclassical_jacobi(0, Normalization.PHI),
-            nonclassical_jacobi(1, Normalization.PHI),
+            jacobi_family(0, NONCLASSICAL, Normalization.PHI),
+            jacobi_family(1, NONCLASSICAL, Normalization.PHI),
         ]
         for _ in range(25):
             f = rand_poly(rng, rng.randint(0, 10))
