@@ -5,7 +5,7 @@ Sobolev-orthonormal normalizations, the Jacobi-Stirling combinatorics behind
 the composite powers of the differential expression, the classical / Sobolev /
 left-definite inner products with exact Gram matrices and operator spectra,
 and a floating-point layer (quadrature, Galerkin eigenvalues, boundedness
-constants) that cross-checks the exact results.
+constants).  The checks that ``jsob verify`` runs live in ``jsob.checks``.
 """
 
 from .algebra import (
@@ -21,12 +21,7 @@ from .jacobi import (
     JacobiParams,
     NONCLASSICAL,
     Normalization,
-    NotProportional,
-    PoleInGammaRatio,
     UndefinedNormalization,
-    check_derivative_identity,
-    derivative_coefficient_squared,
-    factorization_check,
     jacobi_family,
 )
 from .stirling import (
@@ -35,13 +30,11 @@ from .stirling import (
     build_table,
     composite_coefficients,
     jacobi_stirling,
-    verify_defining_identity,
 )
 from .operators import (
     Classical,
     GramMatrix,
     LeftDefinite,
-    MismatchWithClosedForm,
     NotInWeightedSpace,
     OperatorTag,
     SobolevPhi,
@@ -49,13 +42,10 @@ from .operators import (
     apply_ell,
     apply_ell_power,
     decompose_w,
-    derivative_orthogonality_value,
     gram_matrix,
     inner_product,
     operator_matrix,
     spectrum,
-    verify_dirichlet_identity,
-    verify_lagrange_identity,
 )
 from .numeric import (
     ChelInstance,
@@ -67,7 +57,6 @@ from .numeric import (
     galerkin_spectrum,
     galerkin_system,
     gauss_jacobi,
-    knorm_crosscheck,
 )
 
 __version__ = "0.1.0"

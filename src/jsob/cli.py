@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: stirling, poly, gram, spectrum, chel, verify.  Each returns one
-Report, which main() writes to stdout as json, csv, or pretty text once the
-command has finished, so a command that fails prints nothing on stdout;
-diagnostics go to stderr.  Exact rationals are serialized as decimal p/q
-strings, never floats; floats appear only in the numeric outputs (spectrum
---galerkin, chel) with a configurable number of significant digits.
+Subcommands: stirling, poly, gram, spectrum, chel, verify (which runs
+jsob.checks).  Each returns one Report, which main() writes to stdout as json,
+csv, or pretty text once the command has finished, so a command that fails
+prints nothing on stdout; diagnostics go to stderr.  Exact rationals are
+serialized as decimal p/q strings, never floats; floats appear only in the
+numeric outputs (spectrum --galerkin, chel) with a configurable number of
+significant digits.
 
 Configuration keys (default_k, output_format, cache_path, float_digits) are
 resolved with precedence: JSOB_* environment variables, then command-line
@@ -17,7 +18,7 @@ Exit codes: 0 ok, 1 verification failure (a verify check that fails, or that
 raises an ArithmeticError or ValueError, is reported as FAIL), 2 usage error,
 3 undefined request, 4 numeric failure (a non-finite integral or a mass
 matrix that is not positive definite), 5 internal fault (an exact computation
-broke one of its own invariants, e.g. NotDivisible or MismatchWithClosedForm).
+broke one of its own invariants, e.g. NotDivisible).
 A reader that closes stdout early (``| head``) ends the command quietly with
 exit code 0.
 """
@@ -29,38 +30,20 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
-import random
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import (
-    ONE_MINUS_X2,
-    Polynomial,
-    ScaledPolynomial,
-    Surd,
-    integrate_weighted,
-)
-from .jacobi import (
-    JacobiParams,
-    NONCLASSICAL,
-    Normalization,
-    UndefinedNormalization,
-    PoleInGammaRatio,
-    check_derivative_identity,
-    factorization_check,
-    jacobi_family,
-)
+from . import checks
+from .algebra import Polynomial, ScaledPolynomial
+from .jacobi import JacobiParams, Normalization, UndefinedNormalization, jacobi_family
 from .numeric import (
     MassNotPositiveDefinite,
     NonFiniteIntegral,
     chel_K,
     chel_preset,
     galerkin_spectrum,
-    golden_section_max,
-    knorm_crosscheck,
 )
 from .operators import (
     Classical,
@@ -68,23 +51,10 @@ from .operators import (
     OperatorTag,
     SobolevPhi,
     SpectrumSpec,
-    apply_ell,
-    apply_ell_power,
-    decompose_w,
-    derivative_orthogonality_value,
     gram_matrix,
-    inner_product,
-    operator_matrix,
     spectrum,
-    verify_dirichlet_identity,
-    verify_lagrange_identity,
 )
-from .stirling import (
-    build_table,
-    composite_coefficients,
-    jacobi_stirling,
-    verify_defining_identity,
-)
+from .stirling import build_table
 
 ENV_PREFIX = "JSOB_"
 FORMATS = ("json", "csv", "pretty")
@@ -119,7 +89,8 @@ _DEFAULTS = {
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     values: dict[str, str] = {}
@@ -465,269 +436,19 @@ def cmd_chel(args: argparse.Namespace, cfg: CliConfig) -> Report:
     return Report({"command": "chel", **row}, [row], [line])
 
 
-# ---------------------------------------------------------------------------
-# verification checks
-
-# The 9x9 Jacobi-Stirling triangle, columns n = 0..8, rows j = 0..8.
-_STIRLING_REFERENCE = (
-    (1, 0, 0, 0, 0, 0, 0, 0, 0),
-    (0, 1, 0, 0, 0, 0, 0, 0, 0),
-    (0, 0, 1, 2, 4, 8, 16, 32, 64),
-    (0, 0, 0, 1, 8, 52, 320, 1936, 11648),
-    (0, 0, 0, 0, 1, 20, 292, 3824, 47824),
-    (0, 0, 0, 0, 0, 1, 40, 1092, 25664),
-    (0, 0, 0, 0, 0, 0, 1, 70, 3192),
-    (0, 0, 0, 0, 0, 0, 0, 1, 112),
-    (0, 0, 0, 0, 0, 0, 0, 0, 1),
-)
-
-
-def _random_poly(rng: random.Random, degree: int) -> Polynomial:
-    return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree + 1)])
-
-
-def _is_shifted_spectrum(matrix, power: int) -> bool:
-    """True when the matrix is diagonal with (d(d-1) + 1)^power at degree d."""
-    return matrix.is_diagonal() and all(
-        matrix.entry(i, i) == Surd.from_rational(Fraction((d * (d - 1) + 1) ** power))
-        for i, d in enumerate(matrix.degrees)
-    )
-
-
-def _stirling_table(rng: random.Random) -> bool:
-    table = build_table(8)
-    return all(
-        table.entry(n, j) == _STIRLING_REFERENCE[j][n] for n in range(9) for j in range(9)
-    )
-
-
-def _fifth_power_coefficients(rng: random.Random) -> tuple[bool, str]:
-    l5 = composite_coefficients(5, 0).c
-    return list(l5) == [0, 0, 8, 52, 20, 1], str(list(map(str, l5)))
-
-
-def _derivative_weighted(rng: random.Random) -> bool:
-    # Each call compares the integral with its closed form, a(n, j)^2 on the
-    # diagonal and 0 off it, and raises MismatchWithClosedForm on a difference.
-    for params in (JacobiParams(0, 0), JacobiParams(1, 1), JacobiParams(1, 2)):
-        for n in range(7):
-            for j in range(n + 1):
-                derivative_orthogonality_value(n, n, j, params)
-                if n >= 1:
-                    derivative_orthogonality_value(n, n - 1, j, params)
-    return True
-
-
-def _differential_expression(rng: random.Random) -> bool:
-    ok = True
-    for k in (Fraction(0), Fraction(1)):
-        for n in range(13):
-            fam = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
-            lam = Fraction(n * (n - 1)) + k
-            if apply_ell(fam, k).poly != lam * fam.poly:
-                ok = False
-    return ok
-
-
-def _lagrange_dirichlet(rng: random.Random) -> bool:
-    ok = True
-    for _ in range(100):
-        f = _random_poly(rng, rng.randint(0, 8))
-        g = _random_poly(rng, rng.randint(0, 8))
-        k = Fraction(rng.randint(0, 40), rng.randint(1, 9))
-        if not verify_lagrange_identity(f, g, k) or not verify_dirichlet_identity(f, g, k):
-            ok = False
-    return ok
-
-
-def _sobolev_decomposition(rng: random.Random) -> bool:
-    ok = True
-    for _ in range(50):
-        f = _random_poly(rng, rng.randint(0, 10))
-        f1, f2 = decompose_w(f)
-        if f1 + f2 != f or f1(Fraction(1)) != 0 or f1(Fraction(-1)) != 0 or f2.degree > 1:
-            ok = False
-        for low in (jacobi_family(0, NONCLASSICAL, Normalization.PHI),
-                    jacobi_family(1, NONCLASSICAL, Normalization.PHI)):
-            if inner_product(ScaledPolynomial.of(f1), low, SobolevPhi()) != Surd.zero():
-                ok = False
-    return ok
-
-
-def _derivative_identity(rng: random.Random) -> tuple[bool, str]:
-    ok = True
-    seen = 0
-    for av in (-1, 0, 1, 2):
-        for bv in (-1, 0, 1, 2):
-            params = JacobiParams(av, bv)
-            for n in range(7):
-                for j in range(n + 1):
-                    try:
-                        if not check_derivative_identity(n, j, params):
-                            ok = False
-                        seen += 1
-                    except (UndefinedNormalization, PoleInGammaRatio):
-                        continue
-    return ok and seen > 0, f"{seen} cases"
-
-
-def _lower_bound(rng: random.Random) -> bool:
-    ok = True
-    for k in (Fraction(0), Fraction(1), Fraction(7, 3)):
-        for _ in range(10):
-            f = ONE_MINUS_X2 * _random_poly(rng, rng.randint(0, 8))
-            if f.is_zero:
-                continue
-            fs = ScaledPolynomial.of(f)
-            lower = inner_product(apply_ell(fs, k), fs, Classical(NONCLASSICAL)).to_fraction()
-            norm = inner_product(fs, fs, Classical(NONCLASSICAL)).to_fraction()
-            if lower - k * norm != integrate_weighted(f.derivative() * f.derivative(), 0):
-                ok = False
-            if lower - k * norm < 0:
-                ok = False
-    return ok
-
-
-def _first_left_definite_bridge(rng: random.Random) -> bool:
-    ok = True
-    for _ in range(10):
-        f = ONE_MINUS_X2 * _random_poly(rng, rng.randint(0, 6))
-        g = ONE_MINUS_X2 * _random_poly(rng, rng.randint(0, 6))
-        k = Fraction(rng.randint(0, 5))
-        direct = integrate_weighted(f.derivative() * g.derivative(), 0) + k * integrate_weighted(f * g, -1)
-        if inner_product(ScaledPolynomial.of(f), ScaledPolynomial.of(g), LeftDefinite(1, k)) != Surd(direct, Fraction(1)):
-            ok = False
-        phi_val = inner_product(ScaledPolynomial.of(f), ScaledPolynomial.of(g), SobolevPhi())
-        ld0 = inner_product(ScaledPolynomial.of(f), ScaledPolynomial.of(g), LeftDefinite(1, 0))
-        if phi_val != ld0:
-            ok = False
-    return ok
-
-
-def _spectrum_recovery(rng: random.Random) -> tuple[bool, str]:
-    ok = True
-    detail = []
-    for k in (0.0, 1.0):
-        ev20 = galerkin_spectrum(20, k)
-        ev25 = galerkin_spectrum(25, k)
-        exact = [m * (m - 1) + k for m in range(2, 6)]
-        worst = max(abs(ev20[i] - exact[i]) for i in range(4))
-        detail.append(f"k={k}: err {worst:.2e}")
-        if worst > 1e-6:
-            ok = False
-        if any(ev20[i] < ev25[i] - 1e-9 for i in range(4)):
-            ok = False
-        if any(v < k - 1e-9 for v in ev20):
-            ok = False
-    return ok, "; ".join(detail)
-
-
-def _chel_dirichlet(rng: random.Random) -> tuple[bool, str]:
-    kmax, _ = chel_K(chel_preset("dirichlet"), 4000)
-    bound = lambda x: 0.5 * (1 - x) * math.log((1 + x) / (1 - x))
-    closed = bound(golden_section_max(bound, 1e-9, 1 - 1e-9, 1e-12))
-    return abs(kmax * kmax - closed) < 1e-6, f"K^2 = {kmax * kmax:.9f} vs closed form {closed:.9f}"
-
-
-def _chel_w1v1(rng: random.Random) -> tuple[bool, str]:
-    kmax, _ = chel_K(chel_preset("w1v1"), 4000)
-    return abs(kmax * kmax - math.exp(-1)) < 1e-9, f"K^2 = {kmax * kmax:.12f} vs 1/e"
-
-
-def _chel_unit(rng: random.Random) -> tuple[bool, str]:
-    kmax, arg = chel_K(chel_preset("unit"), 1000)
-    return abs(kmax - 0.5) < 1e-9 and abs(arg - 0.5) < 1e-4, f"K = {kmax:.12f} at {arg:.6f}"
-
-
-# Every verification check, in report order.  A check takes a random.Random
-# seeded with its own name, which only the identities.* checks draw from, and
-# returns ok or (ok, detail).  The suite of a check is its name up to the dot.
-_CHECKS = (
-    ("stirling.table-9x9", _stirling_table),
-    ("stirling.fifth-power-coefficients", _fifth_power_coefficients),
-    ("stirling.defining-identity", lambda rng: all(
-        verify_defining_identity(n, m, k)
-        for n in range(1, 7)
-        for m in range(2, 13)
-        for k in (Fraction(0), Fraction(1), Fraction(7, 3))
-    )),
-    ("stirling.triangularity-and-diagonal", lambda rng: all(
-        jacobi_stirling(n, j) == 0 for n in range(13) for j in range(n + 1, 13)
-    ) and all(jacobi_stirling(n, n) == 1 for n in range(13))),
-    ("stirling.zero-shift-column", lambda rng: all(
-        list(composite_coefficients(n, 0).c) == [jacobi_stirling(n, j) for j in range(n + 1)]
-        for n in range(1, 9)
-    )),
-    ("orthogonality.sobolev-gram-identity",
-     lambda rng: gram_matrix(10, SobolevPhi(), Normalization.PHI).is_identity()),
-    ("orthogonality.classical-gram-identity",
-     lambda rng: gram_matrix(6, Classical(JacobiParams(1, 1)), Normalization.L2).is_identity()),
-    ("orthogonality.left-definite-gram",
-     lambda rng: _is_shifted_spectrum(gram_matrix(8, LeftDefinite(2, 1), Normalization.L2), 2)),
-    ("orthogonality.normalization-bridge", lambda rng: all(
-        jacobi_family(n, NONCLASSICAL, Normalization.PHI).scale_sq
-        * integrate_weighted(jacobi_family(n, NONCLASSICAL, Normalization.PHI).poly ** 2, -1)
-        == Fraction(1, n * (n - 1))
-        for n in range(2, 13)
-    )),
-    ("orthogonality.derivative-weighted", _derivative_weighted),
-    ("orthogonality.float-normalization", lambda rng: all(
-        knorm_crosscheck(n, a, b) < 1e-8
-        for n in range(0, 7)
-        for (a, b) in ((0.0, 0.0), (1.0, 1.0), (0.5, -0.25))
-    )),
-    ("eigen.differential-expression", _differential_expression),
-    ("eigen.sobolev-operator-matrix",
-     lambda rng: _is_shifted_spectrum(operator_matrix(8, SpectrumSpec(OperatorTag.T, 1)), 1)),
-    ("eigen.weighted-operator-matrix",
-     lambda rng: _is_shifted_spectrum(operator_matrix(8, SpectrumSpec(OperatorTag.A, 1)), 1)),
-    ("eigen.spectra", lambda rng: (
-        spectrum(SpectrumSpec(OperatorTag.A, 0), 4) == [2, 6, 12, 20]
-        and spectrum(SpectrumSpec(OperatorTag.T, 1), 5) == [1, 1, 3, 7, 13]
-        and spectrum(SpectrumSpec(OperatorTag.BN, 2, power=3), 3) == [4, 8, 14]
-    )),
-    ("eigen.composite-powers", lambda rng: all(
-        apply_ell_power(jacobi_family(m, NONCLASSICAL, Normalization.PHI), p, 1).poly
-        == (Fraction(m * (m - 1) + 1) ** p) * jacobi_family(m, NONCLASSICAL, Normalization.PHI).poly
-        for m in range(7)
-        for p in range(1, 4)
-    )),
-    ("identities.lagrange-dirichlet", _lagrange_dirichlet),
-    ("identities.sobolev-decomposition", _sobolev_decomposition),
-    ("identities.derivative-identity", _derivative_identity),
-    ("identities.endpoint-factorization",
-     lambda rng: all(factorization_check(n) > 0 for n in range(2, 9))),
-    ("identities.lower-bound", _lower_bound),
-    ("identities.first-left-definite-bridge", _first_left_definite_bridge),
-    ("galerkin.spectrum-recovery", _spectrum_recovery),
-    ("galerkin.chel-dirichlet", _chel_dirichlet),
-    ("galerkin.chel-w1v1", _chel_w1v1),
-    ("galerkin.chel-unit", _chel_unit),
-)
-
-
 def cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> Report:
-    checks = []
-    for name, check in _CHECKS:
-        if args.suite != "all" and not name.startswith(args.suite + "."):
-            continue
-        try:
-            result = check(random.Random(name))
-        except (ArithmeticError, ValueError) as exc:
-            result = (False, f"{type(exc).__name__}: {exc}")
-        ok, detail = result if isinstance(result, tuple) else (result, "")
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
-    passed = sum(c["passed"] for c in checks)
-    failed = len(checks) - passed
+    results = checks.run(args.suite)
+    passed = sum(c["passed"] for c in results)
+    failed = len(results) - passed
     lines = [
         f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}"
         + (f"  ({c['detail']})" if c["detail"] else "")
-        for c in checks
+        for c in results
     ]
     lines.append(f"suite '{args.suite}': {passed} passed, {failed} failed")
     payload = {"command": "verify", "suite": args.suite, "passed": passed,
-               "failed": failed, "checks": checks}
-    return Report(payload, checks, lines, EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED)
+               "failed": failed, "checks": results}
+    return Report(payload, results, lines, EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED)
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chel)
 
     p = sub.add_parser("verify", help="run verification suites")
-    suites = sorted({name.partition(".")[0] for name, _ in _CHECKS})
-    p.add_argument("--suite", choices=("all", *suites), default="all")
+    p.add_argument("--suite", choices=("all", *checks.SUITES), default="all")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -17,10 +17,6 @@ and P_2, and both scales are closed forms.  Three normalizations:
   nonclassical family only: degree 0 is 1, degree 1 is x / sqrt(3), and for
   n >= 2 the renormalization sqrt(4n - 2) / (n - 1) is applied to the
   reference member.
-
-Square-root scale factors live in ``ScaledPolynomial``; identity checks
-between such functions compare squared forms plus the leading-coefficient
-sign, which is exact and decidable.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from functools import lru_cache
 from math import factorial
 
 from .algebra import (
-    ONE_MINUS_X2,
     Frozen,
     Polynomial,
     RationalLike,
@@ -44,26 +39,12 @@ __all__ = [
     "NONCLASSICAL",
     "Normalization",
     "UndefinedNormalization",
-    "PoleInGammaRatio",
-    "NotProportional",
     "jacobi_family",
-    "derivative_coefficient_squared",
-    "check_derivative_identity",
-    "factorization_check",
-    "proportional_scale_squared",
 ]
 
 
 class UndefinedNormalization(ValueError):
     """The requested normalization does not exist for these parameters/degree."""
-
-
-class PoleInGammaRatio(ArithmeticError):
-    """The Gamma-ratio shift product is anchored at a nonpositive integer."""
-
-
-class NotProportional(ArithmeticError):
-    """Two polynomials expected to be scalar multiples are not."""
 
 
 class JacobiParams(Frozen):
@@ -92,9 +73,6 @@ class JacobiParams(Frozen):
             and self.alpha >= 0
             and self.beta >= 0
         )
-
-    def shifted(self, j: int) -> "JacobiParams":
-        return JacobiParams(self.alpha + j, self.beta + j)
 
 
 NONCLASSICAL = JacobiParams(-1, -1)
@@ -205,78 +183,3 @@ def jacobi_family(n: int, params: JacobiParams, norm: Normalization) -> ScaledPo
         )
         return ScaledPolynomial(1 / h, _reference(n, params))
     return ScaledPolynomial.of(_reference(n, params))
-
-
-def derivative_coefficient_squared(n: int, j: int, params: JacobiParams) -> Fraction:
-    """Squared coefficient linking the j-th derivative of the orthonormal P_n
-    to the orthonormal P_{n-j} at shifted parameters:
-
-        a(n, j)^2 = n!/(n-j)! * prod_{i=1..j} (alpha + beta + n + i),
-
-    the rational value of the Gamma ratio Gamma(alpha+beta+n+1+j)/Gamma(alpha+beta+n+1).
-    Returns 0 for j > n unconditionally.  Otherwise, when the ratio is anchored
-    at a nonpositive integer no finite value is assigned and PoleInGammaRatio
-    is raised; for alpha = beta = -1 the anchor n - 1 is nonpositive exactly
-    when n <= 1, which with 1 <= j <= n means the single case n = j = 1.
-    """
-    if n < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
-    if j > n:
-        return Fraction(0)
-    if j == 0:
-        return Fraction(1)
-    anchor = params.alpha + params.beta + n + 1
-    if anchor.denominator == 1 and anchor <= 0:
-        raise PoleInGammaRatio(
-            f"Gamma ratio anchored at nonpositive integer {anchor} "
-            f"(n = {n}, alpha = {params.alpha}, beta = {params.beta})"
-        )
-    value = Fraction(factorial(n), factorial(n - j))
-    for i in range(1, j + 1):
-        value *= anchor + i - 1
-    return value
-
-
-def check_derivative_identity(n: int, j: int, params: JacobiParams) -> bool:
-    """Exact check of d^j/dx^j P_n = a(n, j) P_{n-j} at shifted parameters,
-    both sides in the L2-orthonormal normalization.
-
-    For j > n both sides vanish.  Comparison is by squared forms with matching
-    leading-coefficient signs.  Propagates UndefinedNormalization (family does
-    not exist) and PoleInGammaRatio (coefficient undefined).
-    """
-    left = jacobi_family(n, params, Normalization.L2).derivative(j)
-    a_sq = derivative_coefficient_squared(n, j, params)
-    if a_sq == 0:
-        return left.is_zero
-    base = jacobi_family(n - j, params.shifted(j), Normalization.L2)
-    right = ScaledPolynomial(a_sq * base.scale_sq, base.poly)
-    return left.same_function(right)
-
-
-def proportional_scale_squared(scaled: ScaledPolynomial, target: Polynomial) -> Fraction:
-    """The squared constant c^2 with sqrt(scale_sq) * poly = c * target, exact.
-
-    Raises NotProportional when the polynomials are not nonzero scalar
-    multiples of each other.
-    """
-    if scaled.is_zero or target.is_zero:
-        raise NotProportional("zero polynomial has no proportionality constant")
-    pivot = next(i for i, c in enumerate(target.int_form[0]) if c)
-    ratio = scaled.poly.coeff(pivot) / target.coeff(pivot)
-    if ratio == 0 or scaled.poly != ratio * target:
-        raise NotProportional(f"{scaled.poly} is not a scalar multiple of {target}")
-    return scaled.scale_sq * ratio * ratio
-
-
-def factorization_check(n: int) -> Fraction:
-    """Verify the endpoint factorization of the degree-n nonclassical member.
-
-    The Sobolev-normalized member of degree n >= 2 must be a nonzero multiple
-    of (1 - x^2) P_{n-2}^{(1,1)}; returns the squared proportionality constant.
-    """
-    if n < 2:
-        raise ValueError("factorization applies to degrees >= 2")
-    tilde = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
-    base = ONE_MINUS_X2 * jacobi_family(n - 2, JacobiParams(1, 1), Normalization.REFERENCE).poly
-    return proportional_scale_squared(tilde, base)

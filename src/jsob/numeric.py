@@ -1,13 +1,14 @@
-"""Floating-point layer: quadrature, normalization cross-checks, boundedness
-constants, and a Galerkin reproduction of the weighted-space spectrum.
+"""Floating-point layer: quadrature, boundedness constants, and a Galerkin
+reproduction of the weighted-space spectrum.
 
-Everything exact lives elsewhere; this module is where doubles are allowed,
-in pure Python.  The Galerkin discretization on the basis (1 - x^2) P_i
-(Legendre P_i) splits into two tridiagonal pencils with closed-form entries,
-solved by Sturm counts and Newton.  Gauss-Jacobi rules (needed for non-integer
-parameters, where the weight has algebraic endpoint singularities that defeat
-plain Gauss-Legendre) come from the Golub-Welsch tridiagonal eigenproblem,
-which the same solver handles with the identity as mass.
+Everything exact lives elsewhere; apart from the float checks of jsob.checks,
+this module is where doubles are allowed, in pure Python.  The Galerkin
+discretization on the basis (1 - x^2) P_i (Legendre P_i) splits into two
+tridiagonal pencils with closed-form entries, solved by Sturm counts and
+Newton.  Gauss-Jacobi rules (needed for non-integer parameters, where the
+weight has algebraic endpoint singularities that defeat plain Gauss-Legendre)
+come from the Golub-Welsch tridiagonal eigenproblem, which the same solver
+handles with the identity as mass.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .algebra import as_fraction
-from .jacobi import JacobiParams, Normalization, jacobi_family
 
 __all__ = [
     "NonFiniteIntegral",
@@ -26,7 +26,6 @@ __all__ = [
     "QuadratureRule",
     "ChelInstance",
     "gauss_jacobi",
-    "knorm_crosscheck",
     "chel_preset",
     "chel_K",
     "golden_section_max",
@@ -83,46 +82,6 @@ def gauss_jacobi(order: int, alpha: float, beta: float) -> QuadratureRule:
             total += p * p
         weights.append(mu0 / total)
     return QuadratureRule(order=order, nodes=tuple(nodes), weights=tuple(weights))
-
-
-def _orthonormal_scale_squared(n: int, alpha: float, beta: float) -> float:
-    """Squared normalization constant of the reference Jacobi polynomial,
-    from the Gamma closed form (float Gamma, < 1e-12 relative error)."""
-    if n == 0:
-        # (alpha+beta+1) Gamma(alpha+beta+1) folded into Gamma(alpha+beta+2),
-        # which stays finite when alpha + beta + 1 = 0.
-        return math.gamma(alpha + beta + 2) / (
-            2.0 ** (alpha + beta + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1)
-        )
-    return (
-        math.factorial(n)
-        * (1 + alpha + beta + 2 * n)
-        * math.gamma(alpha + beta + n + 1)
-        / (
-            2.0 ** (alpha + beta + 1)
-            * math.gamma(alpha + n + 1)
-            * math.gamma(beta + n + 1)
-        )
-    )
-
-
-def knorm_crosscheck(n: int, alpha: float, beta: float) -> float:
-    """|quadrature norm of the Gamma-normalized reference polynomial - 1|.
-
-    The reference polynomial is expanded exactly at the rational images of the
-    float parameters, the normalization constant comes from the float Gamma
-    closed form, and the squared norm is evaluated by a Gauss-Jacobi rule
-    matched to the weight.  Small output certifies that the two normalization
-    routes agree.
-    """
-    if not (alpha > -1 and beta > -1):
-        raise ValueError("parameters must exceed -1")
-    params = JacobiParams(Fraction(alpha), Fraction(beta))
-    poly = jacobi_family(n, params, Normalization.REFERENCE).poly
-    scale_sq = _orthonormal_scale_squared(n, alpha, beta)
-    rule = gauss_jacobi(n + 5, alpha, beta)
-    norm_sq = rule.integrate(lambda x: float(poly(x)) ** 2)
-    return abs(scale_sq * norm_sq - 1.0)
 
 
 # A dataclass, unlike the other records: perfbench/tracer.py copies it with dataclasses.replace.
@@ -334,13 +293,15 @@ def _scan(rows, sigma: float) -> tuple[int, float]:
 
 
 def _refine(rows, lo: float, hi: float, index: int) -> float:
-    """Eigenvalue `index`, the only one in (lo, hi]: Newton on det(S - sigma M), with
+    """Eigenvalue `index`, the only one in [lo, hi): Newton on det(S - sigma M), with
     bisection when a step leaves the bracket, which every count narrows, or fails to halve.
     An infinite slope (a zero determinant, or a pivot that rounded to zero) accepts
     sigma; the step stops below 4e-16 of sigma or, for an eigenvalue at or near 0,
-    of the starting bracket."""
+    of the starting bracket.  When Newton twice lands at or below an unmoved lo, one
+    scan just above lo decides whether the eigenvalue is lo itself, where the caller split."""
     sigma, last = 0.5 * lo + 0.5 * hi, hi - lo
     floor = 4e-16 * max(abs(lo), abs(hi))
+    start, undershoots = lo, 0
     for _ in range(100):
         count, slope = _scan(rows, sigma)
         if math.isinf(slope):
@@ -351,6 +312,9 @@ def _refine(rows, lo: float, hi: float, index: int) -> float:
         if abs(step) <= max(4e-16 * abs(sigma), floor):
             return new
         if not (lo < new < hi and abs(step) <= 0.5 * abs(last)):
+            undershoots += new <= lo == start
+            if undershoots == 2 and _scan(rows, math.nextafter(lo, hi))[0] > index:
+                return lo
             new = 0.5 * lo + 0.5 * hi
             if not lo < new < hi:  # no float left between lo and hi
                 return new

@@ -46,14 +46,12 @@ from .jacobi import (
     NONCLASSICAL,
     Normalization,
     UndefinedNormalization,
-    derivative_coefficient_squared,
     jacobi_family,
 )
 from .stirling import composite_coefficients
 
 __all__ = [
     "NotInWeightedSpace",
-    "MismatchWithClosedForm",
     "Classical",
     "SobolevPhi",
     "LeftDefinite",
@@ -64,22 +62,15 @@ __all__ = [
     "apply_ell",
     "apply_ell_power",
     "inner_product",
-    "derivative_orthogonality_value",
     "decompose_w",
     "gram_matrix",
     "operator_matrix",
-    "verify_lagrange_identity",
-    "verify_dirichlet_identity",
     "spectrum",
 ]
 
 
 class NotInWeightedSpace(ArithmeticError):
     """An argument fails the endpoint-vanishing condition a singular weight requires."""
-
-
-class MismatchWithClosedForm(ArithmeticError):
-    """An exactly integrated value disagrees with its closed form."""
 
 
 class Classical(Frozen):
@@ -315,32 +306,6 @@ def inner_product(
     return Surd(value, fs.scale_sq * gs.scale_sq)
 
 
-def derivative_orthogonality_value(
-    n: int, r: int, j: int, params: JacobiParams
-) -> Fraction:
-    """Pair the j-th derivatives of orthonormal P_n and P_r against the
-    j-shifted weight and check the closed form a(n, j)^2 * delta_{n,r}.
-
-    Both the exact integral and the closed form are computed; disagreement
-    raises MismatchWithClosedForm, otherwise the common value is returned.
-    """
-    shifted = params.shifted(j)
-    if not shifted.is_nonnegative_integer_pair:
-        raise ValueError(
-            "exact mode needs integer parameters with alpha + j, beta + j >= 0"
-        )
-    pn = jacobi_family(n, params, Normalization.L2).derivative(j)
-    pr = jacobi_family(r, params, Normalization.L2).derivative(j)
-    lhs = inner_product(pn, pr, Classical(shifted))
-    rhs = derivative_coefficient_squared(n, j, params) if n == r else Fraction(0)
-    if not lhs.is_rational or lhs.to_fraction() != rhs:
-        raise MismatchWithClosedForm(
-            f"integral {lhs} differs from closed form {rhs} at "
-            f"(n={n}, r={r}, j={j}, alpha={params.alpha}, beta={params.beta})"
-        )
-    return rhs
-
-
 def decompose_w(f: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Split f = f1 + f2 with f1 vanishing at +-1 and f2 of degree <= 1.
 
@@ -412,38 +377,6 @@ def operator_matrix(max_degree: int, spec: SpectrumSpec) -> GramMatrix:
     images = [apply_ell(p.poly, spec.k) for p in fam]
     values = _pairing_values(images, [p.poly for p in fam], ip)
     return GramMatrix(degrees, values, tuple(p.scale_sq for p in fam))
-
-
-def verify_lagrange_identity(
-    f: Polynomial, g: Polynomial, k: RationalLike
-) -> bool:
-    """Polynomial form of Green's formula, cleared of the singular weight:
-
-        ell[f] g - f ell[g] = (1 - x^2) (f g' - f' g)'.
-
-    The k-terms cancel on the left; the identity holds for all polynomials.
-    """
-    kf = as_fraction(k)
-    lhs = apply_ell(f, kf) * g - f * apply_ell(g, kf)
-    wronskian = f * g.derivative() - f.derivative() * g
-    return (lhs - ONE_MINUS_X2 * wronskian.derivative()).is_zero
-
-
-def verify_dirichlet_identity(
-    f: Polynomial, g: Polynomial, k: RationalLike
-) -> bool:
-    """Weight-cleared integrand identity behind the Dirichlet formula:
-
-        ell[f] g = (1 - x^2) (f' g' - (f' g)') + k f g.
-    """
-    kf = as_fraction(k)
-    lhs = apply_ell(f, kf) * g
-    rhs = (
-        ONE_MINUS_X2
-        * (f.derivative() * g.derivative() - (f.derivative() * g).derivative())
-        + kf * (f * g)
-    )
-    return (lhs - rhs).is_zero
 
 
 def spectrum(spec: SpectrumSpec, count: int) -> list[Fraction]:

@@ -11,9 +11,7 @@ same triangle shifted by one in both indices, {n + 1, j + 1}.
 
 The coefficients c_j(n, k) combine the triangle with powers of the spectral
 shift k >= 0 and are the coefficients of the n-th composite power of the
-differential expression; they satisfy the defining identity
-
-    sum_j c_j(n, k) m! (m+j-2)! / ((m-j)! (m-2)!) = (m(m-1) + k)^n   (m >= 2).
+differential expression.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ __all__ = [
     "StirlingTable",
     "jacobi_stirling",
     "composite_coefficients",
-    "verify_defining_identity",
     "build_table",
 ]
 
@@ -84,25 +81,6 @@ def composite_coefficients(n: int, k: RationalLike) -> CompositeCoefficients:
         coeffs.append(cj)
     assert coeffs[n] == 1 and all(c >= 0 for c in coeffs)
     return CompositeCoefficients(n=n, k=k, c=tuple(coeffs))
-
-
-def verify_defining_identity(n: int, m: int, k: RationalLike) -> bool:
-    """Exact check of sum_j c_j(n,k) m!(m+j-2)!/((m-j)!(m-2)!) = (m(m-1)+k)^n.
-
-    The factorial ratio is evaluated as falling(m, j) * rising(m-1, j), which
-    realizes the convention 1/(m-j)! = 0 for j > m through a zero factor.
-    """
-    if m < 2:
-        raise ValueError("the identity needs m >= 2 for (m-2)!")
-    k = as_fraction(k)
-    coeffs = composite_coefficients(n, k).c
-    lhs = Fraction(0)
-    for j, cj in enumerate(coeffs):
-        factor = Fraction(1)
-        for i in range(j):
-            factor *= (m - i) * (m - 1 + i)
-        lhs += cj * factor
-    return lhs == (Fraction(m * (m - 1)) + k) ** n
 
 
 class StirlingTable(NamedTuple):

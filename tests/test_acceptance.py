@@ -15,13 +15,17 @@ from jsob.algebra import (
     Surd,
     integrate_weighted,
 )
+from jsob.checks import (
+    PoleInGammaRatio,
+    check_derivative_identity,
+    derivative_orthogonality_value,
+    verify_defining_identity,
+)
 from jsob.jacobi import (
     JacobiParams,
     NONCLASSICAL,
     Normalization,
-    PoleInGammaRatio,
     UndefinedNormalization,
-    check_derivative_identity,
     jacobi_family,
 )
 from jsob.numeric import chel_K, chel_preset, galerkin_spectrum
@@ -32,13 +36,12 @@ from jsob.operators import (
     SpectrumSpec,
     apply_ell,
     decompose_w,
-    derivative_orthogonality_value,
     gram_matrix,
     inner_product,
     operator_matrix,
     spectrum,
 )
-from jsob.stirling import build_table, composite_coefficients, verify_defining_identity
+from jsob.stirling import build_table, composite_coefficients
 from reference_data import JACOBI_STIRLING_TABLE
 
 
@@ -160,7 +163,7 @@ def test_criterion_07_derivative_identity_and_orthogonality():
 
 
 def test_criterion_08_integrand_identities():
-    from jsob.operators import verify_dirichlet_identity, verify_lagrange_identity
+    from jsob.checks import verify_dirichlet_identity, verify_lagrange_identity
 
     with Budget("criterion 8: Green/Dirichlet integrand identities (100 random)", 5.0):
         rng = random.Random(2024)

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from jsob.algebra import NotDivisible
+from jsob.checks import MismatchWithClosedForm, NotProportional, PoleInGammaRatio
 from jsob.cli import PolynomialRecord, main
-from jsob.jacobi import JacobiParams, Normalization, NotProportional, PoleInGammaRatio
-from jsob.operators import MismatchWithClosedForm, NotInWeightedSpace
+from jsob.jacobi import JacobiParams, Normalization
+from jsob.numeric import MassNotPositiveDefinite
+from jsob.operators import NotInWeightedSpace
 
 
 @pytest.fixture(autouse=True)
@@ -337,7 +339,6 @@ class TestNumericFailureExitCode:
 
     def test_indefinite_mass_maps_to_exit_4(self, capsys, monkeypatch):
         import jsob.cli as cli
-        from jsob.numeric import MassNotPositiveDefinite
 
         def boom(size, k):
             raise MassNotPositiveDefinite("mass pivot 0.0 is not positive")
@@ -452,18 +453,24 @@ class TestVerifyCommand:
              "identities.endpoint-factorization"),
             ("derivative_orthogonality_value", ValueError, "orthogonality",
              "orthogonality.derivative-weighted"),
+            ("verify_defining_identity", ZeroDivisionError, "stirling",
+             "stirling.defining-identity"),
+            ("apply_ell_power", NotDivisible, "eigen", "eigen.composite-powers"),
+            ("galerkin_spectrum", MassNotPositiveDefinite, "galerkin",
+             "galerkin.spectrum-recovery"),
         ],
-        ids=["NotProportional", "ValueError"],
+        ids=["NotProportional", "ValueError", "ZeroDivisionError", "NotDivisible",
+             "MassNotPositiveDefinite"],
     )
     def test_raising_check_is_reported_as_fail(
         self, capsys, monkeypatch, target, exc_type, suite, failing
     ):
-        import jsob.cli as cli
+        import jsob.checks as checks
 
         def boom(*args):
             raise exc_type("an injected fault")
 
-        monkeypatch.setattr(cli, target, boom)
+        monkeypatch.setattr(checks, target, boom)
         code, out, err = run(capsys, "verify", "--suite", suite)
         assert code == 1
         assert err == ""
@@ -475,11 +482,11 @@ class TestVerifyCommand:
         assert lines[-1] == f"suite '{suite}': {len(expected) - 1} passed, 1 failed"
 
     def test_raising_check_does_not_shift_later_inputs(self, capsys, monkeypatch):
-        import jsob.cli as cli
+        import jsob.checks as checks
 
         drawn = []
-        decompose_w = cli.decompose_w
-        monkeypatch.setattr(cli, "decompose_w", lambda f: drawn.append(f) or decompose_w(f))
+        decompose_w = checks.decompose_w
+        monkeypatch.setattr(checks, "decompose_w", lambda f: drawn.append(f) or decompose_w(f))
         run(capsys, "verify", "--suite", "identities")
         clean = list(drawn)
         drawn.clear()
@@ -488,7 +495,7 @@ class TestVerifyCommand:
             raise ValueError("an injected fault")
 
         # raises on the first of its draws, before the check has drawn the rest
-        monkeypatch.setattr(cli, "verify_lagrange_identity", boom)
+        monkeypatch.setattr(checks, "verify_lagrange_identity", boom)
         code, out, _ = run(capsys, "verify", "--suite", "identities")
         assert code == 1
         assert "FAIL identities.lagrange-dirichlet  (ValueError: an injected fault)" in out
@@ -497,10 +504,10 @@ class TestVerifyCommand:
     def test_derivative_weighted_compares_with_closed_form(self, capsys, monkeypatch):
         # derivative_orthogonality_value checks every value against the closed
         # form itself, so a wrong closed form fails the check.
-        import jsob.operators as operators
+        import jsob.checks as checks
 
-        right = operators.derivative_coefficient_squared
-        monkeypatch.setattr(operators, "derivative_coefficient_squared",
+        right = checks.derivative_coefficient_squared
+        monkeypatch.setattr(checks, "derivative_coefficient_squared",
                             lambda n, j, params: right(n, j, params) + 1)
         code, out, err = run(capsys, "verify", "--suite", "orthogonality")
         assert code == 1 and err == ""

@@ -9,18 +9,20 @@ from jsob.algebra import (
     integrate_weighted,
     symmetric_weight_form,
 )
+from jsob.checks import (
+    NotProportional,
+    PoleInGammaRatio,
+    check_derivative_identity,
+    derivative_coefficient_squared,
+    factorization_check,
+    proportional_scale_squared,
+)
 from jsob.jacobi import (
     JacobiParams,
     NONCLASSICAL,
     Normalization,
-    NotProportional,
-    PoleInGammaRatio,
     UndefinedNormalization,
-    check_derivative_identity,
-    derivative_coefficient_squared,
-    factorization_check,
     jacobi_family,
-    proportional_scale_squared,
 )
 from reference_data import jacobi_by_binomial_sum, jacobi_by_recurrence
 

@@ -9,6 +9,7 @@ from numpy.polynomial.legendre import leggauss
 
 from jsob import numeric
 from jsob.algebra import ONE_MINUS_X2, Polynomial, integrate_weighted
+from jsob.checks import knorm_crosscheck
 from jsob.numeric import (
     ChelInstance,
     MassNotPositiveDefinite,
@@ -19,7 +20,6 @@ from jsob.numeric import (
     galerkin_spectrum,
     galerkin_system,
     gauss_jacobi,
-    knorm_crosscheck,
     solve_galerkin,
 )
 from reference_data import (
@@ -376,6 +376,35 @@ class TestGalerkin:
             rule = gauss_jacobi(order, 0.5, 0.5)
             assert abs(rule.nodes[order // 2]) <= 1e-15
         assert max(per_refinement) < 100
+
+    def test_eigenvalue_on_a_split_point_takes_few_scans(self, monkeypatch):
+        # solve_galerkin splits the symmetric bracket of an odd-order rule with
+        # alpha = beta at 0 first, so the middle node's bracket starts at the
+        # node itself and every Newton step from above lands at or below it.
+        # That refinement bisected down to its stop floor: 52 pivot scans for
+        # the node 0 of the order-3 Legendre rule, against 5 and 6 for the others.
+        scans, per_index = [], {}
+        scan, refine = numeric._scan, numeric._refine
+
+        def counting_scan(rows, sigma):
+            scans.append(sigma)
+            return scan(rows, sigma)
+
+        def counting_refine(rows, lo, hi, index):
+            before = len(scans)
+            value = refine(rows, lo, hi, index)
+            per_index[index] = len(scans) - before
+            return value
+
+        monkeypatch.setattr(numeric, "_scan", counting_scan)
+        monkeypatch.setattr(numeric, "_refine", counting_refine)
+        rule = gauss_jacobi(3, 0.0, 0.0)
+        assert rule.nodes[1] == 0.0
+        assert per_index[1] <= 10 and per_index[0] <= 10 and per_index[2] <= 10
+        # 1897 scans before the change; the split-point test must not add any.
+        scans.clear()
+        galerkin_spectrum(200, Fraction(7, 3))
+        assert len(scans) <= 1897
 
     @pytest.mark.parametrize("size", [2, 3, 12, 64, 200])
     @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])

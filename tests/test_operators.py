@@ -10,6 +10,11 @@ from jsob.algebra import (
     Surd,
     integrate_weighted,
 )
+from jsob.checks import (
+    derivative_orthogonality_value,
+    verify_dirichlet_identity,
+    verify_lagrange_identity,
+)
 from jsob.jacobi import JacobiParams, NONCLASSICAL, Normalization, jacobi_family
 from jsob.operators import (
     Classical,
@@ -21,13 +26,10 @@ from jsob.operators import (
     apply_ell,
     apply_ell_power,
     decompose_w,
-    derivative_orthogonality_value,
     gram_matrix,
     inner_product,
     operator_matrix,
     spectrum,
-    verify_dirichlet_identity,
-    verify_lagrange_identity,
 )
 
 

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from jsob.checks import verify_defining_identity
 from jsob.stirling import (
     build_table,
     composite_coefficients,
     jacobi_stirling,
-    verify_defining_identity,
 )
 from reference_data import JACOBI_STIRLING_TABLE
 
