@@ -44,7 +44,6 @@ class MassNotPositiveDefinite(ArithmeticError):
 
 
 class QuadratureRule(NamedTuple):
-    order: int
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
 
@@ -81,25 +80,32 @@ def gauss_jacobi(order: int, alpha: float, beta: float) -> QuadratureRule:
             p_prev, p = p, ((x - a) * p - b_prev * p_prev) / b
             total += p * p
         weights.append(mu0 / total)
-    return QuadratureRule(order=order, nodes=tuple(nodes), weights=tuple(weights))
+    return QuadratureRule(nodes=tuple(nodes), weights=tuple(weights))
 
 
 # A dataclass, unlike the other records: perfbench/tracer.py copies it with dataclasses.replace.
 @dataclass(frozen=True)
 class ChelInstance:
-    """A boundedness-constant instance: functions phi, psi and a weight on (a, b).
+    """A boundedness-constant instance: two nonnegative integrands phi and psi on (a, b).
 
-    The constant is K = sup over x of
-    sqrt(int_a^x phi^2 w) * sqrt(int_x^b psi^2 w); K finite is equivalent to
-    boundedness of the associated pair of integral operators.
+    The constant is K = sup over x of sqrt(int_a^x phi) * sqrt(int_x^b psi),
+    where phi and psi are the products f^2 w and g^2 w of a pair of functions
+    with a weight; K finite is equivalent to boundedness of the associated pair
+    of integral operators.
     """
 
     name: str
     phi: Callable[[float], float]
     psi: Callable[[float], float]
-    weight: Callable[[float], float]
     a: float
     b: float
+
+
+_PRESETS = {  # name -> (phi, psi, a, b)
+    "dirichlet": (lambda t: 1.0 / (1.0 - t * t), lambda t: 1.0, 0.0, 1.0),
+    "w1v1": (lambda t: 1.0, lambda t: 1.0 / (1.0 + t), -1.0, 0.0),
+    "unit": (lambda t: 1.0, lambda t: 1.0, 0.0, 1.0),
+}
 
 
 def chel_preset(name: str) -> ChelInstance:
@@ -111,36 +117,11 @@ def chel_preset(name: str) -> ChelInstance:
     * ``w1v1``: on (-1, 0), the bound (1+x) * int_x^0 dt/(1+t) = -(1+x) log(1+x)
       used to identify the Sobolev subspace vanishing at the endpoints with the
       first left-definite space; its maximum is 1/e.
-    * ``unit``: phi = psi = w = 1 on (0, 1); K(x)^2 = x (1 - x), K = 1/2.
+    * ``unit``: phi = psi = 1 on (0, 1); K(x)^2 = x (1 - x), K = 1/2.
     """
-    if name == "dirichlet":
-        return ChelInstance(
-            name="dirichlet",
-            phi=lambda t: (1.0 - t * t) ** -0.5,
-            psi=lambda t: 1.0,
-            weight=lambda t: 1.0,
-            a=0.0,
-            b=1.0,
-        )
-    if name == "w1v1":
-        return ChelInstance(
-            name="w1v1",
-            phi=lambda t: 1.0,
-            psi=lambda t: (1.0 + t) ** -0.5,
-            weight=lambda t: 1.0,
-            a=-1.0,
-            b=0.0,
-        )
-    if name == "unit":
-        return ChelInstance(
-            name="unit",
-            phi=lambda t: 1.0,
-            psi=lambda t: 1.0,
-            weight=lambda t: 1.0,
-            a=0.0,
-            b=1.0,
-        )
-    raise ValueError(f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    return ChelInstance(name, *_PRESETS[name])
 
 
 # Closed 5-point Gauss-Lobatto rule on a cell of width h, exact for degree 7
@@ -178,12 +159,18 @@ def _cell_integral(fn, x0: float, x1: float, f0: float, f1: float) -> float:
 
 
 def _running_integrals(fn: Callable[[float], float], xs: list[float]) -> list[float]:
-    """Integrals of fn from xs[0] to each point of xs, one cell rule per step."""
-    totals = [0.0]
+    """Integrals of fn from xs[0] to each point of xs, one cell rule per step,
+    summed with Neumaier's compensation (A. Neumaier, ZAMM 54, 1974): carry
+    collects the rounding error of each addition."""
+    totals, total, carry = [0.0], 0.0, 0.0
     f0 = _value(fn, xs[0])
     for x0, x1 in zip(xs, xs[1:]):
         f1 = _value(fn, x1)
-        totals.append(totals[-1] + _cell_integral(fn, x0, x1, f0, f1))
+        cell = _cell_integral(fn, x0, x1, f0, f1)
+        new = total + cell
+        carry += (total - new) + cell if abs(total) >= abs(cell) else (cell - new) + total
+        total = new
+        totals.append(total + carry)
         f0 = f1
     return totals
 
@@ -217,7 +204,7 @@ def golden_section_max(
 def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
     """(K, argmax): the boundedness constant and where K(x) attains it.
 
-    K(x)^2 = int_a^x phi^2 w * int_x^b psi^2 w is tabulated on a uniform grid
+    K(x)^2 = int_a^x phi * int_x^b psi is tabulated on a uniform grid
     by running sums of one closed Gauss-Lobatto rule per cell, at a fixed cost
     per cell; the best cell is refined by golden-section search with the same
     rule.  Divergent or unresolved tails surface as NonFiniteIntegral (the
@@ -225,23 +212,21 @@ def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
     """
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
-    a, b = instance.a, instance.b
-    phi2 = lambda t: instance.phi(t) ** 2 * instance.weight(t)
-    psi2 = lambda t: instance.psi(t) ** 2 * instance.weight(t)
+    a, b, phi, psi = instance.a, instance.b, instance.phi, instance.psi
     xs = [a + (b - a) * i / grid_size for i in range(grid_size + 1)]
 
-    # front[i] = int_a^x_i phi^2 w, back[i] = int_x_i^b psi^2 w; back[0] is unused.
-    front = _running_integrals(phi2, xs[:grid_size])
-    back = [0.0, *reversed(_running_integrals(psi2, xs[:0:-1]))]
+    # front[i] = int_a^x_i phi, back[i] = int_x_i^b psi; back[0] is unused.
+    front = _running_integrals(phi, xs[:grid_size])
+    back = [0.0, *reversed(_running_integrals(psi, xs[:0:-1]))]
 
     best = max(range(1, grid_size), key=lambda i: front[i] * back[i])
     lo, hi = xs[best - 1], xs[best + 1]
     front_anchor, back_anchor = front[best - 1], back[best + 1]
-    phi2_lo, psi2_hi = _value(phi2, lo), _value(psi2, hi)
+    phi_lo, psi_hi = _value(phi, lo), _value(psi, hi)
 
     def k_squared(x: float) -> float:
-        left = front_anchor + _cell_integral(phi2, lo, x, phi2_lo, _value(phi2, x))
-        right = back_anchor + _cell_integral(psi2, x, hi, _value(psi2, x), psi2_hi)
+        left = front_anchor + _cell_integral(phi, lo, x, phi_lo, _value(phi, x))
+        right = back_anchor + _cell_integral(psi, x, hi, _value(psi, x), psi_hi)
         return left * right
 
     x_star = golden_section_max(k_squared, lo, hi, 1e-12 * max(1.0, abs(b - a)))

@@ -232,26 +232,24 @@ def chel_K_by_adaptive_simpson(instance, grid_size: int) -> tuple[float, float]:
     """
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
-    a, b = instance.a, instance.b
-    phi2 = lambda t: instance.phi(t) ** 2 * instance.weight(t)
-    psi2 = lambda t: instance.psi(t) ** 2 * instance.weight(t)
+    a, b, phi, psi = instance.a, instance.b, instance.phi, instance.psi
     xs = [a + (b - a) * i / grid_size for i in range(grid_size + 1)]
     cell_tol = 1e-14
 
     front = [0.0] * (grid_size + 1)
     for i in range(1, grid_size):
-        front[i] = front[i - 1] + _adaptive_simpson(phi2, xs[i - 1], xs[i], cell_tol)
+        front[i] = front[i - 1] + _adaptive_simpson(phi, xs[i - 1], xs[i], cell_tol)
     back = [0.0] * (grid_size + 1)
     for i in range(grid_size - 1, 0, -1):
-        back[i] = back[i + 1] + _adaptive_simpson(psi2, xs[i], xs[i + 1], cell_tol)
+        back[i] = back[i + 1] + _adaptive_simpson(psi, xs[i], xs[i + 1], cell_tol)
 
     best = max(range(1, grid_size), key=lambda i: front[i] * back[i])
     lo, hi = xs[best - 1], xs[best + 1]
     front_anchor, back_anchor = front[best - 1], back[best + 1]
 
     def k_squared(x: float) -> float:
-        left = front_anchor + _adaptive_simpson(phi2, xs[best - 1], x, cell_tol)
-        right = back_anchor + _adaptive_simpson(psi2, x, xs[best + 1], cell_tol)
+        left = front_anchor + _adaptive_simpson(phi, xs[best - 1], x, cell_tol)
+        right = back_anchor + _adaptive_simpson(psi, x, xs[best + 1], cell_tol)
         return left * right
 
     x_star = golden_section_max(k_squared, lo, hi, 1e-12 * max(1.0, abs(b - a)))
@@ -353,6 +351,4 @@ def gauss_jacobi_by_eigh(order: int, alpha: float, beta: float) -> QuadratureRul
         / math.gamma(ab + 2)
     )
     weights = mu0 * vectors[0, :] ** 2
-    return QuadratureRule(
-        order=order, nodes=tuple(float(v) for v in values), weights=tuple(weights)
-    )
+    return QuadratureRule(nodes=tuple(float(v) for v in values), weights=tuple(weights))

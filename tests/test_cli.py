@@ -792,6 +792,18 @@ class TestSubprocessEntry:
         assert spans["numeric.galerkin.solve"][0] == 2
         assert not any(name.startswith("numeric._") for name in spans)
 
+        # The tracer rebuilds each chel preset with counted integrands.
+        argv = ["chel", "--case", "dirichlet", "--grid", "2000"]
+        traced = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv],
+            capture_output=True, text=True, env=env,
+        )
+        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
+        assert traced.stdout == plain.stdout
+        assert json.loads(trace.read_text())["counters"]["numeric.chel.integrand_evals"] > 0
+
         # The tracer times every Surd construction through Surd.__post_init__.
         argv = ["gram", "--ip", "phi", "--max-degree", "3", "--format", "json"]
         traced = subprocess.run(

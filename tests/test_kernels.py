@@ -275,9 +275,8 @@ class TestGramAssembly:
 # by about 4e-11 relative: the differential test then also pins the rule's order.
 SMOOTH_CHEL = ChelInstance(
     name="smooth",
-    phi=lambda t: math.exp(t - 8.0),
-    psi=lambda t: 2.0 + math.cos(t),
-    weight=lambda t: 1.0 + t * t,
+    phi=lambda t: math.exp(2.0 * (t - 8.0)) * (1.0 + t * t),
+    psi=lambda t: (2.0 + math.cos(t)) ** 2 * (1.0 + t * t),
     a=0.0,
     b=8.0,
 )
