@@ -14,7 +14,6 @@ from .algebra import (
     ScaledPolynomial,
     Surd,
     as_fraction,
-    divide_by_weight,
     integrate_weighted,
 )
 from .jacobi import (

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import factorial, gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -37,7 +38,6 @@ __all__ = [
     "Surd",
     "ONE_MINUS_X2",
     "as_fraction",
-    "divide_by_weight",
     "integrate_weighted",
     "symmetric_weight_form",
     "weighted_moments",
@@ -247,34 +247,14 @@ class Polynomial(Frozen):
 ONE_MINUS_X2 = Polynomial((1, 0, -1))
 
 
-def _exact_quotient(p: Polynomial, divisor: tuple[int, ...], where: str) -> Polynomial:
-    """p / divisor for an integer divisor with leading coefficient +-1.
-
-    Raises NotDivisible, naming ``where`` p must vanish, on a nonzero remainder.
-    """
-    rem, den = list(p.int_form[0]), p.int_form[1]
-    shift, lead = len(divisor) - 1, divisor[-1]
-    quotient = [0] * max(len(rem) - shift, 0)
-    for i in range(len(quotient) - 1, -1, -1):
-        c = quotient[i] = rem[i + shift] * lead
-        for t, d in enumerate(divisor):
-            rem[i + t] -= c * d
-    if any(rem):
-        raise NotDivisible(f"polynomial does not vanish at {where}")
-    return Polynomial.from_int_form(quotient, den)
-
-
-def divide_by_weight(p: Polynomial, m: int) -> Polynomial:
-    """Exact quotient p / (1 - x^2)^m for m >= 0.
-
-    Raises NotDivisible when p does not vanish to order m at both endpoints:
-    each of the m divisions by 1 - x^2 checks that its remainder is zero.
-    """
-    if m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    for _ in range(m):
-        p = _exact_quotient(p, (1, 0, -1), "both x = 1 and x = -1")
-    return p
+def _divide_out(p: Polynomial, at: int) -> Polynomial:
+    """p / (1 - at * x) for at = 1 or -1 by synthetic division, whose last carry
+    is the remainder p(at); NotDivisible when that is not zero."""
+    ints, den = p.int_form
+    carries = list(accumulate(reversed(ints), lambda carry, c: carry * at + c))
+    if carries and carries.pop():
+        raise NotDivisible(f"polynomial does not vanish at x = {at}")
+    return Polynomial.from_int_form([-at * c for c in reversed(carries)], den)
 
 
 # m -> (ints, den): ints[i] / den is the integral of x^i (1 - x^2)^m over [-1, 1].
@@ -315,14 +295,10 @@ def weighted_moments(p: Polynomial, m: int, count: int) -> tuple[list[int], int]
 def integrate_weighted(p: Polynomial, m: int) -> Fraction:
     """Exact value of the integral of p(x) (1 - x^2)^m over [-1, 1], m >= -1.
 
-    The first of ``weighted_moments``.  For m = -1 the polynomial must be
-    divisible by (1 - x^2) (NotDivisible otherwise).
+    The first moment of ``symmetric_weight_form(p, m, m)``: for m = -1 the
+    polynomial must vanish at both endpoints (NotDivisible otherwise).
     """
-    if m < -1:
-        raise ValueError("weight exponent must be >= -1")
-    if m == -1:
-        p, m = _exact_quotient(p, (1, 0, -1), "both x = 1 and x = -1"), 0
-    (value,), den = weighted_moments(p, m, 1)
+    (value,), den = weighted_moments(*symmetric_weight_form(p, m, m), 1)
     return Fraction(value, den)
 
 
@@ -334,13 +310,12 @@ def symmetric_weight_form(p: Polynomial, a: int, b: int) -> tuple[Polynomial, in
     """
     if a < -1 or b < -1:
         raise ValueError("weight exponents must be >= -1")
-    q = p
     if a == -1:
-        q, a = _exact_quotient(q, (1, -1), "x = 1"), 0
+        p, a = _divide_out(p, 1), 0
     if b == -1:
-        q, b = _exact_quotient(q, (1, 1), "x = -1"), 0
+        p, b = _divide_out(p, -1), 0
     m = min(a, b)
-    return q * Polynomial((1, -1)) ** (a - m) * Polynomial((1, 1)) ** (b - m), m
+    return p * Polynomial((1, -1)) ** (a - m) * Polynomial((1, 1)) ** (b - m), m
 
 
 class Surd(Frozen):

@@ -39,6 +39,7 @@ from . import checks
 from .algebra import Polynomial, ScaledPolynomial
 from .jacobi import JacobiParams, Normalization, UndefinedNormalization, jacobi_family
 from .numeric import (
+    _PRESETS,
     MassNotPositiveDefinite,
     NonFiniteIntegral,
     chel_K,
@@ -392,8 +393,7 @@ def cmd_spectrum(args: argparse.Namespace, cfg: CliConfig) -> Report:
     spec = SpectrumSpec(tag, k, (args.ld_n or 1) if tag is OperatorTag.BN else None)
     header = {"command": "spectrum", "operator": tag.value, "k": str(k)}
     if args.galerkin is None:
-        start = 0 if tag is OperatorTag.T else 2
-        rows = [{"index": start + i, "value": str(v)}
+        rows = [{"index": spec.first_index + i, "value": str(v)}
                 for i, v in enumerate(spectrum(spec, args.count))]
         lines = [f"operator {tag.value}, k = {k}", ", ".join(r["value"] for r in rows)]
         return Report({**header, "eigenvalues": rows}, rows, lines)
@@ -406,7 +406,7 @@ def cmd_spectrum(args: argparse.Namespace, cfg: CliConfig) -> Report:
     exact = spectrum(spec, count)
     rows = [
         {
-            "index": idx + 2,
+            "index": idx + spec.first_index,
             "exact": str(exact[idx]),
             "numeric": _fmt_float(numeric[idx], cfg.float_digits),
             "abs_error": _fmt_float(abs(numeric[idx] - float(exact[idx])), cfg.float_digits),
@@ -462,15 +462,14 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
 
-def _int_in_range(lo: int, hi: int | None = None):
+def _int_in_range(lo: int, hi: int):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-        if value < lo or (hi is not None and value > hi):
-            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise argparse.ArgumentTypeError(f"value must be {bound}: {value}")
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"value must be in [{lo}, {hi}]: {value}")
         return value
 
     return parse
@@ -537,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("chel", help="boundedness constant K for a preset instance")
-    p.add_argument("--case", choices=("dirichlet", "w1v1", "unit"), required=True)
+    p.add_argument("--case", choices=tuple(_PRESETS), required=True)
     p.add_argument("--grid", type=_int_in_range(1000, 100000), default=10000)
     p.add_argument("--float-digits", dest="float_digits",
                    help="significant digits for float output (6..30)")

@@ -264,7 +264,9 @@ def galerkin_system(size: int, k):
 def _scan(rows, sigma: float) -> tuple[int, float]:
     """(eigenvalues below sigma, d/dsigma log|det(S - sigma M)|) from one pass of
     the LDL^T pivot recurrence of S - sigma M and of its derivative.  The slope is
-    infinite when the last pivot, and with it the determinant, is exactly zero."""
+    infinite when the last pivot, and with it the determinant, is exactly zero, and
+    may be NaN when an earlier pivot is: the next pivot's derivative overflows and
+    the sum meets inf - inf (the order-3 Legendre rows at sigma = 0 give (1, nan))."""
     count, slope, d, dd = 0, 0.0, 1.0, 0.0
     for s, m, s_prev, m_prev in rows:
         off = s_prev - sigma * m_prev

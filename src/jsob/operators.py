@@ -37,7 +37,6 @@ from .algebra import (
     ScaledPolynomial,
     Surd,
     as_fraction,
-    divide_by_weight,
     symmetric_weight_form,
     weighted_moments,
 )
@@ -134,6 +133,12 @@ class SpectrumSpec(Frozen):
         object.__setattr__(self, "k", kf)
         object.__setattr__(self, "power", power)
 
+    @property
+    def first_index(self) -> int:
+        """Index of the first eigenvalue, the first degree of the operator's family
+        (every family has a member of degree at most 2)."""
+        return _family_degrees(NONCLASSICAL, _realization(self)[0], 2)[0]
+
 
 _ZERO = Surd.zero()  # immutable, so every zero cell can share it
 
@@ -207,23 +212,30 @@ def apply_ell_power(
     return result.poly if isinstance(f, Polynomial) else result
 
 
-def _integer_exponents(params: JacobiParams) -> tuple[int, int]:
-    if params.alpha.denominator != 1 or params.beta.denominator != 1:
-        raise ValueError("exact classical pairing needs integer alpha, beta >= -1")
-    return int(params.alpha), int(params.beta)
-
-
-def _require_vanishing(p: Polynomial, spec: InnerProductSpec) -> None:
-    """Each argument of a pairing must vanish where the pairing's weight is singular."""
+def _term_table(spec: InnerProductSpec) -> tuple[list, bool, str]:
+    """The pairing as (terms, boundary, context).  Each term (d, c, a, b) adds
+    c * integral of f^(d) g^(d) (1 - x)^a (1 + x)^b, in nondecreasing d; a true
+    ``boundary`` adds f(1) g(1)/2 + f(-1) g(-1)/2.  A d = 0 term with a -1
+    exponent needs f and g to vanish at that endpoint; ``context`` names the
+    pairing when one does not."""
     match spec:
         case Classical(params=params):
-            a, b = _integer_exponents(params)
-            context, roots = "classical pairing", [r for r, e in ((1, a), (-1, b)) if e == -1]
-        case LeftDefinite(k=k) if k > 0:
-            context, roots = "left-definite pairing (j = 0 term)", [1, -1]
-        case _:
-            return
+            if params.alpha.denominator != 1 or params.beta.denominator != 1:
+                raise ValueError("exact classical pairing needs integer alpha, beta >= -1")
+            return [(0, 1, int(params.alpha), int(params.beta))], False, "classical pairing"
+        case SobolevPhi():
+            return [(1, 1, 0, 0)], True, "phi pairing"
+        case LeftDefinite(n=order, k=k):
+            coeffs = enumerate(composite_coefficients(order, k).c)
+            terms = [(j, cj, j - 1, j - 1) for j, cj in coeffs if cj != 0]
+            return terms, False, "left-definite pairing (j = 0 term)"
+    raise TypeError(f"unknown inner product spec {spec!r}")
+
+
+def _require_vanishing(p: Polynomial, terms: list, context: str) -> None:
+    """Each argument of a pairing must vanish where the pairing's weight is singular."""
     ints = p.int_form[0]
+    roots = [at for d, _, a, b in terms if d == 0 for at, e in ((1, a), (-1, b)) if e == -1]
     for at in roots:
         if sum(c if at == 1 or i % 2 == 0 else -c for i, c in enumerate(ints)):
             raise NotInWeightedSpace(
@@ -232,28 +244,18 @@ def _require_vanishing(p: Polynomial, spec: InnerProductSpec) -> None:
             )
 
 
-def _row_terms(f: Polynomial, spec: InnerProductSpec, width: int) -> list:
+def _row_terms(f: Polynomial, terms: list, boundary: bool, width: int) -> list:
     """The pairing of f with any g of degree < width, as a list of terms
     (d, c, (ints, den)), each contributing c * sum_i ints[i] / den * (g^(d))_i."""
-    match spec:
-        case Classical(params=params):
-            q, m = symmetric_weight_form(f, *_integer_exponents(params))
-            return [(0, 1, weighted_moments(q, m, width))]
-        case SobolevPhi():
-            # f(1) g(1)/2 + f(-1) g(-1)/2 pairs g_i with the sum of the
-            # coefficients of f of the parity of i.
-            ints, den = f.int_form
-            even, odd = sum(ints[0::2]), sum(ints[1::2])
-            boundary = [odd if i % 2 else even for i in range(width)]
-            return [(0, 1, (boundary, den)), (1, 1, weighted_moments(f.derivative(), 0, width))]
-        case LeftDefinite(n=order, k=k):
-            return [
-                (j, cj, weighted_moments(f.derivative(j), j - 1, width) if j
-                 else weighted_moments(divide_by_weight(f, 1), 0, width))
-                for j, cj in enumerate(composite_coefficients(order, k).c)
-                if cj != 0
-            ]
-    raise TypeError(f"unknown inner product spec {spec!r}")
+    rows = [(d, c, weighted_moments(*symmetric_weight_form(f.derivative(d), a, b), width))
+            for d, c, a, b in terms]
+    if boundary:
+        # f(1) g(1)/2 + f(-1) g(-1)/2 pairs g_i with the sum of the coefficients
+        # of f of the parity of i; as a d = 0 term it goes first, keeping d sorted.
+        ints, den = f.int_form
+        even, odd = sum(ints[0::2]), sum(ints[1::2])
+        rows.insert(0, (0, 1, ([odd if i % 2 else even for i in range(width)], den)))
+    return rows
 
 
 def _pairing_values(
@@ -265,17 +267,18 @@ def _pairing_values(
     denominator; per column, the derivative tower is laid out to match.  Each
     value is then a single integer dot product.
     """
+    terms, boundary, context = _term_table(spec)
     for p in (*rows, *cols):
-        _require_vanishing(p, spec)
+        _require_vanishing(p, terms, context)
     width = max((len(g.int_form[0]) for g in cols), default=0)
     packed_rows, orders = [], []
     for f in rows:
-        terms = _row_terms(f, spec, width)
-        orders = [d for d, _, _ in terms]  # the same for every row
-        scales = [Fraction(c) / den for _, c, (_, den) in terms]
+        moments = _row_terms(f, terms, boundary, width)
+        orders = [d for d, _, _ in moments]  # the same for every row
+        scales = [Fraction(c) / den for _, c, (_, den) in moments]
         den = lcm(*(s.denominator for s in scales))
         vector = []
-        for (_, _, (row, _)), s in zip(terms, scales):
+        for (_, _, (row, _)), s in zip(moments, scales):
             factor = s.numerator * (den // s.denominator)
             vector += [factor * v for v in row]
         packed_rows.append((vector, den))
@@ -358,6 +361,15 @@ def gram_matrix(
     return gm
 
 
+def _realization(spec: SpectrumSpec) -> tuple[Normalization, InnerProductSpec]:
+    """The family and the pairing the operator is realized in."""
+    if spec.operator is OperatorTag.T:
+        return Normalization.PHI, SobolevPhi()
+    if spec.operator is OperatorTag.A:
+        return Normalization.L2, Classical(NONCLASSICAL)
+    return Normalization.L2, LeftDefinite(spec.power, spec.k)
+
+
 def operator_matrix(max_degree: int, spec: SpectrumSpec) -> GramMatrix:
     """Matrix <ell[p_i], p_j> in the inner product that matches the operator.
 
@@ -366,12 +378,7 @@ def operator_matrix(max_degree: int, spec: SpectrumSpec) -> GramMatrix:
     space; Bn pairs the same family with the n-th left-definite form, where
     the eigen-relation yields diagonal entries (m(m-1)+k)^(n+1).
     """
-    if spec.operator is OperatorTag.T:
-        tag, ip = Normalization.PHI, SobolevPhi()
-    elif spec.operator is OperatorTag.A:
-        tag, ip = Normalization.L2, Classical(NONCLASSICAL)
-    else:
-        tag, ip = Normalization.L2, LeftDefinite(spec.power, spec.k)
+    tag, ip = _realization(spec)
     degrees = _family_degrees(NONCLASSICAL, tag, max_degree)
     fam = [jacobi_family(d, NONCLASSICAL, tag) for d in degrees]
     images = [apply_ell(p.poly, spec.k) for p in fam]
@@ -387,8 +394,5 @@ def spectrum(spec: SpectrumSpec, count: int) -> list[Fraction]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if spec.operator is OperatorTag.T:
-        start = 0
-    else:
-        start = 2
+    start = spec.first_index
     return [Fraction(m * (m - 1)) + spec.k for m in range(start, start + count)]

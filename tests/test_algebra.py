@@ -10,7 +10,6 @@ from jsob.algebra import (
     Polynomial,
     ScaledPolynomial,
     Surd,
-    divide_by_weight,
     integrate_weighted,
     symmetric_weight_form,
 )
@@ -134,40 +133,6 @@ class TestIntegerForm:
             p.int_form = ((1,), 1)
 
 
-class TestDivideByWeight:
-    def test_single_division(self):
-        assert divide_by_weight(poly(-1, 0, 1), 1) == poly(-1)
-
-    def test_double_division(self):
-        p = (ONE_MINUS_X2 ** 2) * Polynomial.x()
-        assert divide_by_weight(p, 2) == Polynomial.x()
-
-    def test_not_divisible(self):
-        with pytest.raises(NotDivisible):
-            divide_by_weight(Polynomial.x(), 1)
-
-    def test_not_divisible_single_root_only(self):
-        # vanishes at 1 but not at -1
-        with pytest.raises(NotDivisible):
-            divide_by_weight(poly(-1, 1), 1)
-
-    def test_remultiplication_oracle_random(self):
-        # The quotient times (1 - x^2)^m gives back the dividend; one factor
-        # fewer than m in the dividend raises.
-        rng = random.Random(11)
-        for _ in range(40):
-            m = rng.randint(0, 4)
-            q = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-                            for _ in range(rng.randint(1, 8))])
-            if q.is_zero or q(Fraction(1)) == 0 or q(Fraction(-1)) == 0:
-                continue
-            p = q * ONE_MINUS_X2**m
-            quotient = divide_by_weight(p, m)
-            assert quotient == q and quotient * ONE_MINUS_X2**m == p
-            with pytest.raises(NotDivisible):
-                divide_by_weight(p, m + 1)
-
-
 class TestIntegrateWeighted:
     def test_weight_one_mass(self):
         assert integrate_weighted(Polynomial.one(), 1) == Fraction(4, 3)
@@ -193,10 +158,8 @@ class TestIntegrateWeighted:
     def test_division_bridge(self):
         rng = random.Random(5)
         for _ in range(20):
-            p = ONE_MINUS_X2 * Polynomial([rng.randint(-9, 9) for _ in range(6)])
-            assert integrate_weighted(p, -1) == integrate_weighted(
-                divide_by_weight(p, 1), 0
-            )
+            q = Polynomial([rng.randint(-9, 9) for _ in range(6)])
+            assert integrate_weighted(ONE_MINUS_X2 * q, -1) == integrate_weighted(q, 0)
 
     def test_odd_polynomials_integrate_to_zero(self):
         rng = random.Random(9)
@@ -214,6 +177,13 @@ class TestIntegrateWeighted:
             )
             m = rng.randint(0, 3)
             assert integrate_weighted(p, m) == integral_by_antiderivative(p, m)
+
+    def test_minus_one_needs_both_endpoints(self):
+        # 1 - x^2 divides p only when p vanishes at both x = 1 and x = -1.
+        with pytest.raises(NotDivisible, match="x = -1"):
+            integrate_weighted(poly(-1, 1), -1)
+        with pytest.raises(NotDivisible, match="x = 1"):
+            integrate_weighted(poly(1, 1), -1)
 
     def test_rejects_exponent_below_minus_one(self):
         with pytest.raises(ValueError):

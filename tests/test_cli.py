@@ -323,6 +323,13 @@ class TestChelCommand:
         assert float(payload["kmax"]) == pytest.approx(0.5, abs=1e-9)
         assert float(payload["argmax"]) == pytest.approx(0.5, abs=1e-3)
 
+    def test_case_choices_are_the_preset_table(self):
+        from jsob import cli, numeric
+
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "cmd")
+        case = next(a for a in sub.choices["chel"]._actions if a.dest == "case")
+        assert list(case.choices) == list(numeric._PRESETS)
+
 
 class TestNumericFailureExitCode:
     def test_divergent_chel_maps_to_exit_4(self, capsys, monkeypatch):

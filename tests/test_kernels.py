@@ -259,7 +259,8 @@ class TestGramAssembly:
     @pytest.mark.parametrize(
         "spec",
         [SobolevPhi(), Classical(JacobiParams(-1, -1)), Classical(JacobiParams(-1, 1)),
-         Classical(JacobiParams(2, 0)), LeftDefinite(2, 3), LeftDefinite(3, 0)],
+         Classical(JacobiParams(2, 0)), LeftDefinite(2, 3), LeftDefinite(3, 0),
+         Classical(JacobiParams(1, -1)), LeftDefinite(4, Fraction(1, 2))],
     )
     def test_random_pairs_against_products(self, spec):
         rng = random.Random(404)

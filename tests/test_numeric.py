@@ -397,6 +397,21 @@ class TestGalerkin:
         galerkin_spectrum(200, Fraction(7, 3))
         assert len(scans) <= 1897
 
+    def test_zero_pivot_before_the_last_row_gives_a_nan_slope(self, monkeypatch):
+        # The order-3 Legendre rows have the eigenvalue 0, where the first pivot
+        # is exactly zero: the scan counts one eigenvalue below and its slope is
+        # NaN, which _refine treats as not finite, so the node is still exactly 0.
+        seen, scan = [], numeric._scan
+
+        def recording_scan(rows, sigma):
+            seen.append(rows)
+            return scan(rows, sigma)
+
+        monkeypatch.setattr(numeric, "_scan", recording_scan)
+        assert gauss_jacobi(3, 0.0, 0.0).nodes[1] == 0.0
+        count, slope = scan(seen[0], 0.0)
+        assert count == 1 and math.isnan(slope)
+
     @pytest.mark.parametrize("size", [2, 3, 12, 64, 200])
     @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
     def test_band_matches_dense_oracle(self, size, k):
