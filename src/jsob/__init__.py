@@ -47,7 +47,6 @@ from .operators import (
     spectrum,
 )
 from .numeric import (
-    ChelInstance,
     MassNotPositiveDefinite,
     NonFiniteIntegral,
     QuadratureRule,
@@ -59,3 +58,9 @@ from .numeric import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> type:
+    if name != "ChelInstance":  # built on first use, see jsob.numeric
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return numeric.ChelInstance

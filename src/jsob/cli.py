@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -172,8 +170,10 @@ class Report(NamedTuple):
 def _render(report: Report, output_format: str) -> None:
     """Write the report to stdout in one piece, after the command has finished."""
     if output_format == "json":
+        import json
         text = json.dumps(report.payload, indent=2) + "\n"
     elif output_format == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(report.rows[0].keys())
@@ -247,6 +247,7 @@ def _cache_key(alpha, beta, n: int, normalization: str) -> str:
 
 
 def _load_cache(path: str) -> dict:
+    import json
     if not os.path.exists(path):
         return {}
     try:
@@ -263,6 +264,7 @@ def _load_cache(path: str) -> dict:
 def _store_cache(path: str, cache: dict) -> None:
     """Write the cache to a temporary file beside it, then move that over it,
     so a write that fails leaves the previous cache file as it was."""
+    import json
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -14,7 +14,6 @@ handles with the identity as mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -83,22 +82,35 @@ def gauss_jacobi(order: int, alpha: float, beta: float) -> QuadratureRule:
     return QuadratureRule(nodes=tuple(nodes), weights=tuple(weights))
 
 
-# A dataclass, unlike the other records: perfbench/tracer.py copies it with dataclasses.replace.
-@dataclass(frozen=True)
-class ChelInstance:
-    """A boundedness-constant instance: two nonnegative integrands phi and psi on (a, b).
+# A dataclass, unlike the other records, because perfbench/tracer.py copies it
+# with dataclasses.replace.  It is built on first use by the module __getattr__
+# (PEP 562), so that commands other than chel do not import dataclasses (and
+# with it inspect) at start-up.  It becomes a plain class at module level when
+# ROADMAP item 5 deletes perfbench/tracer.py.
+def __getattr__(name: str) -> type:
+    if name != "ChelInstance":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from dataclasses import dataclass
 
-    The constant is K = sup over x of sqrt(int_a^x phi) * sqrt(int_x^b psi),
-    where phi and psi are the products f^2 w and g^2 w of a pair of functions
-    with a weight; K finite is equivalent to boundedness of the associated pair
-    of integral operators.
-    """
+    @dataclass(frozen=True)
+    class ChelInstance:
+        """A boundedness-constant instance: two nonnegative integrands phi and psi on (a, b).
 
-    name: str
-    phi: Callable[[float], float]
-    psi: Callable[[float], float]
-    a: float
-    b: float
+        The constant is K = sup over x of sqrt(int_a^x phi) * sqrt(int_x^b psi),
+        where phi and psi are the products f^2 w and g^2 w of a pair of functions
+        with a weight; K finite is equivalent to boundedness of the associated pair
+        of integral operators.
+        """
+
+        __qualname__ = "ChelInstance"  # not __getattr__.<locals>.ChelInstance
+        name: str
+        phi: Callable[[float], float]
+        psi: Callable[[float], float]
+        a: float
+        b: float
+
+    globals()["ChelInstance"] = ChelInstance
+    return ChelInstance
 
 
 _PRESETS = {  # name -> (phi, psi, a, b)
@@ -121,6 +133,7 @@ def chel_preset(name: str) -> ChelInstance:
     """
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}")
+    from .numeric import ChelInstance  # built by __getattr__ on first use
     return ChelInstance(name, *_PRESETS[name])
 
 

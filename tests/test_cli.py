@@ -668,8 +668,6 @@ class TestPolynomialCache:
         assert out == plain
 
     def test_failed_write_keeps_previous_cache(self, capsys, tmp_path, monkeypatch):
-        import jsob.cli as cli
-
         cache = tmp_path / "cache.json"
         run(capsys, *self.ARGS, "--cache-path", str(cache))
         before = cache.read_bytes()
@@ -678,7 +676,7 @@ class TestPolynomialCache:
             fh.write("{\n")
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(cli.json, "dump", full_disk)
+        monkeypatch.setattr(json, "dump", full_disk)
         args = [*self.ARGS[:2], "7", *self.ARGS[3:]]  # a miss: the cache is rewritten
         code, out, err = run(capsys, *args, "--cache-path", str(cache))
         assert code == 0 and json.loads(out)["n"] == 7
@@ -727,6 +725,27 @@ class TestSubprocessEntry:
             "assert 'numpy' not in sys.modules, 'spectrum Bn'\n"
             "cli.main(['verify', '--suite', 'all'])\n"
             "assert 'numpy' not in sys.modules, 'verify'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_start_up_skips_dataclasses_json_and_csv(self):
+        # Only chel needs dataclasses (and with it inspect); json and csv load
+        # only to render those formats or to read and write the cache.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)  # else every jsob import recompiles
+        code = (
+            "import sys\n"
+            "bare = set(sys.modules)\n"
+            "added = lambda: {'dataclasses', 'inspect', 'json', 'csv'} & (set(sys.modules) - bare)\n"
+            "import jsob.cli as cli\n"
+            "cli.build_parser()\n"
+            "assert not added(), ('import', added())\n"
+            "assert cli.main(['stirling', '--max-n', '2', '--format', 'pretty']) == 0\n"
+            "assert not added(), ('stirling', added())\n"
+            "assert cli.main(['chel', '--case', 'unit', '--grid', '1000']) == 0\n"
+            "assert 'dataclasses' in added(), 'chel'\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env)

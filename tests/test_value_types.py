@@ -16,6 +16,8 @@ MODULES = ("algebra", "jacobi", "stirling", "operators", "numeric", "cli")
 
 def test_only_chel_instance_is_a_dataclass():
     # The benchmark tracer rebuilds a ChelInstance with dataclasses.replace.
+    # numeric builds the class on first use, so resolve it before the scan.
+    importlib.import_module("jsob.numeric").ChelInstance
     dataclasses = set()
     for name in MODULES:
         module = importlib.import_module(f"jsob.{name}")
@@ -24,6 +26,27 @@ def test_only_chel_instance_is_a_dataclass():
                 if hasattr(cls, "__dataclass_fields__"):
                     dataclasses.add(f"{name}.{cls_name}")
     assert dataclasses == {"numeric.ChelInstance"}
+
+
+def test_lazy_chel_instance_keeps_what_the_tracer_uses():
+    import dataclasses
+
+    import jsob
+    from jsob import numeric
+
+    assert jsob.ChelInstance is numeric.ChelInstance
+    unit = numeric.chel_preset("unit")
+    assert type(unit) is numeric.ChelInstance
+    assert repr(unit).startswith("ChelInstance(name='unit', phi=")
+    assert numeric.ChelInstance.__qualname__ == "ChelInstance"
+    assert numeric.ChelInstance.__module__ == "jsob.numeric"
+    phi = lambda t: 2.0  # noqa: E731
+    copy = dataclasses.replace(unit, phi=phi)
+    assert (copy.name, copy.phi, copy.psi, copy.a, copy.b) == ("unit", phi, unit.psi, 0.0, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copy.a = 1.0
+    with pytest.raises(AttributeError, match="no attribute 'Missing'"):
+        numeric.Missing
 
 
 # (equal pair, an unequal value) per value type; each pair is built separately.
