@@ -394,21 +394,22 @@ def cmd_spectrum(args: argparse.Namespace, cfg: CliConfig) -> Report:
     k = _parse_rational(args.k) if args.k is not None else cfg.default_k
     spec = SpectrumSpec(tag, k, (args.ld_n or 1) if tag is OperatorTag.BN else None)
     header = {"command": "spectrum", "operator": tag.value, "k": str(k)}
+    first = spec.first_index
     if args.galerkin is None:
-        rows = [{"index": spec.first_index + i, "value": str(v)}
+        rows = [{"index": first + i, "value": str(v)}
                 for i, v in enumerate(spectrum(spec, args.count))]
         lines = [f"operator {tag.value}, k = {k}", ", ".join(r["value"] for r in rows)]
         return Report({**header, "eigenvalues": rows}, rows, lines)
-    if tag is OperatorTag.T:
-        raise UsageError(
-            "--galerkin discretizes the endpoint-vanishing form; use operator A or Bn"
-        )
-    numeric = galerkin_spectrum(args.galerkin, k)
+    # The shifts of the left-definite steps from the weighted-L2 Gram to the mass.
+    chain = {OperatorTag.A: (), OperatorTag.BN: (k,) * (spec.power or 0), OperatorTag.T: (0,)}
+    numeric = galerkin_spectrum(args.galerkin, k, chain[tag])
+    if tag is OperatorTag.T:  # 1 and x, phi-orthogonal to the bubbles, give k twice
+        numeric = [float(k)] * 2 + numeric
     count = min(args.count, len(numeric))
     exact = spectrum(spec, count)
     rows = [
         {
-            "index": idx + spec.first_index,
+            "index": idx + first,
             "exact": str(exact[idx]),
             "numeric": _fmt_float(numeric[idx], cfg.float_digits),
             "abs_error": _fmt_float(abs(numeric[idx] - float(exact[idx])), cfg.float_digits),

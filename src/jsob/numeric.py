@@ -3,9 +3,9 @@ reproduction of the weighted-space spectrum.
 
 Everything exact lives elsewhere; apart from the float checks of jsob.checks,
 this module is where doubles are allowed, in pure Python.  The Galerkin
-discretization on the basis (1 - x^2) P_i (Legendre P_i) splits into two
-tridiagonal pencils with closed-form entries, solved by Sturm counts and
-Newton.  Gauss-Jacobi rules (needed for non-integer parameters, where the
+discretization on the basis (1 - x^2) P_i (Legendre P_i) builds each pencil by
+left-definite band steps from the closed-form weighted-L2 Gram matrix and
+solves its two tridiagonal halves by Sturm counts and Newton.  Gauss-Jacobi rules (needed for non-integer parameters, where the
 weight has algebraic endpoint singularities that defeat plain Gauss-Legendre)
 come from the Golub-Welsch tridiagonal eigenproblem, which the same solver
 handles with the identity as mass.
@@ -246,29 +246,40 @@ def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
     return math.sqrt(k_squared(x_star)), x_star
 
 
-def galerkin_system(size: int, k):
-    """(even, odd): the weak form of the weighted-space operator as two tridiagonal
-    pencils, each (stiff_diag, stiff_off, mass_diag, mass_off), tuples of floats.
+def _ell_step(diag: list, off: list, k: Fraction) -> tuple[list, list]:
+    """The band (diagonal, entries (i + 2, i)) of G_n = L^T G_{n-1} from that of G_{n-1}:
+    ell b_i = lam_i b_i + 2 sum (2j+1) b_j over j < i, j = i mod 2, with
+    lam_i = k + (i+1)(i+2), so the columns of L are these coefficients."""
+    lam = [k + (i + 1) * (i + 2) for i in range(len(diag))]
+    below = [0, 0, *((4 * i - 6) * off[i - 2] for i in range(2, len(diag)))]
+    return ([lam[i] * d + below[i] for i, d in enumerate(diag)],
+            [below[i] + (4 * i + 2) * diag[i] + lam[i + 2] * o for i, o in enumerate(off)])
 
-    Trial functions b_i = (1 - x^2) P_i (Legendre P_i) vanish at the endpoints;
-    S_ij = int b_i' b_j' + k int b_i b_j / (1 - x^2) and M_ij = int b_i b_j / (1 - x^2)
-    couple only i and i +- 2 (J. Shen, SIAM J. Sci. Comput. 15, 1994).  With
-    h_n = int P_n^2, x P_i = a_i P_{i+1} + b_i P_{i-1} and
-    b_i' = (i-1) b_i P_{i-1} - (i+2) a_i P_{i+1}, each entry is a closed form,
-    computed exactly and rounded once; one beyond float range raises NonFiniteIntegral.
+
+def galerkin_system(size: int, k, chain=()):
+    """(even, odd): an operator's Galerkin pencil as two tridiagonal pencils, each
+    (stiff_diag, stiff_off, mass_diag, mass_off), tuples of floats.
+
+    Trial functions b_i = (1 - x^2) P_i (Legendre P_i) vanish at the endpoints
+    (J. Shen, SIAM J. Sci. Comput. 15, 1994).  G_0, the Gram matrix of
+    int f g / (1 - x^2), is closed-form with h_n = int P_n^2 and
+    x P_i = a_i P_{i+1} + b_i P_{i-1} (b_0 = 0 meets h_{-1} = -2).  As
+    (f, g)_n = (ell f, g)_{n-1} (L. L. Littlejohn and R. Wellman, J. Differential
+    Equations 181, 2002), every G_n is zero off |i - j| in {0, 2}, and one _ell_step
+    per shift of ``chain`` gives the mass B, one more at k the stiffness L^T B:
+    () is A, (k,) * n is Bn, (0,) is T (B is the phi Gram of the bubbles).  Entries
+    are exact and rounded once; one beyond float range raises NonFiniteIntegral.
     """
     if not 2 <= size <= 200:
         raise ValueError("size must be between 2 and 200")
-    k, h = as_fraction(k), lambda n: Fraction(2, 2 * n + 1)
+    h = lambda n: Fraction(2, 2 * n + 1)
     a, b = (lambda i: Fraction(i + 1, 2 * i + 1)), (lambda i: Fraction(i, 2 * i + 1))
-    up = [a(i) ** 2 * h(i + 1) for i in range(size)]
-    down = [b(i) ** 2 * h(i - 1) for i in range(size)]  # b_0 = 0 meets h_{-1} = -2
-    m_diag = [h(i) - up[i] - down[i] for i in range(size)]
-    m_off = [-a(i) * b(i + 2) * h(i + 1) for i in range(size - 2)]
-    s_diag = [(i - 1) ** 2 * down[i] + (i + 2) ** 2 * up[i] + k * m_diag[i] for i in range(size)]
-    s_off = [((i + 1) * (i + 2) + k) * m_off[i] for i in range(size - 2)]
+    mass = ([h(i) - a(i) ** 2 * h(i + 1) - b(i) ** 2 * h(i - 1) for i in range(size)],
+            [-a(i) * b(i + 2) * h(i + 1) for i in range(size - 2)])
+    for shift in chain:
+        mass = _ell_step(*mass, as_fraction(shift))
     try:
-        rounded = [tuple(map(float, part)) for part in (s_diag, s_off, m_diag, m_off)]
+        rounded = [tuple(map(float, part)) for part in (*_ell_step(*mass, as_fraction(k)), *mass)]
     except OverflowError as exc:
         raise NonFiniteIntegral("the Galerkin stiffness entries do not fit a finite float") from exc
     return tuple(tuple(part[p::2] for part in rounded) for p in (0, 1))
@@ -357,8 +368,8 @@ def solve_galerkin(block) -> list[float]:
     return values
 
 
-def galerkin_spectrum(size: int, k) -> list[float]:
-    """Ascending Galerkin eigenvalues approximating the weighted-space spectrum: the
-    trial space of size s spans the exact eigenfunctions of degrees 2..s+1, so they
-    equal m(m-1) + k, m = 2, ..., s+1, up to rounding in assembly and eigensolve."""
-    return sorted(v for block in galerkin_system(size, k) for v in solve_galerkin(block))
+def galerkin_spectrum(size: int, k, chain=()) -> list[float]:
+    """Ascending eigenvalues of galerkin_system(size, k, chain): the trial space of
+    size s spans the exact eigenfunctions of degrees 2..s+1, so they equal
+    m(m-1) + k, m = 2, ..., s+1, up to rounding in assembly and eigensolve."""
+    return sorted(v for block in galerkin_system(size, k, chain) for v in solve_galerkin(block))

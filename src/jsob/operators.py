@@ -161,9 +161,6 @@ class GramMatrix(NamedTuple):
             return _ZERO
         return Surd(self.values[i][j], self.scales[i] * self.scales[j])
 
-    def diagonal(self) -> tuple[Surd, ...]:
-        return tuple(self.entry(i, i) for i in range(self.size))
-
     def is_diagonal(self) -> bool:
         return all(
             v == 0 for i, row in enumerate(self.values) for j, v in enumerate(row) if i != j

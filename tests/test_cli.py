@@ -305,12 +305,20 @@ class TestSpectrumCommand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "--ld-n" in err
 
-    def test_galerkin_rejected_for_sobolev_operator(self, capsys):
-        code, _, err = run(
-            capsys, "spectrum", "--operator", "T", "--galerkin", "10",
+    def test_galerkin_sobolev_rows_start_at_zero(self, capsys):
+        # 1 and x give T the eigenvalue k at indices 0 and 1, beside the bubbles'.
+        code, out, err = run(
+            capsys, "spectrum", "--operator", "T", "--k", "1", "--count", "5",
+            "--galerkin", "10", "--format", "csv",
         )
-        assert code == 2
-        assert "galerkin" in err.lower()
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [(i, e) for i, e, _, _ in rows] == [
+            ("0", "1"), ("1", "1"), ("2", "3"), ("3", "7"), ("4", "13"),
+        ]
+        assert [float(n) for _, _, n, _ in rows[:2]] == [1.0, 1.0]
+        for _, _, _, err_abs in rows:
+            assert float(err_abs) < 1e-12
 
 
 class TestChelCommand:
@@ -347,7 +355,7 @@ class TestNumericFailureExitCode:
     def test_indefinite_mass_maps_to_exit_4(self, capsys, monkeypatch):
         import jsob.cli as cli
 
-        def boom(size, k):
+        def boom(size, k, chain):
             raise MassNotPositiveDefinite("mass pivot 0.0 is not positive")
 
         monkeypatch.setattr(cli, "galerkin_spectrum", boom)
@@ -356,11 +364,12 @@ class TestNumericFailureExitCode:
         assert "numeric failure" in err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("operator", ["A", "Bn"])
+    @pytest.mark.parametrize("operator", ["A", "Bn", "T"])
     @pytest.mark.parametrize("k", ["1e400", "1e308"])
     def test_shift_beyond_float_range_maps_to_exit_4(self, capsys, k, operator, fmt):
-        # 1e400 has no float; at 1e308 the stiffness entries overflow.  A warning
-        # on its way to stderr is raised here instead.
+        # 1e400 has no float; at 1e308 the stiffness entries overflow.  T converts
+        # k to a float for its indices 0 and 1 only after the solve, which reports
+        # both.  A warning on its way to stderr is raised here instead.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "spectrum", "--operator", operator, "--k", k,

@@ -10,6 +10,7 @@ from numpy.polynomial.legendre import leggauss
 from jsob import numeric
 from jsob.algebra import ONE_MINUS_X2, Polynomial, integrate_weighted
 from jsob.checks import knorm_crosscheck
+from jsob.jacobi import NONCLASSICAL
 from jsob.numeric import (
     ChelInstance,
     MassNotPositiveDefinite,
@@ -22,6 +23,7 @@ from jsob.numeric import (
     gauss_jacobi,
     solve_galerkin,
 )
+from jsob.operators import Classical, LeftDefinite, SobolevPhi, _pairing_values
 from reference_data import (
     chel_K_by_adaptive_simpson,
     galerkin_system_dense,
@@ -299,11 +301,43 @@ class TestGalerkin:
     @pytest.mark.parametrize("size", [2, 3, 64, 200])
     @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
     def test_every_eigenvalue_on_exact_spectrum(self, size, k):
-        ev = galerkin_spectrum(size, k)
-        assert len(ev) == size
-        for m, value in enumerate(ev, start=2):
-            exact = float(m * (m - 1) + k)
-            assert abs(value - exact) <= 1e-10 * exact
+        # A, B1, B3, B16 and T (whose mass is one step at shift 0) share the
+        # spectrum on the bubble span.
+        for name, chain in (("A", ()), ("B1", (k,)), ("B3", (k,) * 3), ("B16", (k,) * 16),
+                            ("T", (0,))):
+            ev = galerkin_spectrum(size, k, chain)
+            assert len(ev) == size, name
+            for m, value in enumerate(ev, start=2):
+                exact = float(m * (m - 1) + k)
+                assert abs(value - exact) <= 1e-10 * exact, (name, m)
+
+    @pytest.mark.parametrize("k", [Fraction(0), Fraction(1), Fraction(7, 3)])
+    def test_bands_are_the_rounded_exact_grams(self, k):
+        # Each band step must give the exact Gram matrix of the next left-definite
+        # form on the bubbles (1 - x^2) P_i, rounded once.  Bn's spectrum equals A's
+        # on the bubble span, so this, not an eigenvalue check, catches a Bn pencil
+        # that is A's.
+        x, legendre = Polynomial.x(), [Polynomial.one(), Polynomial.x()]
+        for i in range(1, 11):
+            legendre.append(Fraction(2 * i + 1, i + 1) * x * legendre[i]
+                            - Fraction(i, i + 1) * legendre[i - 1])
+        bubbles = [ONE_MINUS_X2 * p for p in legendre]
+        gram = lambda spec: _pairing_values(bubbles, bubbles, spec)
+        grams = [gram(Classical(NONCLASSICAL)), *(gram(LeftDefinite(n, k)) for n in range(1, 18))]
+        phi = gram(SobolevPhi())
+        # T's stiffness: (ell f, g)_phi = k phi(f, g) + the second form at shift 0.
+        t_stiff = [[k * u + v for u, v in zip(*rows)] for rows in zip(phi, gram(LeftDefinite(2, 0)))]
+        cases = [((k,) * n, grams[n + 1], grams[n]) for n in range(17)] + [((0,), t_stiff, phi)]
+        for chain, stiff, mass in cases:
+            for exact in (stiff, mass):
+                assert all(exact[i][j] == 0 for i in range(12) for j in range(12)
+                           if abs(i - j) not in (0, 2))
+            for size in (2, 3, 7, 12):
+                for parity, block in enumerate(galerkin_system(size, k, chain)):
+                    rows = range(parity, size, 2)
+                    for exact, diag, off in ((stiff, 0, 1), (mass, 2, 3)):
+                        assert block[diag] == tuple(float(exact[i][i]) for i in rows)
+                        assert block[off] == tuple(float(exact[i][i + 2]) for i in rows[:-1])
 
     def test_system_matrices_symmetric(self):
         # A block stores one off-diagonal, so S and M are symmetric by
