@@ -28,7 +28,7 @@ from .jacobi import (
     UndefinedNormalization,
     jacobi_family,
 )
-from .numeric import chel_K, chel_preset, galerkin_spectrum, gauss_jacobi, golden_section_max
+from .numeric import chel_K, chel_preset, galerkin_spectrum, gauss_jacobi, sign_change
 from .operators import (
     Classical,
     LeftDefinite,
@@ -381,21 +381,34 @@ def _spectrum_recovery(rng: random.Random) -> tuple[bool, str]:
     return ok, "; ".join(detail)
 
 
+def _exact_pencil_spectrum(*chains):
+    """A check that, for k = 0 and 7/3, each pencil galerkin_spectrum(20, k, chain(k))
+    has the eigenvalues m(m-1) + k, m = 2..21, within 1e-6."""
+    def check(rng: random.Random) -> tuple[bool, str]:
+        worst = {k: max(abs(v - (m * (m - 1) + k)) for chain in chains
+                        for m, v in enumerate(galerkin_spectrum(20, k, chain(k)), 2))
+                 for k in (Fraction(0), Fraction(7, 3))}
+        detail = "; ".join(f"k={k}: err {e:.2e}" for k, e in worst.items())
+        return max(worst.values()) <= 1e-6, detail
+    return check
+
+
 def _chel_dirichlet(rng: random.Random) -> tuple[bool, str]:
     kmax, _ = chel_K(chel_preset("dirichlet"), 4000)
     bound = lambda x: 0.5 * (1 - x) * math.log((1 + x) / (1 - x))
-    closed = bound(golden_section_max(bound, 1e-9, 1 - 1e-9, 1e-12))
+    closed = bound(sign_change(lambda x: 2 / (1 + x) - math.log((1 + x) / (1 - x)), 0.0, 1.0))
     return abs(kmax * kmax - closed) < 1e-6, f"K^2 = {kmax * kmax:.9f} vs closed form {closed:.9f}"
 
 
 def _chel_w1v1(rng: random.Random) -> tuple[bool, str]:
-    kmax, _ = chel_K(chel_preset("w1v1"), 4000)
-    return abs(kmax * kmax - math.exp(-1)) < 1e-9, f"K^2 = {kmax * kmax:.12f} vs 1/e"
+    kmax, arg = chel_K(chel_preset("w1v1"), 4000)
+    ok = abs(kmax * kmax - math.exp(-1)) < 1e-9 and abs(arg - (math.exp(-1) - 1)) <= 1e-15
+    return ok, f"K^2 = {kmax * kmax:.12f} vs 1/e"
 
 
 def _chel_unit(rng: random.Random) -> tuple[bool, str]:
     kmax, arg = chel_K(chel_preset("unit"), 1000)
-    return abs(kmax - 0.5) < 1e-9 and abs(arg - 0.5) < 1e-4, f"K = {kmax:.12f} at {arg:.6f}"
+    return abs(kmax - 0.5) < 1e-9 and abs(arg - 0.5) <= 1e-15, f"K = {kmax:.12f} at {arg:.6f}"
 
 
 # Every verification check, in report order.  A check takes a random.Random
@@ -468,6 +481,8 @@ _CHECKS = (
     ("identities.lower-bound", _lower_bound),
     ("identities.first-left-definite-bridge", _first_left_definite_bridge),
     ("galerkin.spectrum-recovery", _spectrum_recovery),
+    ("galerkin.t-sobolev", _exact_pencil_spectrum(lambda k: (0,))),
+    ("galerkin.bn-left-definite", _exact_pencil_spectrum(lambda k: (k,), lambda k: (k,) * 16)),
     ("galerkin.chel-dirichlet", _chel_dirichlet),
     ("galerkin.chel-w1v1", _chel_w1v1),
     ("galerkin.chel-unit", _chel_unit),

@@ -5,10 +5,11 @@ Everything exact lives elsewhere; apart from the float checks of jsob.checks,
 this module is where doubles are allowed, in pure Python.  The Galerkin
 discretization on the basis (1 - x^2) P_i (Legendre P_i) builds each pencil by
 left-definite band steps from the closed-form weighted-L2 Gram matrix and
-solves its two tridiagonal halves by Sturm counts and Newton.  Gauss-Jacobi rules (needed for non-integer parameters, where the
-weight has algebraic endpoint singularities that defeat plain Gauss-Legendre)
-come from the Golub-Welsch tridiagonal eigenproblem, which the same solver
-handles with the identity as mass.
+solves its two tridiagonal halves by Sturm counts and Newton.  Gauss-Jacobi
+rules (needed for non-integer parameters, where the weight has algebraic
+endpoint singularities that defeat plain Gauss-Legendre) come from the
+Golub-Welsch tridiagonal eigenproblem, which the same solver handles with the
+identity as mass.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "gauss_jacobi",
     "chel_preset",
     "chel_K",
-    "golden_section_max",
+    "sign_change",
     "galerkin_system",
     "galerkin_spectrum",
     "solve_galerkin",
@@ -188,40 +189,25 @@ def _running_integrals(fn: Callable[[float], float], xs: list[float]) -> list[fl
     return totals
 
 
-def golden_section_max(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Maximizer of a unimodal fn on [lo, hi] by golden-section search.
-
-    The bracket shrinks until it is narrower than tol (at most 200 steps);
-    its midpoint is returned.
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(200):
-        if hi - lo < tol:
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = fn(x1)
-    return 0.5 * (lo + hi)
+def sign_change(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Where fn turns from positive to nonpositive on [lo, hi], by bisection on its
+    sign until no float lies between the bracket's ends; the upper end is returned.
+    The ends themselves are never evaluated."""
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        lo, hi = (mid, hi) if fn(mid) > 0.0 else (lo, mid)
+    return hi
 
 
 def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
     """(K, argmax): the boundedness constant and where K(x) attains it.
 
-    K(x)^2 = int_a^x phi * int_x^b psi is tabulated on a uniform grid
-    by running sums of one closed Gauss-Lobatto rule per cell, at a fixed cost
-    per cell; the best cell is refined by golden-section search with the same
-    rule.  Divergent or unresolved tails surface as NonFiniteIntegral (the
-    operators are unbounded exactly when K is infinite).
+    K(x)^2 = F(x) G(x), F = int_a^x phi and G = int_x^b psi, is tabulated on a
+    uniform grid by running sums of one closed Gauss-Lobatto rule per cell, at a
+    fixed cost per cell.  K^2 is flat to rounding at its maximum, so the best
+    cell is refined on the sign of the derivative phi G - psi F, which crosses
+    zero linearly, with the same rule, to the last bit.  Divergent or unresolved
+    tails surface as NonFiniteIntegral (the operators are unbounded exactly when
+    K is infinite).
     """
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
@@ -237,13 +223,14 @@ def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
     front_anchor, back_anchor = front[best - 1], back[best + 1]
     phi_lo, psi_hi = _value(phi, lo), _value(psi, hi)
 
-    def k_squared(x: float) -> float:
-        left = front_anchor + _cell_integral(phi, lo, x, phi_lo, _value(phi, x))
-        right = back_anchor + _cell_integral(psi, x, hi, _value(psi, x), psi_hi)
-        return left * right
+    def slope_and_k_squared(x: float) -> tuple[float, float]:
+        f, g = _value(phi, x), _value(psi, x)
+        left = front_anchor + _cell_integral(phi, lo, x, phi_lo, f)
+        right = back_anchor + _cell_integral(psi, x, hi, g, psi_hi)
+        return f * right - g * left, left * right
 
-    x_star = golden_section_max(k_squared, lo, hi, 1e-12 * max(1.0, abs(b - a)))
-    return math.sqrt(k_squared(x_star)), x_star
+    x_star = sign_change(lambda x: slope_and_k_squared(x)[0], lo, hi)
+    return math.sqrt(slope_and_k_squared(x_star)[1]), x_star
 
 
 def _ell_step(diag: list, off: list, k: Fraction) -> tuple[list, list]:

@@ -7,10 +7,11 @@ the classical family is rebuilt from its three-term recurrence and from the
 explicit binomial sum; Jacobi-Stirling numbers come from their alternating
 sum; weighted integrals and bilinear forms are recomputed from a term-by-term
 antiderivative of the product polynomial; the boundedness constant comes from
-per-cell adaptive Simpson quadrature; the Galerkin pencil is assembled as dense
-matrices by Gauss-Legendre quadrature and solved by Cholesky and a dense
-symmetric eigensolver, and Gauss-Jacobi rules take their nodes and weights from
-the eigenvalues and eigenvectors of the dense Jacobi matrix (numpy).
+per-cell adaptive Simpson quadrature and golden-section search; the Galerkin
+pencil is assembled as dense matrices by Gauss-Legendre quadrature and solved
+by Cholesky and a dense symmetric eigensolver, and Gauss-Jacobi rules take
+their nodes and weights from the eigenvalues and eigenvectors of the dense
+Jacobi matrix (numpy).
 """
 
 import math
@@ -22,7 +23,6 @@ from jsob.numeric import (
     MassNotPositiveDefinite,
     NonFiniteIntegral,
     QuadratureRule,
-    golden_section_max,
 )
 
 # rows j = 0..8, columns n = 0..8
@@ -222,6 +222,30 @@ def _adaptive_simpson(fn, a: float, b: float, tol: float) -> float:
     if not math.isfinite(whole) or abs(whole) > 1e12:
         raise NonFiniteIntegral("integral estimate is not finite")
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
+
+
+def golden_section_max(fn, lo: float, hi: float, tol: float) -> float:
+    """Maximizer of a unimodal fn on [lo, hi] by golden-section search.
+
+    The bracket shrinks until it is narrower than tol (at most 200 steps);
+    its midpoint is returned.
+    """
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(200):
+        if hi - lo < tol:
+            break
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = fn(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = fn(x1)
+    return 0.5 * (lo + hi)
 
 
 def chel_K_by_adaptive_simpson(instance, grid_size: int) -> tuple[float, float]:

@@ -438,6 +438,8 @@ CHECK_NAMES = [
     "identities.lower-bound",
     "identities.first-left-definite-bridge",
     "galerkin.spectrum-recovery",
+    "galerkin.t-sobolev",
+    "galerkin.bn-left-definite",
     "galerkin.chel-dirichlet",
     "galerkin.chel-w1v1",
     "galerkin.chel-unit",
@@ -472,8 +474,7 @@ class TestVerifyCommand:
             ("verify_defining_identity", ZeroDivisionError, "stirling",
              "stirling.defining-identity"),
             ("apply_ell_power", NotDivisible, "eigen", "eigen.composite-powers"),
-            ("galerkin_spectrum", MassNotPositiveDefinite, "galerkin",
-             "galerkin.spectrum-recovery"),
+            ("sign_change", MassNotPositiveDefinite, "galerkin", "galerkin.chel-dirichlet"),
         ],
         ids=["NotProportional", "ValueError", "ZeroDivisionError", "NotDivisible",
              "MassNotPositiveDefinite"],

@@ -233,10 +233,25 @@ class TestChel:
                 assert abs(kmax * kmax - k_squared) <= 1e-15 * k_squared, (name, grid)
             assert abs(argmax - 0.5) < 1e-4  # unit
 
+    def test_argmax_at_closed_form_maximizer(self):
+        # The root of d/dx K^2: dirichlet's maximizer solves
+        # log((1+x)/(1-x)) = 2/(1+x), found here by bisection on its sign.
+        lo, hi = 0.0, 1.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            above = math.log1p(mid) - math.log1p(-mid) > 2 / (1 + mid)
+            lo, hi = (lo, mid) if above else (mid, hi)
+        closed = {"dirichlet": hi, "w1v1": math.exp(-1) - 1, "unit": 0.5}
+        for grid in (1000, 10000, 100000):
+            for name, x_star in closed.items():
+                preset = chel_preset(name)
+                _, argmax = chel_K(preset, grid)
+                assert abs(argmax - x_star) <= 1e-15 * (preset.b - preset.a), (name, grid)
+
     def test_cost_is_linear_in_grid(self):
         # 4 new nodes per cell x 2 integrands, one call per evaluation,
-        # plus a golden-section refinement whose cost does not grow with the
-        # grid.  The dirichlet shape is where adaptive recursion grew faster.
+        # plus a sign bisection of the best cell whose cost does not grow
+        # with the grid.  The dirichlet shape is where adaptive recursion
+        # grew faster.
         calls = 0
 
         def counted(fn):
