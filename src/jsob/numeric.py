@@ -5,7 +5,7 @@ Everything exact lives elsewhere; apart from the float checks of jsob.checks,
 this module is where doubles are allowed, in pure Python.  The Galerkin
 discretization on the basis (1 - x^2) P_i (Legendre P_i) builds each pencil by
 left-definite band steps from the closed-form weighted-L2 Gram matrix and
-solves its two tridiagonal halves by Sturm counts and Newton.  Gauss-Jacobi
+solves its two tridiagonal halves by sign bisection on Sturm counts.  Gauss-Jacobi
 rules (needed for non-integer parameters, where the weight has algebraic
 endpoint singularities that defeat plain Gauss-Legendre) come from the
 Golub-Welsch tridiagonal eigenproblem, which the same solver handles with the
@@ -192,7 +192,8 @@ def _running_integrals(fn: Callable[[float], float], xs: list[float]) -> list[fl
 def sign_change(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Where fn turns from positive to nonpositive on [lo, hi], by bisection on its
     sign until no float lies between the bracket's ends; the upper end is returned.
-    The ends themselves are never evaluated."""
+    The ends themselves are never evaluated.  For a step function it is the first
+    float at which fn is nonpositive."""
     while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
         lo, hi = (mid, hi) if fn(mid) > 0.0 else (lo, mid)
     return hi
@@ -272,62 +273,29 @@ def galerkin_system(size: int, k, chain=()):
     return tuple(tuple(part[p::2] for part in rounded) for p in (0, 1))
 
 
-def _scan(rows, sigma: float) -> tuple[int, float]:
-    """(eigenvalues below sigma, d/dsigma log|det(S - sigma M)|) from one pass of
-    the LDL^T pivot recurrence of S - sigma M and of its derivative.  The slope is
-    infinite when the last pivot, and with it the determinant, is exactly zero, and
-    may be NaN when an earlier pivot is: the next pivot's derivative overflows and
-    the sum meets inf - inf (the order-3 Legendre rows at sigma = 0 give (1, nan))."""
-    count, slope, d, dd = 0, 0.0, 1.0, 0.0
+def _count(rows, sigma: float) -> int:
+    """Eigenvalues at or below sigma: the LDL^T pivots of S - sigma M that are not
+    positive.  A zero pivot counts and is taken as -1e-300 for the next row, its
+    value just above sigma, as the pivots fall with sigma."""
+    count, d = 0, 1.0
     for s, m, s_prev, m_prev in rows:
         off = s_prev - sigma * m_prev
-        # off * (off / d): off * off overflows for shifts near 1e300.  A zero pivot
-        # counts as positive and, before the last row, is taken as 1e-300.
-        t = off / (d or 1e-300)
-        d, dd = s - sigma * m - off * t, t * (2.0 * m_prev + t * dd) - m
-        count += d < 0.0
-        slope += dd / (d or 1e-300)
-    return count, slope if d else math.inf
-
-
-def _refine(rows, lo: float, hi: float, index: int) -> float:
-    """Eigenvalue `index`, the only one in [lo, hi): Newton on det(S - sigma M), with
-    bisection when a step leaves the bracket, which every count narrows, or fails to halve.
-    An infinite slope (a zero determinant, or a pivot that rounded to zero) accepts
-    sigma; the step stops below 4e-16 of sigma or, for an eigenvalue at or near 0,
-    of the starting bracket.  When Newton twice lands at or below an unmoved lo, one
-    scan just above lo decides whether the eigenvalue is lo itself, where the caller split."""
-    sigma, last = 0.5 * lo + 0.5 * hi, hi - lo
-    floor = 4e-16 * max(abs(lo), abs(hi))
-    start, undershoots = lo, 0
-    for _ in range(100):
-        count, slope = _scan(rows, sigma)
-        if math.isinf(slope):
-            return sigma
-        lo, hi = (sigma, hi) if count <= index else (lo, sigma)
-        step = -1.0 / slope if slope and math.isfinite(slope) else math.nan
-        new = sigma + step
-        if abs(step) <= max(4e-16 * abs(sigma), floor):
-            return new
-        if not (lo < new < hi and abs(step) <= 0.5 * abs(last)):
-            undershoots += new <= lo == start
-            if undershoots == 2 and _scan(rows, math.nextafter(lo, hi))[0] > index:
-                return lo
-            new = 0.5 * lo + 0.5 * hi
-            if not lo < new < hi:  # no float left between lo and hi
-                return new
-        sigma, last = new, new - sigma
-    return sigma
+        # off * (off / d): off * off overflows for shifts near 1e300.
+        d = s - sigma * m - off * (off / (d or -1e-300))
+        count += d <= 0.0
+    return count
 
 
 def solve_galerkin(block) -> list[float]:
     """Ascending eigenvalues of one tridiagonal pencil S v = lambda M v.
 
-    The negative pivots of the LDL^T factorization of S - sigma M count the
-    eigenvalues below sigma (G. Peters and J. H. Wilkinson, Comput. J. 12, 1969);
-    bisection on these counts, shared by all eigenvalues, isolates each one for
-    _refine.  A mass pivot that is not positive (or is NaN) raises
-    MassNotPositiveDefinite, a spectrum with no finite bracket NonFiniteIntegral.
+    The nonpositive pivots of the LDL^T factorization of S - sigma M count the
+    eigenvalues at or below sigma (W. Barth, R. S. Martin and J. H. Wilkinson,
+    Numer. Math. 9, 1967; G. Peters and J. H. Wilkinson, Comput. J. 12, 1969);
+    eigenvalue j is the first float at which that count exceeds j, found by
+    sign_change between eigenvalue j - 1 and the spectrum's bracket.  A mass
+    pivot that is not positive (or is NaN) raises MassNotPositiveDefinite, a
+    spectrum with no finite bracket NonFiniteIntegral.
     """
     s_diag, s_off, m_diag, m_off = block
     d = 1.0
@@ -337,22 +305,14 @@ def solve_galerkin(block) -> list[float]:
     rows, n = tuple(zip(s_diag, m_diag, (0.0, *s_off), (0.0, *m_off))), len(s_diag)
     # Doubled until it brackets the spectrum or, within 1030 doublings, overflows.
     radius = 2.0 * max(1.0, *(abs(s / m) for s, m, _, _ in rows))
-    while math.isfinite(radius) and (_scan(rows, -radius)[0] or _scan(rows, radius)[0] < n):
+    while math.isfinite(radius) and (_count(rows, -radius) or _count(rows, radius) < n):
         radius *= 2.0
     if not math.isfinite(radius):
         raise NonFiniteIntegral("the Galerkin eigenvalues have no finite bracket")
-    values, pending = [0.0] * n, [(-radius, 0, radius, n, 0)]
-    while pending:  # (lo, hi] holds eigenvalues c_lo .. c_hi - 1 after `depth` halvings
-        lo, c_lo, hi, c_hi, depth = pending.pop()
-        mid = 0.5 * lo + 0.5 * hi
-        if c_hi - c_lo == 1:
-            values[c_lo] = _refine(rows, lo, hi, c_lo)
-        elif depth == 200 or not lo < mid < hi:  # a cluster at float resolution
-            values[c_lo:c_hi] = [mid] * (c_hi - c_lo)
-        elif c_hi > c_lo:
-            c_mid = min(max(_scan(rows, mid)[0], c_lo), c_hi)
-            pending += [(lo, c_lo, mid, c_mid, depth + 1), (mid, c_mid, hi, c_hi, depth + 1)]
-    return values
+    values = [-radius]
+    for j in range(n):
+        values.append(sign_change(lambda sigma: _count(rows, sigma) <= j, values[-1], radius))
+    return values[1:]
 
 
 def galerkin_spectrum(size: int, k, chain=()) -> list[float]:

@@ -812,7 +812,7 @@ class TestSubprocessEntry:
         assert counters["cli.cache.bytes"] == (tmp_path / "traced-cache.json").stat().st_size
         assert {"cli.cache.lookup", "cli.cache.read", "cli.cache.write"} <= spans.keys()
 
-        # The Galerkin spans keep their names; the per-shift pivot scan, which
+        # The Galerkin spans keep their names; the per-shift pivot count, which
         # runs thousands of times, stays private and so untraced.
         argv = ["spectrum", "--operator", "A", "--galerkin", "12", "--format", "csv"]
         traced = subprocess.run(

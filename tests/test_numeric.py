@@ -385,81 +385,57 @@ class TestGalerkin:
         with pytest.raises(NonFiniteIntegral):
             galerkin_spectrum(10, -Fraction(10) ** 308)
 
-    def test_refinement_stops_short_of_the_cap(self, monkeypatch):
-        # galerkin_spectrum(10, -2) has the eigenvalue 0 (m = 2), whose Newton
-        # steps never fall below a bound relative to the iterate, and the
-        # eigenvalue 54, whose last iterate met a pivot that rounded to zero.
-        # Without an absolute stop and an exit on an infinite slope they took
-        # 100 and 54 of the call's 216 pivot scans.
-        scans, per_refinement = [], []
-        scan, refine = numeric._scan, numeric._refine
-
-        def counting_scan(rows, sigma):
-            scans.append(sigma)
-            return scan(rows, sigma)
-
-        def counting_refine(*args):
-            before = len(scans)
-            value = refine(*args)
-            per_refinement.append(len(scans) - before)
-            return value
-
-        monkeypatch.setattr(numeric, "_scan", counting_scan)
-        monkeypatch.setattr(numeric, "_refine", counting_refine)
-        ev = galerkin_spectrum(10, -2)
-        assert len(scans) < 216 and max(per_refinement) < 100
-        for m, value in enumerate(ev, start=2):
+    def test_eigenvalue_zero_is_found(self):
+        # galerkin_spectrum(10, -2) has the eigenvalue 0 (m = 2), where a bound
+        # relative to the eigenvalue cannot stop a search.
+        for m, value in enumerate(galerkin_spectrum(10, -2), start=2):
             assert abs(value - (m * (m - 1) - 2)) <= 1e-13 * max(1, m * (m - 1) - 2)
-        # Odd-order rules with alpha = beta have the node 0.
-        per_refinement.clear()
-        for order in (1, 5, 11, 41):
-            rule = gauss_jacobi(order, 0.5, 0.5)
-            assert abs(rule.nodes[order // 2]) <= 1e-15
-        assert max(per_refinement) < 100
 
-    def test_eigenvalue_on_a_split_point_takes_few_scans(self, monkeypatch):
-        # solve_galerkin splits the symmetric bracket of an odd-order rule with
-        # alpha = beta at 0 first, so the middle node's bracket starts at the
-        # node itself and every Newton step from above lands at or below it.
-        # That refinement bisected down to its stop floor: 52 pivot scans for
-        # the node 0 of the order-3 Legendre rule, against 5 and 6 for the others.
-        scans, per_index = [], {}
-        scan, refine = numeric._scan, numeric._refine
+    @pytest.mark.parametrize("order", [1, 3, 5, 11, 41])
+    @pytest.mark.parametrize("a", [0.0, 0.5])
+    def test_symmetric_rule_has_the_middle_node_zero(self, order, a):
+        # Odd-order rules with alpha = beta have the node 0, where the first
+        # pivot of the recurrence matrix is exactly zero.
+        assert gauss_jacobi(order, a, a).nodes[order // 2] == 0.0
 
-        def counting_scan(rows, sigma):
-            scans.append(sigma)
-            return scan(rows, sigma)
+    def test_count_budget_per_eigenvalue(self, monkeypatch):
+        # Each eigenvalue is one bisection between the previous eigenvalue and
+        # the bracket, down to adjacent floats: 56 pivot counts on average at
+        # size 200, with the counts that find the bracket left out.
+        counts, bisections = [0], []
+        count, bisect = numeric._count, numeric.sign_change
 
-        def counting_refine(rows, lo, hi, index):
-            before = len(scans)
-            value = refine(rows, lo, hi, index)
-            per_index[index] = len(scans) - before
+        def counting(rows, sigma):
+            counts[0] += 1
+            return count(rows, sigma)
+
+        def bisecting(fn, lo, hi):
+            before = counts[0]
+            value = bisect(fn, lo, hi)
+            bisections.append(counts[0] - before)
             return value
 
-        monkeypatch.setattr(numeric, "_scan", counting_scan)
-        monkeypatch.setattr(numeric, "_refine", counting_refine)
-        rule = gauss_jacobi(3, 0.0, 0.0)
-        assert rule.nodes[1] == 0.0
-        assert per_index[1] <= 10 and per_index[0] <= 10 and per_index[2] <= 10
-        # 1897 scans before the change; the split-point test must not add any.
-        scans.clear()
-        galerkin_spectrum(200, Fraction(7, 3))
-        assert len(scans) <= 1897
+        monkeypatch.setattr(numeric, "_count", counting)
+        monkeypatch.setattr(numeric, "sign_change", bisecting)
+        assert len(galerkin_spectrum(200, Fraction(7, 3))) == len(bisections) == 200
+        assert sum(bisections) <= 64 * 200
 
-    def test_zero_pivot_before_the_last_row_gives_a_nan_slope(self, monkeypatch):
-        # The order-3 Legendre rows have the eigenvalue 0, where the first pivot
-        # is exactly zero: the scan counts one eigenvalue below and its slope is
-        # NaN, which _refine treats as not finite, so the node is still exactly 0.
-        seen, scan = [], numeric._scan
+    def test_zero_pivot_counts_as_an_eigenvalue_at_sigma(self, monkeypatch):
+        # The order-3 rule for alpha = beta = 1/2 has the node sqrt(1/2), and its
+        # second pivot is exactly zero at sigma = 0.5: taken as just below zero,
+        # it leaves the third pivot positive, so 0.5 sits between two nodes.  Taken
+        # as just above zero, it would count a third node at 0.5.
+        seen, count = [], numeric._count
 
-        def recording_scan(rows, sigma):
+        def recording(rows, sigma):
             seen.append(rows)
-            return scan(rows, sigma)
+            return count(rows, sigma)
 
-        monkeypatch.setattr(numeric, "_scan", recording_scan)
-        assert gauss_jacobi(3, 0.0, 0.0).nodes[1] == 0.0
-        count, slope = scan(seen[0], 0.0)
-        assert count == 1 and math.isnan(slope)
+        monkeypatch.setattr(numeric, "_count", recording)
+        rule = gauss_jacobi(3, 0.5, 0.5)
+        assert abs(rule.nodes[2] - math.sqrt(0.5)) <= 1e-15
+        rows = seen[0]
+        assert count(rows, 0.5) == count(rows, math.nextafter(0.5, 1.0)) == 2
 
     @pytest.mark.parametrize("size", [2, 3, 12, 64, 200])
     @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
@@ -484,11 +460,28 @@ class TestGalerkin:
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 12, 63, 64, 199, 200])
     @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
     def test_eigenvalues_match_dense_oracle(self, size, k):
+        # A against the oracle's own assembly; A, T and B16 (the most badly scaled
+        # pencil) against the dense eigensolve of the very bands solve_galerkin
+        # reads, which tells solver error from assembly error.
         ev = galerkin_spectrum(size, k)
         reference = solve_galerkin_dense(*galerkin_system_dense(size, k))
         assert len(ev) == len(reference) == size
         for value, expected in zip(ev, reference):
             assert abs(value - expected) <= 1e-10 * abs(expected)
+        for chain in ((), (0,), (k,) * 16):
+            dense = [np.zeros((size, size)) for _ in range(2)]
+            for parity, block in enumerate(galerkin_system(size, k, chain)):
+                for matrix, diag, off in zip(dense, block[::2], block[1::2]):
+                    for r, value in enumerate(diag):
+                        matrix[parity + 2 * r, parity + 2 * r] = value
+                    for r, value in enumerate(off):
+                        i = parity + 2 * r
+                        matrix[i, i + 2] = matrix[i + 2, i] = value
+            ev = galerkin_spectrum(size, k, chain)
+            reference = solve_galerkin_dense(*dense)
+            assert len(ev) == len(reference) == size
+            for value, expected in zip(ev, reference):
+                assert abs(value - expected) <= 1e-10 * abs(expected), chain
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 12, 63, 64, 199, 200])
     @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
