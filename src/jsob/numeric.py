@@ -2,7 +2,8 @@
 reproduction of the weighted-space spectrum.
 
 Everything exact lives elsewhere; apart from the float checks of jsob.checks,
-this module is where doubles are allowed, in pure Python.  The Galerkin
+this module is where doubles are allowed, in pure Python (chel's tables are
+array('d'), imported on first use).  The Galerkin
 discretization on the basis (1 - x^2) P_i (Legendre P_i) builds each pencil by
 left-definite band steps from the closed-form weighted-L2 Gram matrix and
 solves its two tridiagonal halves by sign bisection on Sturm counts.  Gauss-Jacobi
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .algebra import as_fraction
@@ -155,37 +158,36 @@ def _value(fn: Callable[[float], float], x: float) -> float:
         raise NonFiniteIntegral(f"integrand not finite at x = {x}") from exc
 
 
-def _cell_integral(fn, x0: float, x1: float, f0: float, f1: float) -> float:
-    """Lobatto integral of fn between x0 and x1 (either order), given f0 = fn(x0)
-    and f1 = fn(x1).  NonFiniteIntegral if it is not finite (as when fn is not
-    finite at any node: every weight is positive), exceeds _CELL_LIMIT, or is off
-    the Simpson value by more than _CELL_DISAGREEMENT * max(1, |integral|)."""
-    d = x1 - x0
-    f_mid = _value(fn, x0 + 0.5 * d)
-    f_sides = _value(fn, x0 + _LOBATTO_INNER * d) + _value(fn, x1 - _LOBATTO_INNER * d)
-    lobatto = abs(d) * (_W_END * (f0 + f1) + _W_SIDE * f_sides + _W_MID * f_mid)
-    if not math.isfinite(lobatto) or abs(lobatto) > _CELL_LIMIT:
-        raise NonFiniteIntegral(f"integral on [{x0}, {x1}] is not finite")
-    simpson = abs(d) / 6.0 * (f0 + 4.0 * f_mid + f1)
-    if abs(lobatto - simpson) > _CELL_DISAGREEMENT * max(1.0, abs(lobatto)):
-        raise NonFiniteIntegral(f"integral on [{x0}, {x1}] is not resolved")
-    return lobatto
-
-
-def _running_integrals(fn: Callable[[float], float], xs: list[float]) -> list[float]:
-    """Integrals of fn from xs[0] to each point of xs, one cell rule per step,
-    summed with Neumaier's compensation (A. Neumaier, ZAMM 54, 1974): carry
-    collects the rounding error of each addition."""
-    totals, total, carry = [0.0], 0.0, 0.0
-    f0 = _value(fn, xs[0])
-    for x0, x1 in zip(xs, xs[1:]):
-        f1 = _value(fn, x1)
-        cell = _cell_integral(fn, x0, x1, f0, f1)
-        new = total + cell
-        carry += (total - new) + cell if abs(total) >= abs(cell) else (cell - new) + total
-        total = new
-        totals.append(total + carry)
-        f0 = f1
+def _running_integrals(fn: Callable[[float], float], points, values):
+    """Integrals of fn from the first of points to each of them, given fn's values
+    at the points: one Lobatto rule per cell, summed with Neumaier's compensation
+    (A. Neumaier, ZAMM 54, 1974; carry collects each addition's rounding error).
+    NonFiniteIntegral names the node x at which fn raises, or a cell whose integral
+    is not finite (every weight is positive), exceeds _CELL_LIMIT, or is off the
+    Simpson value by more than _CELL_DISAGREEMENT * max(1, |integral|)."""
+    from array import array
+    points, values = iter(points), iter(values)
+    totals, total, carry = array("d", [0.0]), 0.0, 0.0
+    try:
+        x0 = x = next(points)
+        f0 = next(values)
+        for x in points:
+            x1, f1, d = x, next(values), x - x0
+            f_mid = fn(x := x0 + 0.5 * d)
+            f_sides = fn(x := x0 + _LOBATTO_INNER * d) + fn(x := x1 - _LOBATTO_INNER * d)
+            cell = abs(d) * (_W_END * (f0 + f1) + _W_SIDE * f_sides + _W_MID * f_mid)
+            if not math.isfinite(cell) or abs(cell) > _CELL_LIMIT:
+                raise NonFiniteIntegral(f"integral on [{x0}, {x1}] is not finite")
+            simpson = abs(d) / 6.0 * (f0 + 4.0 * f_mid + f1)
+            if abs(cell - simpson) > _CELL_DISAGREEMENT * max(1.0, abs(cell)):
+                raise NonFiniteIntegral(f"integral on [{x0}, {x1}] is not resolved")
+            new = total + cell
+            carry += (total - new) + cell if abs(total) >= abs(cell) else (cell - new) + total
+            total = new
+            totals.append(total + carry)
+            x0, f0 = x1, f1
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise NonFiniteIntegral(f"integrand not finite at x = {x}") from exc
     return totals
 
 
@@ -193,8 +195,11 @@ def sign_change(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Where fn turns from positive to nonpositive on [lo, hi], by bisection on its
     sign until no float lies between the bracket's ends; the upper end is returned.
     The ends themselves are never evaluated.  For a step function it is the first
-    float at which fn is nonpositive."""
-    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+    float at which fn is nonpositive.  A bracket around 0 is split at 0.0, one with
+    an end at 0.0 at the subnormal next to it: 0 is a common root, and halving
+    toward it takes about 1075 steps to reach adjacent floats."""
+    while lo < (mid := (0.0 if lo < 0.0 < hi else 5e-324 if lo == 0.0 else
+                        -5e-324 if hi == 0.0 else 0.5 * lo + 0.5 * hi)) < hi:
         lo, hi = (mid, hi) if fn(mid) > 0.0 else (lo, mid)
     return hi
 
@@ -203,31 +208,36 @@ def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
     """(K, argmax): the boundedness constant and where K(x) attains it.
 
     K(x)^2 = F(x) G(x), F = int_a^x phi and G = int_x^b psi, is tabulated on a
-    uniform grid by running sums of one closed Gauss-Lobatto rule per cell, at a
-    fixed cost per cell.  K^2 is flat to rounding at its maximum, so the best
-    cell is refined on the sign of the derivative phi G - psi F, which crosses
-    zero linearly, with the same rule, to the last bit.  Divergent or unresolved
+    uniform grid by running sums of one closed Gauss-Lobatto rule per cell, four
+    integrand calls a cell, into arrays of doubles (32 bytes a grid point).  K^2
+    is flat to rounding at its maximum, so the best cell is refined on the sign
+    of the derivative phi G - psi F, which crosses zero linearly, with the same
+    running sums on its two halves, to the last bit.  Divergent or unresolved
     tails surface as NonFiniteIntegral (the operators are unbounded exactly when
     K is infinite).
     """
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
+    from array import array
     a, b, phi, psi = instance.a, instance.b, instance.phi, instance.psi
-    xs = [a + (b - a) * i / grid_size for i in range(grid_size + 1)]
+    xs = array("d", (a + (b - a) * i / grid_size for i in range(grid_size + 1)))
 
-    # front[i] = int_a^x_i phi, back[i] = int_x_i^b psi; back[0] is unused.
-    front = _running_integrals(phi, xs[:grid_size])
-    back = [0.0, *reversed(_running_integrals(psi, xs[:0:-1]))]
+    # front[i] = int_a^x_i phi and back[j] = int_x_(grid_size-j)^b psi, i, j < grid_size.
+    up, down = (lambda: islice(xs, grid_size)), (lambda: islice(reversed(xs), grid_size))
+    front = _running_integrals(phi, up(), map(phi, up()))
+    back = _running_integrals(psi, down(), map(psi, down()))
 
-    best = max(range(1, grid_size), key=lambda i: front[i] * back[i])
+    # products[i - 1] = K(x_i)^2 for 0 < i < grid_size; index returns the first maximum.
+    products = array("d", map(mul, islice(front, 1, None), reversed(back)))
+    best = products.index(max(products)) + 1
     lo, hi = xs[best - 1], xs[best + 1]
-    front_anchor, back_anchor = front[best - 1], back[best + 1]
+    front_anchor, back_anchor = front[best - 1], back[grid_size - best - 1]
     phi_lo, psi_hi = _value(phi, lo), _value(psi, hi)
 
     def slope_and_k_squared(x: float) -> tuple[float, float]:
         f, g = _value(phi, x), _value(psi, x)
-        left = front_anchor + _cell_integral(phi, lo, x, phi_lo, f)
-        right = back_anchor + _cell_integral(psi, x, hi, g, psi_hi)
+        left = front_anchor + _running_integrals(phi, (lo, x), (phi_lo, f))[1]
+        right = back_anchor + _running_integrals(psi, (x, hi), (g, psi_hi))[1]
         return f * right - g * left, left * right
 
     x_star = sign_change(lambda x: slope_and_k_squared(x)[0], lo, hi)

@@ -7,11 +7,12 @@ the classical family is rebuilt from its three-term recurrence and from the
 explicit binomial sum; Jacobi-Stirling numbers come from their alternating
 sum; weighted integrals and bilinear forms are recomputed from a term-by-term
 antiderivative of the product polynomial; the boundedness constant comes from
-per-cell adaptive Simpson quadrature and golden-section search; the Galerkin
-pencil is assembled as dense matrices by Gauss-Legendre quadrature and solved
-by Cholesky and a dense symmetric eigensolver, and Gauss-Jacobi rules take
-their nodes and weights from the eigenvalues and eigenvectors of the dense
-Jacobi matrix (numpy).
+per-cell adaptive Simpson quadrature and golden-section search, and from
+chel_K's former tabulation on lists of floats with one cell-rule call per
+cell; the Galerkin pencil is assembled as dense matrices by Gauss-Legendre
+quadrature and solved by Cholesky and a dense symmetric eigensolver, and
+Gauss-Jacobi rules take their nodes and weights from the eigenvalues and
+eigenvectors of the dense Jacobi matrix (numpy).
 """
 
 import math
@@ -20,9 +21,17 @@ from math import factorial
 
 from jsob.algebra import Polynomial, as_fraction
 from jsob.numeric import (
+    _CELL_DISAGREEMENT,
+    _CELL_LIMIT,
+    _LOBATTO_INNER,
+    _W_END,
+    _W_MID,
+    _W_SIDE,
     MassNotPositiveDefinite,
     NonFiniteIntegral,
     QuadratureRule,
+    _value,
+    sign_change,
 )
 
 # rows j = 0..8, columns n = 0..8
@@ -278,6 +287,68 @@ def chel_K_by_adaptive_simpson(instance, grid_size: int) -> tuple[float, float]:
 
     x_star = golden_section_max(k_squared, lo, hi, 1e-12 * max(1.0, abs(b - a)))
     return math.sqrt(k_squared(x_star)), x_star
+
+
+def _cell_integral(fn, x0: float, x1: float, f0: float, f1: float) -> float:
+    """Lobatto integral of fn between x0 and x1 (either order), given f0 = fn(x0)
+    and f1 = fn(x1).  NonFiniteIntegral if it is not finite (as when fn is not
+    finite at any node: every weight is positive), exceeds _CELL_LIMIT, or is off
+    the Simpson value by more than _CELL_DISAGREEMENT * max(1, |integral|)."""
+    d = x1 - x0
+    f_mid = _value(fn, x0 + 0.5 * d)
+    f_sides = _value(fn, x0 + _LOBATTO_INNER * d) + _value(fn, x1 - _LOBATTO_INNER * d)
+    lobatto = abs(d) * (_W_END * (f0 + f1) + _W_SIDE * f_sides + _W_MID * f_mid)
+    if not math.isfinite(lobatto) or abs(lobatto) > _CELL_LIMIT:
+        raise NonFiniteIntegral(f"integral on [{x0}, {x1}] is not finite")
+    simpson = abs(d) / 6.0 * (f0 + 4.0 * f_mid + f1)
+    if abs(lobatto - simpson) > _CELL_DISAGREEMENT * max(1.0, abs(lobatto)):
+        raise NonFiniteIntegral(f"integral on [{x0}, {x1}] is not resolved")
+    return lobatto
+
+
+def _running_integrals(fn, xs: list[float]) -> list[float]:
+    """Integrals of fn from xs[0] to each point of xs, one cell rule per step,
+    summed with Neumaier's compensation (A. Neumaier, ZAMM 54, 1974): carry
+    collects the rounding error of each addition."""
+    totals, total, carry = [0.0], 0.0, 0.0
+    f0 = _value(fn, xs[0])
+    for x0, x1 in zip(xs, xs[1:]):
+        f1 = _value(fn, x1)
+        cell = _cell_integral(fn, x0, x1, f0, f1)
+        new = total + cell
+        carry += (total - new) + cell if abs(total) >= abs(cell) else (cell - new) + total
+        total = new
+        totals.append(total + carry)
+        f0 = f1
+    return totals
+
+
+def chel_K_by_lists(instance, grid_size: int) -> tuple[float, float]:
+    """(K, argmax) as chel_K computed it on lists of Python floats, with one
+    call of _cell_integral per cell: the same nodes, operations and integrand
+    calls, so it must agree with chel_K bit for bit."""
+    if grid_size < 1000:
+        raise ValueError("grid_size must be at least 1000")
+    a, b, phi, psi = instance.a, instance.b, instance.phi, instance.psi
+    xs = [a + (b - a) * i / grid_size for i in range(grid_size + 1)]
+
+    # front[i] = int_a^x_i phi, back[i] = int_x_i^b psi; back[0] is unused.
+    front = _running_integrals(phi, xs[:grid_size])
+    back = [0.0, *reversed(_running_integrals(psi, xs[:0:-1]))]
+
+    best = max(range(1, grid_size), key=lambda i: front[i] * back[i])
+    lo, hi = xs[best - 1], xs[best + 1]
+    front_anchor, back_anchor = front[best - 1], back[best + 1]
+    phi_lo, psi_hi = _value(phi, lo), _value(psi, hi)
+
+    def slope_and_k_squared(x: float) -> tuple[float, float]:
+        f, g = _value(phi, x), _value(psi, x)
+        left = front_anchor + _cell_integral(phi, lo, x, phi_lo, f)
+        right = back_anchor + _cell_integral(psi, x, hi, g, psi_hi)
+        return f * right - g * left, left * right
+
+    x_star = sign_change(lambda x: slope_and_k_squared(x)[0], lo, hi)
+    return math.sqrt(slope_and_k_squared(x_star)[1]), x_star
 
 
 def galerkin_system_dense(size: int, k):

@@ -741,14 +741,14 @@ class TestSubprocessEntry:
         assert proc.returncode == 0, proc.stderr
 
     def test_start_up_skips_dataclasses_json_and_csv(self):
-        # Only chel needs dataclasses (and with it inspect); json and csv load
-        # only to render those formats or to read and write the cache.
+        # Only chel needs dataclasses (and with it inspect) and array; json and
+        # csv load only to render those formats or to read and write the cache.
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         env.pop("PYTHONDONTWRITEBYTECODE", None)  # else every jsob import recompiles
         code = (
             "import sys\n"
             "bare = set(sys.modules)\n"
-            "added = lambda: {'dataclasses', 'inspect', 'json', 'csv'} & (set(sys.modules) - bare)\n"
+            "added = lambda: {'dataclasses', 'inspect', 'json', 'csv', 'array'} & (set(sys.modules) - bare)\n"
             "import jsob.cli as cli\n"
             "cli.build_parser()\n"
             "assert not added(), ('import', added())\n"

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -26,6 +27,7 @@ from jsob.numeric import (
 from jsob.operators import Classical, LeftDefinite, SobolevPhi, _pairing_values
 from reference_data import (
     chel_K_by_adaptive_simpson,
+    chel_K_by_lists,
     galerkin_system_dense,
     gauss_jacobi_by_eigh,
     solve_galerkin_dense,
@@ -282,6 +284,66 @@ class TestChel:
         with pytest.raises(ValueError):
             chel_preset("nope")
 
+    @pytest.mark.parametrize(
+        "name, grid",
+        [(name, grid) for name in ("dirichlet", "w1v1", "unit")
+         for grid in (1000, 4000, 26000, 100000)] + [("smooth", 4000)],
+    )
+    def test_matches_list_oracle_bit_for_bit(self, name, grid):
+        # Same nodes, operation order and integrand calls as the list-based
+        # tabulation with one _cell_integral call per cell.
+        if name == "smooth":
+            instance = ChelInstance(name, math.exp, math.cos, 0.0, 1.5)
+        else:
+            instance = chel_preset(name)
+        results, counts = [], []
+        for chel in (chel_K, chel_K_by_lists):
+            calls = [0]
+
+            def counted(fn):
+                def wrapper(t):
+                    calls[0] += 1
+                    return fn(t)
+
+                return wrapper
+
+            counted_instance = ChelInstance(
+                name, counted(instance.phi), counted(instance.psi), instance.a, instance.b
+            )
+            results.append(chel(counted_instance, grid))
+            counts.append(calls[0])
+        assert results[0] == results[1]
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("chel", [chel_K, chel_K_by_lists], ids=["arrays", "lists"])
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            lambda t: 1.0 / (1.0 - t) ** 2,  # divergent tail
+            lambda t: (1.0 - t) ** -0.5,  # integrable, but evaluated at t = 1
+            lambda t: 1.0 / (1.0 + 1e-9 - t),  # Simpson and Lobatto disagree
+            lambda t: 1e16,  # a cell integral above 1e12
+        ],
+        ids=["divergent", "singular-endpoint", "unresolved", "huge"],
+    )
+    def test_both_kernels_raise(self, chel, psi):
+        instance = ChelInstance(name="bad", phi=lambda t: 1.0, psi=psi, a=0.0, b=1.0)
+        with pytest.raises(NonFiniteIntegral):
+            chel(instance, 1000)
+
+    def test_memory_per_grid_point(self):
+        # The grid, both running integrals and the products are arrays of
+        # doubles: 32 bytes a point, against 114 for lists of Python floats.
+        preset, grid = chel_preset("dirichlet"), 32000
+        chel_K(preset, 1000)  # imports done before tracing
+        tracemalloc.start()
+        try:
+            chel_K(preset, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * grid
+
 
 class TestGalerkin:
     def test_spectrum_recovery_k0(self):
@@ -419,6 +481,32 @@ class TestGalerkin:
         monkeypatch.setattr(numeric, "sign_change", bisecting)
         assert len(galerkin_spectrum(200, Fraction(7, 3))) == len(bisections) == 200
         assert sum(bisections) <= 64 * 200
+
+    @pytest.mark.parametrize(
+        "solve", [lambda: galerkin_spectrum(10, -2), lambda: gauss_jacobi(41, 0.5, 0.5).nodes],
+        ids=["eigenvalue-zero", "middle-node"],
+    )
+    def test_count_budget_at_zero(self, monkeypatch, solve):
+        # A bracket around 0 is split at 0.0, so an eigenvalue at exactly 0
+        # costs no more than any other, not about 1080 halvings toward 0.
+        counts, at_zero = [0], []
+        count, bisect = numeric._count, numeric.sign_change
+
+        def counting(rows, sigma):
+            counts[0] += 1
+            return count(rows, sigma)
+
+        def bisecting(fn, lo, hi):
+            before = counts[0]
+            value = bisect(fn, lo, hi)
+            if value == 0.0:
+                at_zero.append(counts[0] - before)
+            return value
+
+        monkeypatch.setattr(numeric, "_count", counting)
+        monkeypatch.setattr(numeric, "sign_change", bisecting)
+        assert 0.0 in solve()
+        assert len(at_zero) == 1 and at_zero[0] <= 64
 
     def test_zero_pivot_counts_as_an_eigenvalue_at_sigma(self, monkeypatch):
         # The order-3 rule for alpha = beta = 1/2 has the node sqrt(1/2), and its
