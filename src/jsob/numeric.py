@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from operator import mul
 from typing import Callable, NamedTuple
 
 from .algebra import as_fraction
@@ -195,11 +194,8 @@ def sign_change(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Where fn turns from positive to nonpositive on [lo, hi], by bisection on its
     sign until no float lies between the bracket's ends; the upper end is returned.
     The ends themselves are never evaluated.  For a step function it is the first
-    float at which fn is nonpositive.  A bracket around 0 is split at 0.0, one with
-    an end at 0.0 at the subnormal next to it: 0 is a common root, and halving
-    toward it takes about 1075 steps to reach adjacent floats."""
-    while lo < (mid := (0.0 if lo < 0.0 < hi else 5e-324 if lo == 0.0 else
-                        -5e-324 if hi == 0.0 else 0.5 * lo + 0.5 * hi)) < hi:
+    float at which fn is nonpositive."""
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
         lo, hi = (mid, hi) if fn(mid) > 0.0 else (lo, mid)
     return hi
 
@@ -209,7 +205,7 @@ def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
 
     K(x)^2 = F(x) G(x), F = int_a^x phi and G = int_x^b psi, is tabulated on a
     uniform grid by running sums of one closed Gauss-Lobatto rule per cell, four
-    integrand calls a cell, into arrays of doubles (32 bytes a grid point).  K^2
+    integrand calls a cell, into arrays of doubles (24 bytes a grid point).  K^2
     is flat to rounding at its maximum, so the best cell is refined on the sign
     of the derivative phi G - psi F, which crosses zero linearly, with the same
     running sums on its two halves, to the last bit.  Divergent or unresolved
@@ -227,9 +223,7 @@ def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
     front = _running_integrals(phi, up(), map(phi, up()))
     back = _running_integrals(psi, down(), map(psi, down()))
 
-    # products[i - 1] = K(x_i)^2 for 0 < i < grid_size; index returns the first maximum.
-    products = array("d", map(mul, islice(front, 1, None), reversed(back)))
-    best = products.index(max(products)) + 1
+    best = max(range(1, grid_size), key=lambda i: front[i] * back[grid_size - i])
     lo, hi = xs[best - 1], xs[best + 1]
     front_anchor, back_anchor = front[best - 1], back[grid_size - best - 1]
     phi_lo, psi_hi = _value(phi, lo), _value(psi, hi)
