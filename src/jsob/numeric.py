@@ -163,27 +163,35 @@ def _running_integrals(fn: Callable[[float], float], points, values):
     (A. Neumaier, ZAMM 54, 1974; carry collects each addition's rounding error).
     NonFiniteIntegral names the node x at which fn raises, or a cell whose integral
     is not finite (every weight is positive), exceeds _CELL_LIMIT, or is off the
-    Simpson value by more than _CELL_DISAGREEMENT * max(1, |integral|)."""
+    Simpson value by more than _CELL_DISAGREEMENT * max(1, |integral|).  Apart from
+    fn, next and append, the loop makes no call: each absolute value is a sign test."""
     from array import array
     points, values = iter(points), iter(values)
     totals, total, carry = array("d", [0.0]), 0.0, 0.0
+    append, inner, limit, tol = totals.append, _LOBATTO_INNER, _CELL_LIMIT, _CELL_DISAGREEMENT
     try:
         x0 = x = next(points)
         f0 = next(values)
         for x in points:
             x1, f1, d = x, next(values), x - x0
+            h = d if d >= 0.0 else -d
             f_mid = fn(x := x0 + 0.5 * d)
-            f_sides = fn(x := x0 + _LOBATTO_INNER * d) + fn(x := x1 - _LOBATTO_INNER * d)
-            cell = abs(d) * (_W_END * (f0 + f1) + _W_SIDE * f_sides + _W_MID * f_mid)
-            if not math.isfinite(cell) or abs(cell) > _CELL_LIMIT:
+            f_sides = fn(x := x0 + inner * d) + fn(x := x1 - inner * d)
+            cell = h * (_W_END * (f0 + f1) + _W_SIDE * f_sides + _W_MID * f_mid)
+            if not -limit <= cell <= limit:  # NaN fails both comparisons
                 raise NonFiniteIntegral(f"integral on [{x0}, {x1}] is not finite")
-            simpson = abs(d) / 6.0 * (f0 + 4.0 * f_mid + f1)
-            if abs(cell - simpson) > _CELL_DISAGREEMENT * max(1.0, abs(cell)):
+            size = cell if cell >= 0.0 else -cell
+            off = cell - h / 6.0 * (f0 + 4.0 * f_mid + f1)
+            off = off if off >= 0.0 else -off
+            if off > tol and off > tol * size:
                 raise NonFiniteIntegral(f"integral on [{x0}, {x1}] is not resolved")
             new = total + cell
-            carry += (total - new) + cell if abs(total) >= abs(cell) else (cell - new) + total
+            if (total if total >= 0.0 else -total) >= size:
+                carry += (total - new) + cell
+            else:
+                carry += (cell - new) + total
             total = new
-            totals.append(total + carry)
+            append(total + carry)
             x0, f0 = x1, f1
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise NonFiniteIntegral(f"integrand not finite at x = {x}") from exc

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -287,13 +288,26 @@ class TestChel:
     @pytest.mark.parametrize(
         "name, grid",
         [(name, grid) for name in ("dirichlet", "w1v1", "unit")
-         for grid in (1000, 4000, 26000, 100000)] + [("smooth", 4000)],
+         for grid in (1000, 4000, 26000, 100000)] + [("smooth", 4000)]
+        + [(name, grid) for name in ("signed", "gap", "small") for grid in (1000, 4000)],
     )
     def test_matches_list_oracle_bit_for_bit(self, name, grid):
         # Same nodes, operation order and integrand calls as the list-based
-        # tabulation with one _cell_integral call per cell.
-        if name == "smooth":
-            instance = ChelInstance(name, math.exp, math.cos, 0.0, 1.5)
+        # tabulation with one _cell_integral call per cell.  ``signed`` has
+        # negative cells on its back pass (cos < 0 past pi/2), where Neumaier's
+        # carry takes its |total| < |cell| branch; the last cell of ``gap``,
+        # about 69.3, is off Simpson by about 0.13, between 1e-2 and
+        # 1e-2 * |cell|, so the disagreement check needs its max(1, |cell|);
+        # at grid 1000 ``small`` is the converse, a last cell of about 0.09
+        # off by about 0.0065.
+        custom = {
+            "smooth": (math.exp, math.cos, 0.0, 1.5),
+            "signed": (math.exp, math.cos, 0.0, 3.0),
+            "gap": (lambda t: 1.0, lambda t: 100.0 / (1.001 - t), 0.0, 1.0),
+            "small": (lambda t: 1.0, lambda t: 0.05 / (1.0002 - t), 0.0, 1.0),
+        }
+        if name in custom:
+            instance = ChelInstance(name, *custom[name])
         else:
             instance = chel_preset(name)
         results, counts = [], []
@@ -324,8 +338,10 @@ class TestChel:
             lambda t: 1e16,  # a cell integral above 1e12
             # raises only near 0.5005, the middle node of the cell [0.5, 0.501]
             lambda t: math.sqrt(abs(t - 0.5005) - 1e-6),
+            lambda t: math.nan,
+            lambda t: math.inf,
         ],
-        ids=["divergent", "singular-endpoint", "unresolved", "huge", "inner-node"],
+        ids=["divergent", "singular-endpoint", "unresolved", "huge", "inner-node", "nan", "inf"],
     )
     def test_both_kernels_raise(self, psi):
         instance = ChelInstance(name="bad", phi=lambda t: 1.0, psi=psi, a=0.0, b=1.0)
@@ -348,6 +364,32 @@ class TestChel:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * grid
+
+    def test_cell_loop_calls(self):
+        # A cost guard without timing: per cell the loop calls the integrand
+        # three times and map calls it once more; its only builtin calls are
+        # next(values) and totals.append, because abs, max and math.isfinite
+        # there would cost a third of the tabulation.
+        cells = 100
+        fn = lambda t: 1.0 / (2.0 - t)  # noqa: E731
+        points = [i / cells for i in range(cells + 1)]
+        loop = numeric._running_integrals.__code__
+        events = {"call": 0, "c_call": 0}
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is fn.__code__:
+                events["call"] += 1
+            elif event == "c_call" and frame.f_code is loop:
+                events["c_call"] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            numeric._running_integrals(fn, points, map(fn, points))
+        finally:
+            sys.setprofile(previous)
+        assert events["call"] == 4 * cells + 1
+        assert events["c_call"] <= 2 * cells + 10
 
 
 class TestGalerkin:
