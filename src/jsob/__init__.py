@@ -4,8 +4,8 @@ Constructs the family in its reference, weighted-L2-orthonormal, and
 Sobolev-orthonormal normalizations, the Jacobi-Stirling combinatorics behind
 the composite powers of the differential expression, the classical / Sobolev /
 left-definite inner products with exact Gram matrices and operator spectra,
-and a floating-point layer (quadrature, Galerkin eigenvalues, boundedness
-constants).  The checks that ``jsob verify`` runs live in ``jsob.checks``.
+and a floating-point layer (Galerkin eigenvalues, boundedness constants).
+The checks that ``jsob verify`` runs live in ``jsob.checks``.
 """
 
 from .algebra import (
@@ -49,12 +49,10 @@ from .operators import (
 from .numeric import (
     MassNotPositiveDefinite,
     NonFiniteIntegral,
-    QuadratureRule,
     chel_K,
     chel_preset,
     galerkin_spectrum,
     galerkin_system,
-    gauss_jacobi,
 )
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .jacobi import (
     UndefinedNormalization,
     jacobi_family,
 )
-from .numeric import chel_K, chel_preset, galerkin_spectrum, gauss_jacobi, sign_change
+from .numeric import chel_K, chel_preset, galerkin_spectrum, sign_change
 from .operators import (
     Classical,
     LeftDefinite,
@@ -209,39 +209,36 @@ def verify_dirichlet_identity(
     return (lhs - rhs).is_zero
 
 
-def knorm_crosscheck(n: int, alpha: float, beta: float) -> float:
-    """|quadrature norm of the Gamma-normalized reference polynomial - 1|.
+def jacobi_moments_check(params: JacobiParams, max_degree: int) -> bool:
+    """Exact check of the reference members P_n, n <= max_degree, against the
+    normalized moments mu_m = int x^m w / int w of w = (1-x)^a (1+x)^b, a, b > -1.
 
-    The reference polynomial is expanded exactly at the rational images of the
-    float parameters, its squared normalization constant comes from the float
-    Gamma closed form (< 1e-12 relative error), and the squared norm is
-    evaluated by a Gauss-Jacobi rule matched to the weight.  Small output
-    certifies that the two normalization routes agree.
+    Integrating d/dx [x^m (1-x)^(a+1) (1+x)^(b+1)] over (-1, 1) gives
+    (m + a + b + 2) mu_{m+1} = (b - a) mu_m + m mu_{m-1}, mu_0 = 1.  With c_i the
+    coefficients of P_n, sum_i c_i mu_{i+j} must vanish for j < n, and
+    c_n sum_i c_i mu_{i+n} = h_n / h_0 must equal (DLMF 18.3.1)
+    (a+1)_n (b+1)_n / ((2n+a+b+1) n! (a+b+2)_{n-1}) for n >= 1, which stays
+    finite when a + b + 1 = 0.
     """
-    if not (alpha > -1 and beta > -1):
+    a, b = params.alpha, params.beta
+    if not (a > -1 and b > -1):
         raise ValueError("parameters must exceed -1")
-    params = JacobiParams(Fraction(alpha), Fraction(beta))
-    poly = jacobi_family(n, params, Normalization.REFERENCE).poly
-    if n == 0:
-        # (alpha+beta+1) Gamma(alpha+beta+1) folded into Gamma(alpha+beta+2),
-        # which stays finite when alpha + beta + 1 = 0.
-        scale_sq = math.gamma(alpha + beta + 2) / (
-            2.0 ** (alpha + beta + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1)
-        )
-    else:
-        scale_sq = (
-            math.factorial(n)
-            * (1 + alpha + beta + 2 * n)
-            * math.gamma(alpha + beta + n + 1)
-            / (
-                2.0 ** (alpha + beta + 1)
-                * math.gamma(alpha + n + 1)
-                * math.gamma(beta + n + 1)
-            )
-        )
-    rule = gauss_jacobi(n + 5, alpha, beta)
-    norm_sq = rule.integrate(lambda x: float(poly(x)) ** 2)
-    return abs(scale_sq * norm_sq - 1.0)
+    mu = [Fraction(1)]
+    for m in range(2 * max_degree):  # at m = 0 the term m mu_{m-1} is zero
+        mu.append(((b - a) * mu[m] + m * mu[m - 1]) / (m + a + b + 2))
+    scale = math.lcm(*(v.denominator for v in mu))
+    moments = [v.numerator * (scale // v.denominator) for v in mu]  # scale * mu_m, integers
+    rising = Fraction(1)  # (a+1)_n (b+1)_n / (n! (a+b+2)_{n-1})
+    for n in range(max_degree + 1):
+        if n:
+            rising *= (a + n) * (b + n) / (n * (a + b + n if n > 1 else 1))
+        poly = jacobi_family(n, params, Normalization.REFERENCE).poly
+        ints, den = poly.int_form  # c_i = ints[i] / den
+        pairs = [sum(c * m for c, m in zip(ints, moments[j:])) for j in range(n + 1)]
+        norm = poly.coeff(n) * Fraction(pairs[n], den * scale)
+        if any(pairs[:n]) or norm != (rising / (2 * n + a + b + 1) if n else 1):
+            return False
+    return True
 
 
 # The 9x9 Jacobi-Stirling triangle, columns n = 0..8, rows j = 0..8.
@@ -363,6 +360,13 @@ def _first_left_definite_bridge(rng: random.Random) -> bool:
     return ok
 
 
+# Relative error bound of the galerkin.* checks.  On a correct build the worst
+# relative error is 6.8e-16 for the Galerkin eigenvalues at size 20 and 2.0e-16
+# for chel's K^2; scaling one _ell_step diagonal entry or the Lobatto midpoint
+# weight by 1 + 2^-40 raises them to 9.5e-13 and 3.2e-13 or more.
+_RTOL = 5e-14
+
+
 def _spectrum_recovery(rng: random.Random) -> tuple[bool, str]:
     ok = True
     detail = []
@@ -370,9 +374,9 @@ def _spectrum_recovery(rng: random.Random) -> tuple[bool, str]:
         ev20 = galerkin_spectrum(20, k)
         ev25 = galerkin_spectrum(25, k)
         exact = [m * (m - 1) + k for m in range(2, 6)]
-        worst = max(abs(ev20[i] - exact[i]) for i in range(4))
-        detail.append(f"k={k}: err {worst:.2e}")
-        if worst > 1e-6:
+        errors = [abs(ev20[i] - exact[i]) for i in range(4)]
+        detail.append(f"k={k}: err {max(errors):.2e}")
+        if any(e > _RTOL * max(1.0, abs(x)) for e, x in zip(errors, exact)):
             ok = False
         if any(ev20[i] < ev25[i] - 1e-9 for i in range(4)):
             ok = False
@@ -383,13 +387,14 @@ def _spectrum_recovery(rng: random.Random) -> tuple[bool, str]:
 
 def _exact_pencil_spectrum(*chains):
     """A check that, for k = 0 and 7/3, each pencil galerkin_spectrum(20, k, chain(k))
-    has the eigenvalues m(m-1) + k, m = 2..21, within 1e-6."""
+    has the eigenvalues m(m-1) + k, m = 2..21, within _RTOL * max(1, |m(m-1) + k|);
+    the detail names the worst absolute error."""
     def check(rng: random.Random) -> tuple[bool, str]:
-        worst = {k: max(abs(v - (m * (m - 1) + k)) for chain in chains
-                        for m, v in enumerate(galerkin_spectrum(20, k, chain(k)), 2))
-                 for k in (Fraction(0), Fraction(7, 3))}
-        detail = "; ".join(f"k={k}: err {e:.2e}" for k, e in worst.items())
-        return max(worst.values()) <= 1e-6, detail
+        errors = {k: [(abs(v - (m * (m - 1) + k)), max(1, abs(m * (m - 1) + k))) for chain in chains
+                      for m, v in enumerate(galerkin_spectrum(20, k, chain(k)), 2)]
+                  for k in (Fraction(0), Fraction(7, 3))}
+        detail = "; ".join(f"k={k}: err {max(e for e, _ in pairs):.2e}" for k, pairs in errors.items())
+        return all(e <= _RTOL * scale for pairs in errors.values() for e, scale in pairs), detail
     return check
 
 
@@ -397,18 +402,19 @@ def _chel_dirichlet(rng: random.Random) -> tuple[bool, str]:
     kmax, _ = chel_K(chel_preset("dirichlet"), 4000)
     bound = lambda x: 0.5 * (1 - x) * math.log((1 + x) / (1 - x))
     closed = bound(sign_change(lambda x: 2 / (1 + x) - math.log((1 + x) / (1 - x)), 0.0, 1.0))
-    return abs(kmax * kmax - closed) < 1e-6, f"K^2 = {kmax * kmax:.9f} vs closed form {closed:.9f}"
+    ok = abs(kmax * kmax - closed) <= _RTOL * closed
+    return ok, f"K^2 = {kmax * kmax:.9f} vs closed form {closed:.9f}"
 
 
 def _chel_w1v1(rng: random.Random) -> tuple[bool, str]:
     kmax, arg = chel_K(chel_preset("w1v1"), 4000)
-    ok = abs(kmax * kmax - math.exp(-1)) < 1e-9 and abs(arg - (math.exp(-1) - 1)) <= 1e-15
+    ok = abs(kmax * kmax - math.exp(-1)) <= _RTOL * math.exp(-1) and abs(arg - (math.exp(-1) - 1)) <= 1e-15
     return ok, f"K^2 = {kmax * kmax:.12f} vs 1/e"
 
 
 def _chel_unit(rng: random.Random) -> tuple[bool, str]:
     kmax, arg = chel_K(chel_preset("unit"), 1000)
-    return abs(kmax - 0.5) < 1e-9 and abs(arg - 0.5) <= 1e-15, f"K = {kmax:.12f} at {arg:.6f}"
+    return abs(kmax - 0.5) <= _RTOL * 0.5 and abs(arg - 0.5) <= 1e-15, f"K = {kmax:.12f} at {arg:.6f}"
 
 
 # Every verification check, in report order.  A check takes a random.Random
@@ -452,10 +458,10 @@ _CHECKS = (
         for r in (n, n - 1)
         if r >= 0
     )),
-    ("orthogonality.float-normalization", lambda rng: all(
-        knorm_crosscheck(n, a, b) < 1e-8
-        for n in range(0, 7)
-        for (a, b) in ((0.0, 0.0), (1.0, 1.0), (0.5, -0.25))
+    ("orthogonality.jacobi-moments", lambda rng: all(
+        jacobi_moments_check(JacobiParams(a, b), 12)
+        for a, b in ((0, 0), (1, 1), (2, 1), (Fraction(1, 2), Fraction(-1, 4)),
+                     (Fraction(-1, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(1, 2)))
     )),
     ("eigen.differential-expression", _differential_expression),
     ("eigen.sobolev-operator-matrix",

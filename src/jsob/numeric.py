@@ -1,16 +1,12 @@
-"""Floating-point layer: quadrature, boundedness constants, and a Galerkin
-reproduction of the weighted-space spectrum.
+"""Floating-point layer: boundedness constants and a Galerkin reproduction of
+the weighted-space spectrum.
 
 Everything exact lives elsewhere; apart from the float checks of jsob.checks,
 this module is where doubles are allowed, in pure Python (chel's tables are
 array('d'), imported on first use).  The Galerkin
 discretization on the basis (1 - x^2) P_i (Legendre P_i) builds each pencil by
 left-definite band steps from the closed-form weighted-L2 Gram matrix and
-solves its two tridiagonal halves by sign bisection on Sturm counts.  Gauss-Jacobi
-rules (needed for non-integer parameters, where the weight has algebraic
-endpoint singularities that defeat plain Gauss-Legendre) come from the
-Golub-Welsch tridiagonal eigenproblem, which the same solver handles with the
-identity as mass.
+solves its two tridiagonal halves by sign bisection on Sturm counts.
 """
 
 from __future__ import annotations
@@ -18,16 +14,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .algebra import as_fraction
 
 __all__ = [
     "NonFiniteIntegral",
     "MassNotPositiveDefinite",
-    "QuadratureRule",
     "ChelInstance",
-    "gauss_jacobi",
     "chel_preset",
     "chel_K",
     "sign_change",
@@ -43,46 +37,6 @@ class NonFiniteIntegral(ArithmeticError):
 
 class MassNotPositiveDefinite(ArithmeticError):
     """The mass matrix factorization met a nonpositive pivot."""
-
-
-class QuadratureRule(NamedTuple):
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def integrate(self, fn: Callable[[float], float]) -> float:
-        return math.fsum(w * fn(x) for x, w in zip(self.nodes, self.weights))
-
-
-def gauss_jacobi(order: int, alpha: float, beta: float) -> QuadratureRule:
-    """Gauss-Jacobi rule for the weight (1-x)^alpha (1+x)^beta, alpha, beta > -1.
-
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
-    recurrence matrix, found by solve_galerkin with the identity as mass; each
-    weight is the Christoffel number mu0 / sum_j p_j(x)^2, with p_j the
-    orthonormal recurrence polynomials and mu0 = 2^(alpha+beta+1) B(alpha+1, beta+1).
-    """
-    if order < 1:
-        raise ValueError("order must be positive")
-    if alpha <= -1 or beta <= -1:
-        raise ValueError("parameters must exceed -1")
-    ab = alpha + beta
-    diag = [(beta - alpha) / (ab + 2.0)]
-    diag += [(beta * beta - alpha * alpha) / ((2 * j + ab) * (2 * j + ab + 2)) for j in range(1, order)]
-    # j = 1 separately: the general formula has a removable (ab + 1) factor.
-    off = [math.sqrt(4.0 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3)))][: order - 1]
-    for j in range(2, order):
-        s = 2 * j + ab
-        off.append(math.sqrt(4 * j * (j + alpha) * (j + beta) * (j + ab) / (s * s * (s * s - 1))))
-    nodes = solve_galerkin((diag, off, [1.0] * order, [0.0] * (order - 1)))
-    mu0 = 2.0 ** (ab + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) / math.gamma(ab + 2)
-    weights = []
-    for x in nodes:
-        p_prev, p, total = 0.0, 1.0, 1.0
-        for a, b_prev, b in zip(diag, (0.0, *off), off):
-            p_prev, p = p, ((x - a) * p - b_prev * p_prev) / b
-            total += p * p
-        weights.append(mu0 / total)
-    return QuadratureRule(nodes=tuple(nodes), weights=tuple(weights))
 
 
 # A dataclass, unlike the other records, because perfbench/tracer.py copies it
@@ -304,10 +258,12 @@ def solve_galerkin(block) -> list[float]:
     The nonpositive pivots of the LDL^T factorization of S - sigma M count the
     eigenvalues at or below sigma (W. Barth, R. S. Martin and J. H. Wilkinson,
     Numer. Math. 9, 1967; G. Peters and J. H. Wilkinson, Comput. J. 12, 1969);
-    eigenvalue j is the first float at which that count exceeds j, found by
-    sign_change between eigenvalue j - 1 and the spectrum's bracket.  A mass
-    pivot that is not positive (or is NaN) raises MassNotPositiveDefinite, a
-    spectrum with no finite bracket NonFiniteIntegral.
+    eigenvalue j is the upper end of sign_change's bracket on "count <= j",
+    searched between eigenvalue j - 1 and the spectrum's bracket.  The float
+    count need not be monotone near a root, so that end need not be the only
+    float at which the count turns from j to more than j.  A mass pivot that is
+    not positive (or is NaN) raises MassNotPositiveDefinite, a spectrum with no
+    finite bracket NonFiniteIntegral.
     """
     s_diag, s_off, m_diag, m_off = block
     d = 1.0

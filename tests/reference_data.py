@@ -10,9 +10,9 @@ antiderivative of the product polynomial; the boundedness constant comes from
 per-cell adaptive Simpson quadrature and golden-section search, and from
 chel_K's former tabulation on lists of floats with one cell-rule call per
 cell; the Galerkin pencil is assembled as dense matrices by Gauss-Legendre
-quadrature and solved by Cholesky and a dense symmetric eigensolver, and
-Gauss-Jacobi rules take their nodes and weights from the eigenvalues and
-eigenvectors of the dense Jacobi matrix (numpy).
+quadrature and solved by Cholesky and a dense symmetric eigensolver (numpy).
+The Jacobi matrix of a classical weight, a small tridiagonal pencil with
+exact zero pivots, exercises the Galerkin solver's zero handling.
 """
 
 import math
@@ -29,7 +29,6 @@ from jsob.numeric import (
     _W_SIDE,
     MassNotPositiveDefinite,
     NonFiniteIntegral,
-    QuadratureRule,
     _value,
     sign_change,
 )
@@ -407,43 +406,16 @@ def solve_galerkin_dense(stiffness, mass) -> list[float]:
     return [float(v) for v in np.linalg.eigvalsh(0.5 * (congruent + congruent.T))]
 
 
-def gauss_jacobi_by_eigh(order: int, alpha: float, beta: float) -> QuadratureRule:
-    """Gauss-Jacobi rule for the weight (1-x)^alpha (1+x)^beta, alpha, beta > -1.
-
-    Golub-Welsch: eigenvalues of the symmetric tridiagonal recurrence matrix
-    are the nodes; the weights come from the first eigenvector components and
-    the zeroth moment 2^(alpha+beta+1) B(alpha+1, beta+1).
-    """
-    import numpy as np
-
-    if order < 1:
-        raise ValueError("order must be positive")
-    if alpha <= -1 or beta <= -1:
-        raise ValueError("parameters must exceed -1")
+def jacobi_matrix_pencil(order: int, alpha: float, beta: float):
+    """The order-n Jacobi matrix of the weight (1-x)^alpha (1+x)^beta, alpha, beta > -1,
+    as a tridiagonal pencil (diag, off, mass_diag, mass_off) with the identity as
+    mass.  Its eigenvalues are the nodes of the order-n Gauss-Jacobi rule."""
     ab = alpha + beta
-    diag = np.zeros(order)
-    diag[0] = (beta - alpha) / (ab + 2.0)
-    j = np.arange(1, order, dtype=float)
-    if order > 1:
-        diag[1:] = (beta * beta - alpha * alpha) / ((2 * j + ab) * (2 * j + ab + 2))
-    off = np.zeros(order - 1)
-    if order > 1:
-        # j = 1 separately: the general formula has a removable (ab + 1) factor.
-        off[0] = math.sqrt(4.0 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3)))
-        if order > 2:
-            jj = j[1:]
-            s = 2 * jj + ab
-            num = 4 * jj * (jj + alpha) * (jj + beta) * (jj + ab)
-            off[1:] = np.sqrt(num / (s * s * (s * s - 1)))
-    matrix = np.diag(diag)
-    if order > 1:
-        matrix += np.diag(off, 1) + np.diag(off, -1)
-    values, vectors = np.linalg.eigh(matrix)
-    mu0 = (
-        2.0 ** (ab + 1)
-        * math.gamma(alpha + 1)
-        * math.gamma(beta + 1)
-        / math.gamma(ab + 2)
-    )
-    weights = mu0 * vectors[0, :] ** 2
-    return QuadratureRule(nodes=tuple(float(v) for v in values), weights=tuple(weights))
+    diag = [(beta - alpha) / (ab + 2.0)]
+    diag += [(beta * beta - alpha * alpha) / ((2 * j + ab) * (2 * j + ab + 2)) for j in range(1, order)]
+    # j = 1 separately: the general formula has a removable (ab + 1) factor.
+    off = [math.sqrt(4.0 * (1 + alpha) * (1 + beta) / ((ab + 2) ** 2 * (ab + 3)))][: order - 1]
+    for j in range(2, order):
+        s = 2 * j + ab
+        off.append(math.sqrt(4 * j * (j + alpha) * (j + beta) * (j + ab) / (s * s * (s * s - 1))))
+    return diag, off, [1.0] * order, [0.0] * (order - 1)

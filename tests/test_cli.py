@@ -425,7 +425,7 @@ CHECK_NAMES = [
     "orthogonality.left-definite-gram",
     "orthogonality.normalization-bridge",
     "orthogonality.derivative-weighted",
-    "orthogonality.float-normalization",
+    "orthogonality.jacobi-moments",
     "eigen.differential-expression",
     "eigen.sobolev-operator-matrix",
     "eigen.weighted-operator-matrix",

@@ -9,12 +9,14 @@ from jsob.algebra import (
     integrate_weighted,
     symmetric_weight_form,
 )
+from jsob import checks, jacobi
 from jsob.checks import (
     NotProportional,
     PoleInGammaRatio,
     check_derivative_identity,
     derivative_coefficient_squared,
     factorization_check,
+    jacobi_moments_check,
     proportional_scale_squared,
 )
 from jsob.jacobi import (
@@ -214,3 +216,63 @@ class TestFactorizationCheck:
         perturbed = ONE_MINUS_X2 * (Polynomial.one() + Polynomial.x())
         with pytest.raises(NotProportional):
             proportional_scale_squared(tilde, perturbed)
+
+
+@pytest.fixture
+def fresh_families():
+    """Empties the family caches before and after the test, so that a patched
+    seed or recurrence step reaches the checks and leaves no member behind."""
+    def clear():
+        jacobi._FAMILIES.clear()
+        jacobi.jacobi_family.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+def moments_check_passes():
+    return next(record["passed"] for record in checks.run("orthogonality")
+                if record["name"] == "orthogonality.jacobi-moments")
+
+
+class TestJacobiMomentsCheck:
+    @pytest.mark.parametrize(
+        "params",
+        [JacobiParams(a, b) for a, b in (
+            (0, 0), (1, 1), (2, 1), (3, 3), (Fraction(1, 2), Fraction(-1, 4)),
+            (Fraction(-1, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(1, 2)),
+            (Fraction(1, 2), Fraction(-1, 3)), (Fraction(-1, 2), Fraction(1, 2)),
+        )],
+        ids=lambda params: f"{params.alpha},{params.beta}",
+    )
+    def test_holds_exactly_to_degree_20(self, params):
+        assert jacobi_moments_check(params, 20)
+
+    def test_rejects_parameters_at_minus_one(self):
+        for params in (NONCLASSICAL, JacobiParams(-1, 0), JacobiParams(0, -1)):
+            with pytest.raises(ValueError):
+                jacobi_moments_check(params, 3)
+
+    def test_fails_on_a_broken_p2_seed(self, monkeypatch, fresh_families):
+        seeds = jacobi._seeds
+
+        def broken(params):
+            p0, p1, p2 = seeds(params)
+            return p0, p1, p2 + Polynomial.one() * Fraction(1, 1000)
+
+        monkeypatch.setattr(jacobi, "_seeds", broken)
+        assert not moments_check_passes()
+        monkeypatch.undo()
+        fresh_families()
+        assert moments_check_passes()
+
+    def test_fails_on_a_broken_recurrence_coefficient(self, monkeypatch, fresh_families):
+        # Scales the coefficient of P_{n-2} in the three-term recurrence.
+        step = jacobi._recurrence_step
+        monkeypatch.setattr(jacobi, "_recurrence_step",
+                            lambda n, params, p1, p2: step(n, params, p1, p2 * Fraction(1001, 1000)))
+        assert not moments_check_passes()
+        monkeypatch.undo()
+        fresh_families()
+        assert moments_check_passes()

@@ -3,26 +3,22 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from jsob import numeric
+from jsob import checks, numeric
 from jsob.algebra import ONE_MINUS_X2, Polynomial, integrate_weighted
-from jsob.checks import knorm_crosscheck
 from jsob.jacobi import NONCLASSICAL
 from jsob.numeric import (
     ChelInstance,
     MassNotPositiveDefinite,
     NonFiniteIntegral,
-    QuadratureRule,
     chel_K,
     chel_preset,
     galerkin_spectrum,
     galerkin_system,
-    gauss_jacobi,
     solve_galerkin,
 )
 from jsob.operators import Classical, LeftDefinite, SobolevPhi, _pairing_values
@@ -30,7 +26,7 @@ from reference_data import (
     chel_K_by_adaptive_simpson,
     chel_K_by_lists,
     galerkin_system_dense,
-    gauss_jacobi_by_eigh,
+    jacobi_matrix_pencil,
     solve_galerkin_dense,
 )
 
@@ -53,85 +49,14 @@ def golden_max(fn, lo, hi):
 
 
 def legendre_rule(order):
+    """The order-point Gauss-Legendre (nodes, weights) pair."""
     nodes, weights = leggauss(order)
-    return QuadratureRule(tuple(nodes.tolist()), tuple(weights.tolist()))
+    return nodes.tolist(), weights.tolist()
 
 
-GJ_PARAMETERS = [
-    (0.0, 0.0), (1.0, 1.0), (0.5, -0.25), (2.0, 1.0), (-0.5, -0.5), (0.5, 0.5), (2.0, 2.0),
-]
-
-
-class TestGaussJacobi:
-    def test_moment_zero(self):
-        # integral of (1-x)^0.5 (1+x)^(-0.25) equals mu0 reproduced by the rule
-        rule = gauss_jacobi(8, 0.5, -0.25)
-        mu0 = (
-            2.0 ** (0.25 + 1)
-            * math.gamma(1.5)
-            * math.gamma(0.75)
-            / math.gamma(2.25)
-        )
-        assert rule.integrate(lambda x: 1.0) == pytest.approx(mu0, rel=1e-13)
-
-    def test_reduces_to_legendre(self):
-        gj = gauss_jacobi(6, 0.0, 0.0)
-        gl = legendre_rule(6)
-        for a, b in zip(gj.nodes, gl.nodes):
-            assert a == pytest.approx(b, abs=1e-12)
-
-    @pytest.mark.parametrize("alpha, beta", GJ_PARAMETERS)
-    def test_matches_eigh_oracle(self, alpha, beta):
-        for order in range(1, 41):
-            rule, reference = gauss_jacobi(order, alpha, beta), gauss_jacobi_by_eigh(order, alpha, beta)
-            assert len(rule.nodes) == len(rule.weights) == order
-            for x, w, x_ref, w_ref in zip(rule.nodes, rule.weights, reference.nodes, reference.weights):
-                assert abs(x - x_ref) <= 1e-14
-                assert abs(w - w_ref) <= 1e-11 * w_ref
-
-    @pytest.mark.parametrize("alpha, beta", GJ_PARAMETERS)
-    def test_exact_moments(self, alpha, beta):
-        # x = 2t - 1 turns the moments into Beta integrals:
-        # int x^k w / mu0 = sum_i C(k, i) 2^i (-1)^(k-i) prod_{l<i} (b+1+l)/(a+b+2+l),
-        # exact in Fraction.  An odd power is measured against the even moment
-        # below it, which bounds int |x|^k w.
-        a, b = Fraction(alpha), Fraction(beta)
-        beta_ratios = [Fraction(1)]  # B(b+1+i, a+1) / B(b+1, a+1)
-        for i in range(79):
-            beta_ratios.append(beta_ratios[-1] * (b + 1 + i) / (a + b + 2 + i))
-        ratios = [sum(comb(k, i) * 2**i * (-1) ** (k - i) * beta_ratios[i] for i in range(k + 1))
-                  for k in range(80)]
-        mu0 = gauss_jacobi(1, alpha, beta).weights[0]  # the order-1 weight is mu0 itself
-        for order in range(1, 41):
-            rule = gauss_jacobi(order, alpha, beta)
-            for k in range(2 * order):
-                got = rule.integrate(lambda x: x**k)
-                assert abs(got - mu0 * float(ratios[k])) <= 1e-13 * mu0 * float(ratios[k - k % 2])
-
-    def test_rejects_bad_input(self):
-        for args in ((0, 0.0, 0.0), (3, -1.0, 0.0), (3, 0.0, -1.5)):
-            with pytest.raises(ValueError):
-                gauss_jacobi(*args)
-
-
-class TestKnormCrosscheck:
-    def test_classical_integer_parameters(self):
-        assert knorm_crosscheck(3, 1.0, 1.0) < 1e-10
-
-    def test_constant_legendre(self):
-        assert knorm_crosscheck(0, 0.0, 0.0) < 1e-12
-
-    def test_non_integer_parameters(self):
-        assert knorm_crosscheck(4, 0.5, -0.25) < 1e-8
-
-    def test_sweep_small_degrees(self):
-        for n in range(11):
-            for (a, b) in ((0.0, 0.0), (1.0, 1.0), (2.0, 1.0), (0.5, -0.25)):
-                assert knorm_crosscheck(n, a, b) < 1e-8
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            knorm_crosscheck(2, -1.0, 0.0)
+def integrate(rule, fn):
+    nodes, weights = rule
+    return math.fsum(w * fn(x) for x, w in zip(nodes, weights))
 
 
 class TestQuadratureConsistency:
@@ -144,7 +69,7 @@ class TestQuadratureConsistency:
             )
             for m in (0, 1, 2):
                 exact = float(integrate_weighted(p, m))
-                approx = rule.integrate(lambda x, m=m: float(p(x)) * (1 - x * x) ** m)
+                approx = integrate(rule, lambda x, m=m: float(p(x)) * (1 - x * x) ** m)
                 assert abs(approx - exact) <= 1e-10 * max(1.0, abs(exact))
 
     def test_singular_weight_on_vanishing_functions(self):
@@ -155,7 +80,7 @@ class TestQuadratureConsistency:
                 [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(11)]
             )
             exact = float(integrate_weighted(p, -1))
-            approx = rule.integrate(lambda x: float(p(x)) / (1 - x * x))
+            approx = integrate(rule, lambda x: float(p(x)) / (1 - x * x))
             assert abs(approx - exact) <= 1e-8 * max(1.0, abs(exact))
 
 
@@ -503,9 +428,9 @@ class TestGalerkin:
     @pytest.mark.parametrize("order", [1, 3, 5, 11, 41])
     @pytest.mark.parametrize("a", [0.0, 0.5])
     def test_symmetric_rule_has_the_middle_node_zero(self, order, a):
-        # Odd-order rules with alpha = beta have the node 0, where the first
-        # pivot of the recurrence matrix is exactly zero.
-        assert gauss_jacobi(order, a, a).nodes[order // 2] == 0.0
+        # The Jacobi matrix of odd order with alpha = beta has the eigenvalue 0
+        # (the middle Gauss-Jacobi node), where its first pivot is exactly zero.
+        assert solve_galerkin(jacobi_matrix_pencil(order, a, a))[order // 2] == 0.0
 
     def test_count_budget_per_eigenvalue(self, monkeypatch):
         # Each eigenvalue is one bisection between the previous eigenvalue and
@@ -530,10 +455,10 @@ class TestGalerkin:
         assert sum(bisections) <= 64 * 200
 
     def test_zero_pivot_counts_as_an_eigenvalue_at_sigma(self, monkeypatch):
-        # The order-3 rule for alpha = beta = 1/2 has the node sqrt(1/2), and its
-        # second pivot is exactly zero at sigma = 0.5: taken as just below zero,
-        # it leaves the third pivot positive, so 0.5 sits between two nodes.  Taken
-        # as just above zero, it would count a third node at 0.5.
+        # The order-3 Jacobi matrix for alpha = beta = 1/2 has the eigenvalue
+        # sqrt(1/2), and its second pivot is exactly zero at sigma = 0.5: taken as
+        # just below zero, it leaves the third pivot positive, so 0.5 sits between
+        # two eigenvalues.  Taken as just above zero, it would count a third at 0.5.
         seen, count = [], numeric._count
 
         def recording(rows, sigma):
@@ -541,8 +466,8 @@ class TestGalerkin:
             return count(rows, sigma)
 
         monkeypatch.setattr(numeric, "_count", recording)
-        rule = gauss_jacobi(3, 0.5, 0.5)
-        assert abs(rule.nodes[2] - math.sqrt(0.5)) <= 1e-15
+        nodes = solve_galerkin(jacobi_matrix_pencil(3, 0.5, 0.5))
+        assert abs(nodes[2] - math.sqrt(0.5)) <= 1e-15
         rows = seen[0]
         assert count(rows, 0.5) == count(rows, math.nextafter(0.5, 1.0)) == 2
 
@@ -598,3 +523,31 @@ class TestGalerkin:
         for m, value in enumerate(galerkin_spectrum(size, k), start=2):
             exact = float(m * (m - 1) + k)
             assert abs(value - exact) <= 1e-13 * exact
+
+
+class TestVerifyCatchesPlantedFaults:
+    # Each fault is a relative change of 2^-40 in one float-layer constant.  It
+    # raises the relative error of the matching galerkin.* checks from below
+    # 7e-16 to at least 3.2e-13, and their 5e-14 bound must see it.
+    SPECTRUM = {"galerkin.spectrum-recovery", "galerkin.t-sobolev", "galerkin.bn-left-definite"}
+    CHEL = {"galerkin.chel-dirichlet", "galerkin.chel-w1v1", "galerkin.chel-unit"}
+
+    @staticmethod
+    def failing():
+        return {record["name"] for record in checks.run("galerkin") if not record["passed"]}
+
+    def test_band_step_diagonal_fault(self, monkeypatch):
+        step = numeric._ell_step
+
+        def faulty(diag, off, k):
+            diag, off = step(diag, off, k)
+            diag[3] *= 1 + Fraction(1, 2**40)
+            return diag, off
+
+        monkeypatch.setattr(numeric, "_ell_step", faulty)
+        assert self.failing() == self.SPECTRUM
+
+    def test_lobatto_midpoint_weight_fault(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_W_MID", numeric._W_MID * (1 + 2**-40))
+        assert self.failing() == self.CHEL
+

@@ -14,6 +14,20 @@ from jsob.operators import Classical, LeftDefinite, OperatorTag, SobolevPhi, Spe
 MODULES = ("algebra", "jacobi", "stirling", "operators", "numeric", "cli")
 
 
+@pytest.mark.parametrize("name", [name for name in MODULES if name != "cli"])
+def test_every_exported_name_resolves(name):
+    # A star import raises AttributeError on a name in __all__ that the module
+    # does not define, and every name jsob takes from the module is exported.
+    import jsob
+
+    namespace = {}
+    exec(f"from jsob.{name} import *", namespace)
+    assert set(importlib.import_module(f"jsob.{name}").__all__) <= namespace.keys()
+    reexported = {attr for attr, value in vars(jsob).items()
+                  if getattr(value, "__module__", None) == f"jsob.{name}"}
+    assert reexported <= set(namespace)
+
+
 def test_only_chel_instance_is_a_dataclass():
     # The benchmark tracer rebuilds a ChelInstance with dataclasses.replace.
     # numeric builds the class on first use, so resolve it before the scan.
