@@ -28,7 +28,7 @@ from .jacobi import (
     UndefinedNormalization,
     jacobi_family,
 )
-from .numeric import chel_K, chel_preset, galerkin_spectrum, sign_change
+from .numeric import chel_K, chel_preset, galerkin_eigenvalues, sign_change
 from .operators import (
     Classical,
     LeftDefinite,
@@ -361,40 +361,28 @@ def _first_left_definite_bridge(rng: random.Random) -> bool:
 
 
 # Relative error bound of the galerkin.* checks.  On a correct build the worst
-# relative error is 6.8e-16 for the Galerkin eigenvalues at size 20 and 2.0e-16
+# relative error is 8.2e-16 for the Galerkin eigenvalues at size 20 and 2.0e-16
 # for chel's K^2; scaling one _ell_step diagonal entry or the Lobatto midpoint
 # weight by 1 + 2^-40 raises them to 9.5e-13 and 3.2e-13 or more.
 _RTOL = 5e-14
 
 
-def _spectrum_recovery(rng: random.Random) -> tuple[bool, str]:
-    ok = True
-    detail = []
-    for k in (0.0, 1.0):
-        ev20 = galerkin_spectrum(20, k)
-        ev25 = galerkin_spectrum(25, k)
-        exact = [m * (m - 1) + k for m in range(2, 6)]
-        errors = [abs(ev20[i] - exact[i]) for i in range(4)]
-        detail.append(f"k={k}: err {max(errors):.2e}")
-        if any(e > _RTOL * max(1.0, abs(x)) for e, x in zip(errors, exact)):
-            ok = False
-        if any(ev20[i] < ev25[i] - 1e-9 for i in range(4)):
-            ok = False
-        if any(v < k - 1e-9 for v in ev20):
-            ok = False
-    return ok, "; ".join(detail)
-
-
-def _exact_pencil_spectrum(*chains):
-    """A check that, for k = 0 and 7/3, each pencil galerkin_spectrum(20, k, chain(k))
-    has the eigenvalues m(m-1) + k, m = 2..21, within _RTOL * max(1, |m(m-1) + k|);
-    the detail names the worst absolute error."""
+def _galerkin_spectra(*makers):
+    """A check that, for k = 0 and 7/3 and each spec = make(k), every value of
+    galerkin_eigenvalues(spec, 20) is within _RTOL * max(1, exact) of the exact one,
+    at least k - 1e-9 and within 1e-9 of the size-25 value, as both trial spaces
+    span its eigenfunction; the detail names the worst absolute error."""
     def check(rng: random.Random) -> tuple[bool, str]:
-        errors = {k: [(abs(v - (m * (m - 1) + k)), max(1, abs(m * (m - 1) + k))) for chain in chains
-                      for m, v in enumerate(galerkin_spectrum(20, k, chain(k)), 2)]
-                  for k in (Fraction(0), Fraction(7, 3))}
-        detail = "; ".join(f"k={k}: err {max(e for e, _ in pairs):.2e}" for k, pairs in errors.items())
-        return all(e <= _RTOL * scale for pairs in errors.values() for e, scale in pairs), detail
+        ok, detail = True, []
+        for k in (Fraction(0), Fraction(7, 3)):
+            worst = 0.0
+            for spec in (make(k) for make in makers):
+                values, finer = galerkin_eigenvalues(spec, 20), galerkin_eigenvalues(spec, 25)
+                for v, fine, x in zip(values, finer, spectrum(spec, len(values))):
+                    worst = max(worst, err := abs(v - x))
+                    ok &= err <= _RTOL * max(1, x) and v >= k - 1e-9 and abs(v - fine) <= 1e-9
+            detail.append(f"k={k}: err {worst:.2e}")
+        return ok, "; ".join(detail)
     return check
 
 
@@ -486,9 +474,10 @@ _CHECKS = (
      lambda rng: all(factorization_check(n) > 0 for n in range(2, 9))),
     ("identities.lower-bound", _lower_bound),
     ("identities.first-left-definite-bridge", _first_left_definite_bridge),
-    ("galerkin.spectrum-recovery", _spectrum_recovery),
-    ("galerkin.t-sobolev", _exact_pencil_spectrum(lambda k: (0,))),
-    ("galerkin.bn-left-definite", _exact_pencil_spectrum(lambda k: (k,), lambda k: (k,) * 16)),
+    ("galerkin.spectrum-recovery", _galerkin_spectra(lambda k: SpectrumSpec(OperatorTag.A, k))),
+    ("galerkin.t-sobolev", _galerkin_spectra(lambda k: SpectrumSpec(OperatorTag.T, k))),
+    ("galerkin.bn-left-definite", _galerkin_spectra(lambda k: SpectrumSpec(OperatorTag.BN, k, 1),
+                                                    lambda k: SpectrumSpec(OperatorTag.BN, k, 16))),
     ("galerkin.chel-dirichlet", _chel_dirichlet),
     ("galerkin.chel-w1v1", _chel_w1v1),
     ("galerkin.chel-unit", _chel_unit),

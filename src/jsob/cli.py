@@ -42,7 +42,7 @@ from .numeric import (
     NonFiniteIntegral,
     chel_K,
     chel_preset,
-    galerkin_spectrum,
+    galerkin_eigenvalues,
 )
 from .operators import (
     Classical,
@@ -400,11 +400,7 @@ def cmd_spectrum(args: argparse.Namespace, cfg: CliConfig) -> Report:
                 for i, v in enumerate(spectrum(spec, args.count))]
         lines = [f"operator {tag.value}, k = {k}", ", ".join(r["value"] for r in rows)]
         return Report({**header, "eigenvalues": rows}, rows, lines)
-    # The shifts of the left-definite steps from the weighted-L2 Gram to the mass.
-    chain = {OperatorTag.A: (), OperatorTag.BN: (k,) * (spec.power or 0), OperatorTag.T: (0,)}
-    numeric = galerkin_spectrum(args.galerkin, k, chain[tag])
-    if tag is OperatorTag.T:  # 1 and x, phi-orthogonal to the bubbles, give k twice
-        numeric = [float(k)] * 2 + numeric
+    numeric = galerkin_eigenvalues(spec, args.galerkin)
     count = min(args.count, len(numeric))
     exact = spectrum(spec, count)
     rows = [

@@ -17,6 +17,7 @@ from itertools import islice
 from typing import Callable
 
 from .algebra import as_fraction
+from .operators import OperatorTag, SpectrumSpec
 
 __all__ = [
     "NonFiniteIntegral",
@@ -27,6 +28,7 @@ __all__ = [
     "sign_change",
     "galerkin_system",
     "galerkin_spectrum",
+    "galerkin_eigenvalues",
     "solve_galerkin",
 ]
 
@@ -201,13 +203,14 @@ def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
 
 
 def _ell_step(diag: list, off: list, k: Fraction) -> tuple[list, list]:
-    """The band (diagonal, entries (i + 2, i)) of G_n = L^T G_{n-1} from that of G_{n-1}:
-    ell b_i = lam_i b_i + 2 sum (2j+1) b_j over j < i, j = i mod 2, with
+    """The band (diagonal, entries (i + 2, i)) of q L^T G, q the denominator of k, from
+    that of G: ell b_i = lam_i b_i + 2 sum (2j+1) b_j over j < i, j = i mod 2, with
     lam_i = k + (i+1)(i+2), so the columns of L are these coefficients."""
-    lam = [k + (i + 1) * (i + 2) for i in range(len(diag))]
-    below = [0, 0, *((4 * i - 6) * off[i - 2] for i in range(2, len(diag)))]
+    p, q = k.numerator, k.denominator
+    lam = [p + q * (i + 1) * (i + 2) for i in range(len(diag))]
+    below = [0, 0, *(q * (4 * i - 6) * off[i - 2] for i in range(2, len(diag)))]
     return ([lam[i] * d + below[i] for i, d in enumerate(diag)],
-            [below[i] + (4 * i + 2) * diag[i] + lam[i + 2] * o for i, o in enumerate(off)])
+            [below[i] + q * (4 * i + 2) * diag[i] + lam[i + 2] * o for i, o in enumerate(off)])
 
 
 def galerkin_system(size: int, k, chain=()):
@@ -216,24 +219,25 @@ def galerkin_system(size: int, k, chain=()):
 
     Trial functions b_i = (1 - x^2) P_i (Legendre P_i) vanish at the endpoints
     (J. Shen, SIAM J. Sci. Comput. 15, 1994).  G_0, the Gram matrix of
-    int f g / (1 - x^2), is closed-form with h_n = int P_n^2 and
-    x P_i = a_i P_{i+1} + b_i P_{i-1} (b_0 = 0 meets h_{-1} = -2).  As
-    (f, g)_n = (ell f, g)_{n-1} (L. L. Littlejohn and R. Wellman, J. Differential
-    Equations 181, 2002), every G_n is zero off |i - j| in {0, 2}, and one _ell_step
-    per shift of ``chain`` gives the mass B, one more at k the stiffness L^T B:
-    () is A, (k,) * n is Bn, (0,) is T (B is the phi Gram of the bubbles).  Entries
-    are exact and rounded once; one beyond float range raises NonFiniteIntegral.
+    int f g / (1 - x^2), is 4(i^2+i-1)/((2i-1)(2i+1)(2i+3)) at j = i and
+    -2(i+1)(i+2)/((2i+1)(2i+3)(2i+5)) at j = i + 2.  As (f, g)_n = (ell f, g)_{n-1}
+    (L. L. Littlejohn and R. Wellman, J. Differential Equations 181, 2002), every G_n
+    is zero off |i - j| in {0, 2}, and one _ell_step per shift of ``chain`` gives the
+    mass B, one more at k the stiffness L^T B; galerkin_eigenvalues maps A to (), Bn to
+    (k,) * n and T to (0,) (B the phi Gram of the bubbles).  Entries, integers over one
+    denominator, are rounded once; one beyond float range raises NonFiniteIntegral.
     """
     if not 2 <= size <= 200:
         raise ValueError("size must be between 2 and 200")
-    h = lambda n: Fraction(2, 2 * n + 1)
-    a, b = (lambda i: Fraction(i + 1, 2 * i + 1)), (lambda i: Fraction(i, 2 * i + 1))
-    mass = ([h(i) - a(i) ** 2 * h(i + 1) - b(i) ** 2 * h(i - 1) for i in range(size)],
-            [-a(i) * b(i + 2) * h(i + 1) for i in range(size - 2)])
-    for shift in chain:
-        mass = _ell_step(*mass, as_fraction(shift))
+    den, k = math.lcm(*range(1, 2 * size + 4, 2)), as_fraction(k)  # den clears G_0
+    odd = lambda i: (2 * i - 1) * (2 * i + 1) * (2 * i + 3)
+    mass = ([4 * (i * i + i - 1) * den // odd(i) for i in range(size)],
+            [-2 * (i + 1) * (i + 2) * den // odd(i + 1) for i in range(size - 2)])
+    for shift in map(as_fraction, chain):
+        mass, den = _ell_step(*mass, shift), den * shift.denominator
+    bands = ((den * k.denominator, _ell_step(*mass, k)), (den, mass))
     try:
-        rounded = [tuple(map(float, part)) for part in (*_ell_step(*mass, as_fraction(k)), *mass)]
+        rounded = [tuple(float(v / d) for v in part) for d, band in bands for part in band]
     except OverflowError as exc:
         raise NonFiniteIntegral("the Galerkin stiffness entries do not fit a finite float") from exc
     return tuple(tuple(part[p::2] for part in rounded) for p in (0, 1))
@@ -248,7 +252,8 @@ def _count(rows, sigma: float) -> int:
         off = s_prev - sigma * m_prev
         # off * (off / d): off * off overflows for shifts near 1e300.
         d = s - sigma * m - off * (off / (d or -1e-300))
-        count += d <= 0.0
+        if d <= 0.0:
+            count += 1
     return count
 
 
@@ -288,3 +293,12 @@ def galerkin_spectrum(size: int, k, chain=()) -> list[float]:
     size s spans the exact eigenfunctions of degrees 2..s+1, so they equal
     m(m-1) + k, m = 2, ..., s+1, up to rounding in assembly and eigensolve."""
     return sorted(v for block in galerkin_system(size, k, chain) for v in solve_galerkin(block))
+
+
+def galerkin_eigenvalues(spec: SpectrumSpec, size: int) -> list[float]:
+    """spec's eigenvalues from index spec.first_index by its Galerkin pencil of the given
+    size; T's first two are k, of 1 and x, which are phi-orthogonal to the bubbles."""
+    k, tag = spec.k, spec.operator
+    chain = {OperatorTag.A: (), OperatorTag.BN: (k,) * (spec.power or 0), OperatorTag.T: (0,)}[tag]
+    values = galerkin_spectrum(size, k, chain)  # so a k beyond float range fails in the solve
+    return [float(k)] * 2 + values if tag is OperatorTag.T else values

@@ -353,12 +353,12 @@ class TestNumericFailureExitCode:
         assert "numeric failure" in err
 
     def test_indefinite_mass_maps_to_exit_4(self, capsys, monkeypatch):
-        import jsob.cli as cli
+        import jsob.numeric as numeric
 
         def boom(size, k, chain):
             raise MassNotPositiveDefinite("mass pivot 0.0 is not positive")
 
-        monkeypatch.setattr(cli, "galerkin_spectrum", boom)
+        monkeypatch.setattr(numeric, "galerkin_spectrum", boom)
         code, _, err = run(capsys, "spectrum", "--operator", "A", "--galerkin", "10")
         assert code == 4
         assert "numeric failure" in err

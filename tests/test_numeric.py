@@ -21,7 +21,7 @@ from jsob.numeric import (
     galerkin_system,
     solve_galerkin,
 )
-from jsob.operators import Classical, LeftDefinite, SobolevPhi, _pairing_values
+from jsob.operators import Classical, LeftDefinite, OperatorTag, SobolevPhi, _pairing_values
 from reference_data import (
     chel_K_by_adaptive_simpson,
     chel_K_by_lists,
@@ -419,6 +419,20 @@ class TestGalerkin:
         with pytest.raises(NonFiniteIntegral):
             galerkin_spectrum(10, -Fraction(10) ** 308)
 
+    def test_bracket_radius_doubles_until_it_holds_the_spectrum(self, monkeypatch):
+        # Eigenvalues -9 and 11 of [[1, 10], [10, 1]] under the identity mass; the
+        # first radius, twice the largest |s / m|, is 2.0, and three doublings
+        # reach 16, the first that brackets both.
+        block = ((1.0, 1.0), (10.0,), (1.0, 1.0), (0.0,))
+        sigmas, count = [], numeric._count
+        monkeypatch.setattr(numeric, "_count",
+                            lambda rows, sigma: sigmas.append(sigma) or count(rows, sigma))
+        values = solve_galerkin(block)
+        assert sigmas[:5] == [-2.0, -4.0, -8.0, -16.0, 16.0]
+        assert values == [-9.0, 11.0]
+        np.testing.assert_allclose(values, np.linalg.eigvalsh([[1.0, 10.0], [10.0, 1.0]]),
+                                   rtol=1e-15)
+
     def test_eigenvalue_zero_is_found(self):
         # galerkin_spectrum(10, -2) has the eigenvalue 0 (m = 2), where a bound
         # relative to the eigenvalue cannot stop a search.
@@ -528,7 +542,7 @@ class TestGalerkin:
 class TestVerifyCatchesPlantedFaults:
     # Each fault is a relative change of 2^-40 in one float-layer constant.  It
     # raises the relative error of the matching galerkin.* checks from below
-    # 7e-16 to at least 3.2e-13, and their 5e-14 bound must see it.
+    # 8.3e-16 to at least 3.2e-13, and their 5e-14 bound must see it.
     SPECTRUM = {"galerkin.spectrum-recovery", "galerkin.t-sobolev", "galerkin.bn-left-definite"}
     CHEL = {"galerkin.chel-dirichlet", "galerkin.chel-w1v1", "galerkin.chel-unit"}
 
@@ -550,4 +564,15 @@ class TestVerifyCatchesPlantedFaults:
     def test_lobatto_midpoint_weight_fault(self, monkeypatch):
         monkeypatch.setattr(numeric, "_W_MID", numeric._W_MID * (1 + 2**-40))
         assert self.failing() == self.CHEL
+
+    def test_t_leading_rows_are_checked(self, monkeypatch):
+        # Without the values k at T's indices 0 and 1 every T value is compared
+        # with the exact eigenvalue two indices below its own.
+        values = checks.galerkin_eigenvalues
+
+        def dropping(spec, size):
+            return values(spec, size)[2 if spec.operator is OperatorTag.T else 0:]
+
+        monkeypatch.setattr(checks, "galerkin_eigenvalues", dropping)
+        assert self.failing() == {"galerkin.t-sobolev"}
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jsob import checks
 from jsob.algebra import (
     ONE_MINUS_X2,
     Polynomial,
@@ -333,3 +334,55 @@ class TestLowerBoundAndBridges:
             f1, _ = decompose_w(f)
             for q in low:
                 assert inner_product(ScaledPolynomial.of(f1), q, SobolevPhi()) == Surd.zero()
+
+
+class TestVerifyCatchesPlantedFaults:
+    # Each fault changes one name that the eigen.* and identities.* checks call
+    # through jsob.checks; exactly the checks that call it must then fail.
+
+    @staticmethod
+    def failing():
+        return {record["name"] for suite in ("eigen", "identities")
+                for record in checks.run(suite) if not record["passed"]}
+
+    def test_apply_ell_with_the_wrong_shift(self, monkeypatch):
+        # Three below the true shift, under the bottom 2 of A's spectrum at k = 0,
+        # so that the lower bound itself goes negative too.
+        apply_ell = checks.apply_ell
+        monkeypatch.setattr(checks, "apply_ell", lambda f, k: apply_ell(f, k - 3))
+        assert self.failing() == {"eigen.differential-expression", "identities.lagrange-dirichlet",
+                                  "identities.lower-bound"}
+
+    def test_decomposition_that_moves_a_constant(self, monkeypatch):
+        # f1 + f2 is still f, but f1 no longer vanishes at the endpoints and is no
+        # longer phi-orthogonal to the polynomials of degree at most one.
+        decompose = checks.decompose_w
+        one = Polynomial([1])
+
+        def faulty(f):
+            f1, f2 = decompose(f)
+            return f1 + one, f2 - one
+
+        monkeypatch.setattr(checks, "decompose_w", faulty)
+        assert self.failing() == {"identities.sobolev-decomposition"}
+
+    def test_doubled_derivative_coefficient(self, monkeypatch):
+        coefficient = checks.derivative_coefficient_squared
+        monkeypatch.setattr(checks, "derivative_coefficient_squared",
+                            lambda n, j, params: 2 * coefficient(n, j, params))
+        assert self.failing() == {"identities.derivative-identity"}
+
+    def test_weighted_integral_off_by_a_thousandth(self, monkeypatch):
+        integrate = checks.integrate_weighted
+        monkeypatch.setattr(checks, "integrate_weighted",
+                            lambda p, m: integrate(p, m) + Fraction(1, 1000))
+        assert self.failing() == {"identities.lower-bound", "identities.first-left-definite-bridge"}
+
+    def test_phi_paired_as_the_first_left_definite_form_at_shift_one(self, monkeypatch):
+        # On the bubbles phi is the first left-definite form at shift 0; at shift 1
+        # it differs, and a degree-0 argument leaves the weighted space.
+        pair = checks.inner_product
+        monkeypatch.setattr(checks, "inner_product", lambda f, g, ip: pair(
+            f, g, LeftDefinite(1, 1) if ip == SobolevPhi() else ip))
+        assert self.failing() == {"identities.sobolev-decomposition",
+                                  "identities.first-left-definite-bridge"}
