@@ -421,7 +421,7 @@ _CHECKS = (
         jacobi_stirling(n, j) == 0 for n in range(13) for j in range(n + 1, 13)
     ) and all(jacobi_stirling(n, n) == 1 for n in range(13))),
     ("stirling.zero-shift-column", lambda rng: all(
-        list(composite_coefficients(n, 0).c) == [jacobi_stirling(n, j) for j in range(n + 1)]
+        list(composite_coefficients(n, 0).c) == [_STIRLING_REFERENCE[j][n] for j in range(n + 1)]
         for n in range(1, 9)
     )),
     ("orthogonality.sobolev-gram-identity",

@@ -44,8 +44,9 @@ class MassNotPositiveDefinite(ArithmeticError):
 # A dataclass, unlike the other records, because perfbench/tracer.py copies it
 # with dataclasses.replace.  It is built on first use by the module __getattr__
 # (PEP 562), so that commands other than chel do not import dataclasses (and
-# with it inspect) at start-up.  It becomes a plain class at module level when
-# ROADMAP item 5 deletes perfbench/tracer.py.
+# with it inspect) at start-up; typing.get_type_hints would not find it before
+# that, so no annotation names it.  It becomes a plain class at module level
+# when ROADMAP item 5 deletes perfbench/tracer.py.
 def __getattr__(name: str) -> type:
     if name != "ChelInstance":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -79,8 +80,8 @@ _PRESETS = {  # name -> (phi, psi, a, b)
 }
 
 
-def chel_preset(name: str) -> ChelInstance:
-    """The named instances exercised by the endpoint analysis.
+def chel_preset(name: str):
+    """The ChelInstance of a named case of the endpoint analysis.
 
     * ``dirichlet``: on (0, 1), the product int_0^x dt/(1-t^2) * (1 - x), the
       bounded function (1-x)/2 * log((1+x)/(1-x)) controlling square
@@ -164,8 +165,8 @@ def sign_change(fn: Callable[[float], float], lo: float, hi: float) -> float:
     return hi
 
 
-def chel_K(instance: ChelInstance, grid_size: int) -> tuple[float, float]:
-    """(K, argmax): the boundedness constant and where K(x) attains it.
+def chel_K(instance, grid_size: int) -> tuple[float, float]:
+    """(K, argmax) of a ChelInstance: the boundedness constant and where K(x) attains it.
 
     K(x)^2 = F(x) G(x), F = int_a^x phi and G = int_x^b psi, is tabulated on a
     uniform grid by running sums of one closed Gauss-Lobatto rule per cell, four

@@ -1,23 +1,21 @@
 """Jacobi-Stirling numbers and composite-power coefficients.
 
-The Jacobi-Stirling numbers {n, j} form an upper-triangular table with unit
-diagonal, {n, j} = delta_{n,j} for j in {0, 1} and {n, j} = 0 for j > n.  Row
-n is built from row n - 1 by the triangular recurrence
+Both are rows of one triangle, rebuilt on each call (no row is kept):
 
-    {n, j} = {n-1, j-1} + j (j - 1) {n-1, j},
+    T(0, 0) = 1,  T(n, j) = T(n-1, j-1) + (j (j - 1) + k) T(n-1, j).
 
-in integers; rows are kept once built.  The Legendre-Stirling numbers are the
-same triangle shifted by one in both indices, {n + 1, j + 1}.
-
-The coefficients c_j(n, k) combine the triangle with powers of the spectral
-shift k >= 0 and are the coefficients of the n-th composite power of the
-differential expression.
+At k = 0 its rows are the Jacobi-Stirling numbers {n, j}, in integers: upper
+triangular with unit diagonal and {n, j} = delta_{n,j} for j in {0, 1}.  The
+Legendre-Stirling numbers are the same triangle shifted by one in both
+indices, {n + 1, j + 1}.  At a spectral shift k >= 0, row n holds the
+coefficients c_j(n, k) of the n-th composite power of the differential
+expression: since l_k = l_0 + k, c_j(n, k) = sum_r binom(n, r) k^r {n-r, j},
+and Pascal's rule on binom(n, r) splits that sum into the two terms above.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import NamedTuple
 
 from .algebra import RationalLike, as_fraction
@@ -31,26 +29,20 @@ __all__ = [
 ]
 
 
-# Row n holds {n, j} for j = 0..n.  jacobi_stirling replaces the tuple with a
-# longer one, so a reader always sees a complete prefix of the triangle.
-_TRIANGLE: tuple[tuple[int, ...], ...] = ((1,),)
+def _triangle(max_n: int, k: int | Fraction) -> list[tuple]:
+    """Rows 0..max_n of the triangle T at shift k."""
+    rows = [(1,)]
+    for _ in range(max_n):
+        prev = rows[-1] + (0,)  # prev[-1] stands for T(n-1, -1) = 0
+        rows.append(tuple(prev[j - 1] + (j * (j - 1) + k) * prev[j] for j in range(len(prev))))
+    return rows
 
 
 def jacobi_stirling(n: int, j: int) -> int:
     """Jacobi-Stirling number {n, j} as an arbitrary-precision integer."""
     if n < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    if j > n:
-        return 0
-    global _TRIANGLE
-    rows = _TRIANGLE
-    if len(rows) <= n:
-        grown = list(rows)
-        while len(grown) <= n:
-            prev = grown[-1] + (0,)
-            grown.append((0, *(prev[i - 1] + i * (i - 1) * prev[i] for i in range(1, len(prev)))))
-        rows = _TRIANGLE = tuple(grown)
-    return rows[n][j]
+    return _triangle(n, 0)[n][j] if j <= n else 0
 
 
 class CompositeCoefficients(NamedTuple):
@@ -71,16 +63,9 @@ def composite_coefficients(n: int, k: RationalLike) -> CompositeCoefficients:
         raise ValueError("the composite power index must be >= 1")
     if k < 0:
         raise ValueError("the spectral shift k must be nonnegative")
-    coeffs = [k**n if k > 0 else Fraction(0)]
-    for j in range(1, n + 1):
-        cj = Fraction(0)
-        kpow = Fraction(1)
-        for r in range(0, n - j + 1):
-            cj += comb(n, r) * jacobi_stirling(n - r, j) * kpow
-            kpow *= k
-        coeffs.append(cj)
+    coeffs = _triangle(n, k)[n]
     assert coeffs[n] == 1 and all(c >= 0 for c in coeffs)
-    return CompositeCoefficients(n=n, k=k, c=tuple(coeffs))
+    return CompositeCoefficients(n=n, k=k, c=coeffs)
 
 
 class StirlingTable(NamedTuple):
@@ -99,5 +84,4 @@ class StirlingTable(NamedTuple):
 def build_table(max_n: int) -> StirlingTable:
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    jacobi_stirling(max_n, 0)  # grows the triangle to row max_n
-    return StirlingTable(_TRIANGLE[:max_n + 1])
+    return StirlingTable(tuple(_triangle(max_n, 0)))

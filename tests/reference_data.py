@@ -5,7 +5,8 @@ columns n = 0..8).  The oracles here deliberately avoid the code paths they
 check: products are schoolbook Fraction convolutions, not the integer kernel;
 the classical family is rebuilt from its three-term recurrence and from the
 explicit binomial sum; Jacobi-Stirling numbers come from their alternating
-sum; weighted integrals and bilinear forms are recomputed from a term-by-term
+sum, and the composite-power coefficients from their binomial double sum over
+those; weighted integrals and bilinear forms are recomputed from a term-by-term
 antiderivative of the product polynomial; the boundedness constant comes from
 per-cell adaptive Simpson quadrature and golden-section search, and from
 chel_K's former tabulation on lists of floats with one cell-rule call per
@@ -32,6 +33,7 @@ from jsob.numeric import (
     _value,
     sign_change,
 )
+from jsob.stirling import CompositeCoefficients
 
 # rows j = 0..8, columns n = 0..8
 JACOBI_STIRLING_TABLE = (
@@ -140,6 +142,29 @@ def jacobi_stirling_by_sum(n: int, j: int) -> int:
         total += -term if (r + j) % 2 else term
     assert total.denominator == 1 and total >= 0, (n, j, total)
     return total.numerator
+
+
+def composite_coefficients_by_binomial_sum(n: int, k) -> CompositeCoefficients:
+    """c_0 = k^n for k > 0 (and 0 for k = 0); c_j = sum_r binom(n, r) {n-r, j} k^r,
+    with {n-r, j} from the alternating sum above.
+
+    All coefficients are nonnegative and c_n = 1.
+    """
+    k = as_fraction(k)
+    if n < 1:
+        raise ValueError("the composite power index must be >= 1")
+    if k < 0:
+        raise ValueError("the spectral shift k must be nonnegative")
+    coeffs = [k**n if k > 0 else Fraction(0)]
+    for j in range(1, n + 1):
+        cj = Fraction(0)
+        kpow = Fraction(1)
+        for r in range(0, n - j + 1):
+            cj += math.comb(n, r) * jacobi_stirling_by_sum(n - r, j) * kpow
+            kpow *= k
+        coeffs.append(cj)
+    assert coeffs[n] == 1 and all(c >= 0 for c in coeffs)
+    return CompositeCoefficients(n=n, k=k, c=tuple(coeffs))
 
 
 def _integral(q: Polynomial) -> Fraction:

@@ -869,6 +869,30 @@ class TestSubprocessEntry:
         family_calls = counters["jacobi.family.hits"] + counters["jacobi.family.misses"]
         assert data["spans"]["jacobi.family"][0] == family_calls == 6
 
+        # The Stirling spans keep their names: the stirling command builds its
+        # table once, and a left-definite Gram reads c_j(n, k).
+        argv = ["stirling", "--max-n", "8"]
+        traced = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv],
+            capture_output=True, text=True, env=env,
+        )
+        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
+        assert traced.stdout == plain.stdout
+        assert json.loads(trace.read_text())["spans"]["stirling.table"][0] == 1
+
+        argv = ["gram", "--ip", "ld", "--ld-n", "2", "--k", "1", "--max-degree", "4"]
+        traced = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv],
+            capture_output=True, text=True, env=env,
+        )
+        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
+        assert traced.stdout == plain.stdout
+        assert json.loads(trace.read_text())["spans"]["stirling.composite"][0] >= 1
+
     def test_closed_pipe_ends_quietly(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from jsob import checks, stirling
 from jsob.checks import verify_defining_identity
 from jsob.stirling import (
     build_table,
     composite_coefficients,
     jacobi_stirling,
 )
-from reference_data import JACOBI_STIRLING_TABLE
+from reference_data import JACOBI_STIRLING_TABLE, composite_coefficients_by_binomial_sum
 
 
 class TestJacobiStirling:
@@ -70,6 +71,14 @@ class TestCompositeCoefficients:
                 assert c[n] == 1
                 assert all(v >= 0 for v in c)
 
+    @pytest.mark.parametrize("k", [0, Fraction(1, 2), 1, 2, Fraction(7, 3), Fraction(10**6, 7)])
+    def test_recurrence_matches_binomial_sum(self, k):
+        # n up to 16, the cap of --ld-n.
+        for n in range(1, 17):
+            coeffs = composite_coefficients(n, k)
+            assert coeffs == composite_coefficients_by_binomial_sum(n, k)
+            assert all(type(c) is Fraction for c in coeffs.c)
+
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             composite_coefficients(2, -1)
@@ -111,3 +120,34 @@ class TestBuildTable:
 
     def test_specific_entry(self):
         assert build_table(5).entry(5, 2) == 8
+
+
+class TestVerifyCatchesPlantedFaults:
+    # Each fault changes the diagonal weight j (j - 1) + k of the one triangle
+    # recurrence; exactly the checks that read the triangle at that weight fail.
+
+    @staticmethod
+    def failing(monkeypatch, weight):
+        def triangle(max_n, k):
+            rows = [(1,)]
+            for _ in range(max_n):
+                prev = rows[-1] + (0,)
+                rows.append(tuple(prev[j - 1] + weight(j, k) * prev[j] for j in range(len(prev))))
+            return rows
+
+        monkeypatch.setattr(stirling, "_triangle", triangle)
+        return {record["name"] for record in checks.run("all") if not record["passed"]}
+
+    def test_weight_j_times_j_plus_one(self, monkeypatch):
+        # The k = 0 triangle is wrong from {2, 1} on, so every check that reads
+        # it fails, the zero-shift column included.
+        assert self.failing(monkeypatch, lambda j, k: j * (j + 1) + k) == {
+            "stirling.table-9x9", "stirling.fifth-power-coefficients",
+            "stirling.zero-shift-column", "stirling.defining-identity",
+            "orthogonality.left-definite-gram", "eigen.composite-powers"}
+
+    def test_doubled_shift(self, monkeypatch):
+        # The k = 0 triangle is right; only the checks at a shift k > 0 see it.
+        assert self.failing(monkeypatch, lambda j, k: j * (j - 1) + 2 * k) == {
+            "stirling.defining-identity", "orthogonality.left-definite-gram",
+            "eigen.composite-powers", "identities.first-left-definite-bridge"}

@@ -3,7 +3,11 @@ classes are still dataclasses."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,24 @@ def test_lazy_chel_instance_keeps_what_the_tracer_uses():
         copy.a = 1.0
     with pytest.raises(AttributeError, match="no attribute 'Missing'"):
         numeric.Missing
+
+
+def test_every_function_has_resolvable_type_hints():
+    # A fresh interpreter: an annotation naming a class that a module builds on
+    # first use resolves only after something has built it.
+    code = (
+        "import importlib, inspect, pkgutil, typing\n"
+        "import jsob\n"
+        "for info in pkgutil.iter_modules(jsob.__path__):\n"
+        "    if info.name != '__main__':\n"
+        "        module = importlib.import_module(f'jsob.{info.name}')\n"
+        "        for value in list(vars(module).values()):\n"
+        "            if inspect.isfunction(value) and value.__module__ == module.__name__:\n"
+        "                typing.get_type_hints(value)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
 
 
 # (equal pair, an unequal value) per value type; each pair is built separately.
