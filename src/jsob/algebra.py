@@ -268,7 +268,7 @@ def _moments(m: int, count: int) -> tuple[tuple[int, ...], int]:
     integral of x^i (1 - x^2)^m = 2^(m+1) m! / ((i+1) (i+3) ... (i+2m+1)).
     """
     have = len(_MOMENTS.get(m, ((), 1))[0])
-    if have < count:
+    if have < max(count, 1):  # a missing table has length 0, even for count 0
         top = 2 ** (m + 1) * factorial(m)
         values = [
             Fraction(0) if i % 2 else Fraction(top, prod(range(i + 1, i + 2 * m + 2, 2)))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import lcm, perm
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -241,57 +241,43 @@ def _require_vanishing(p: Polynomial, terms: list, context: str) -> None:
             )
 
 
-def _row_terms(f: Polynomial, terms: list, boundary: bool, width: int) -> list:
-    """The pairing of f with any g of degree < width, as a list of terms
-    (d, c, (ints, den)), each contributing c * sum_i ints[i] / den * (g^(d))_i."""
-    rows = [(d, c, weighted_moments(*symmetric_weight_form(f.derivative(d), a, b), width))
-            for d, c, a, b in terms]
+def _row_vector(f: Polynomial, terms: list, boundary: bool, width: int) -> tuple[list[int], int]:
+    """The pairing of f with any g of degree < width as (ints, den): B(f, g) is
+    sum_i ints[i] g_i / den.  A term (d, c, a, b) pairs g_i, i >= d, with
+    c i!/(i-d)! times the integral of f^(d) x^(i-d) (1 - x)^a (1 + x)^b."""
+    parts = []
+    for d, c, a, b in terms:
+        if d < width:  # else g^(d) = 0
+            ints, den = weighted_moments(*symmetric_weight_form(f.derivative(d), a, b), width - d)
+            parts.append((d, Fraction(c, den), ints))
     if boundary:
         # f(1) g(1)/2 + f(-1) g(-1)/2 pairs g_i with the sum of the coefficients
-        # of f of the parity of i; as a d = 0 term it goes first, keeping d sorted.
+        # of f of the parity of i.
         ints, den = f.int_form
         even, odd = sum(ints[0::2]), sum(ints[1::2])
-        rows.insert(0, (0, 1, ([odd if i % 2 else even for i in range(width)], den)))
-    return rows
+        parts.append((0, Fraction(1, den), [odd if i % 2 else even for i in range(width)]))
+    den = lcm(*(s.denominator for _, s, _ in parts))
+    vector = [0] * width
+    for d, s, ints in parts:
+        factor = s.numerator * (den // s.denominator)
+        for i, v in enumerate(ints, d):
+            vector[i] += factor * v * perm(i, d) if d else factor * v
+    return vector, den
 
 
 def _pairing_values(
     rows: Sequence[Polynomial], cols: Sequence[Polynomial], spec: InnerProductSpec
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact bilinear values B(f, g) for every f in rows and g in cols.
-
-    Per row, the terms are folded into one integer vector over one
-    denominator; per column, the derivative tower is laid out to match.  Each
-    value is then a single integer dot product.
-    """
+    """Exact bilinear values B(f, g) for every f in rows and g in cols: each is
+    one integer dot product of f's row vector with g's own coefficients."""
     terms, boundary, context = _term_table(spec)
     for p in (*rows, *cols):
         _require_vanishing(p, terms, context)
     width = max((len(g.int_form[0]) for g in cols), default=0)
-    packed_rows, orders = [], []
-    for f in rows:
-        moments = _row_terms(f, terms, boundary, width)
-        orders = [d for d, _, _ in moments]  # the same for every row
-        scales = [Fraction(c) / den for _, c, (_, den) in moments]
-        den = lcm(*(s.denominator for s in scales))
-        vector = []
-        for (_, _, (row, _)), s in zip(moments, scales):
-            factor = s.numerator * (den // s.denominator)
-            vector += [factor * v for v in row]
-        packed_rows.append((vector, den))
-    packed_cols = []
-    for g in cols:
-        tower, den = g.int_form
-        done, vector = 0, []
-        for d in orders:
-            for _ in range(d - done):
-                tower = [i * c for i, c in enumerate(tower)][1:]
-            done = d
-            vector += [*tower, *[0] * (width - len(tower))]
-        packed_cols.append((vector, den))
+    forms = [g.int_form for g in cols]
     return tuple(
-        tuple(Fraction(sum(map(mul, rv, cv)), rd * cd) for cv, cd in packed_cols)
-        for rv, rd in packed_rows
+        tuple(Fraction(sum(map(mul, vector, ints)), den * g_den) for ints, g_den in forms)
+        for vector, den in (_row_vector(f, terms, boundary, width) for f in rows)
     )
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from jsob import algebra
 from jsob.algebra import (
     ONE_MINUS_X2,
     Polynomial,
@@ -20,6 +21,7 @@ from jsob.algebra import (
     Surd,
     integrate_weighted,
     symmetric_weight_form,
+    weighted_moments,
 )
 from jsob.jacobi import (
     JacobiParams,
@@ -129,6 +131,16 @@ class TestIntegrals:
         assert integrate_weighted(short, 9) == integral_by_antiderivative(short, 9)
         assert integrate_weighted(long, 9) == integral_by_antiderivative(long, 9)
 
+    def test_empty_moment_table(self, monkeypatch):
+        # Requests for no moments at all, before any table exists, in a fresh process.
+        monkeypatch.setattr(algebra, "_MOMENTS", {})
+        zero = Polynomial.zero()
+        assert weighted_moments(zero, 5, 0)[0] == []
+        assert inner_product(zero, zero, SobolevPhi()) == Surd.zero()
+        assert inner_product(zero, Polynomial.one(), SobolevPhi()) == Surd.zero()
+        p = Polynomial((1, 2, 3))
+        assert integrate_weighted(p, 5) == integral_by_antiderivative(p, 5)
+
     def test_jacobi_weight_against_products(self):
         rng = random.Random(303)
         for _ in range(100):
@@ -199,6 +211,8 @@ class TestGramAssembly:
             (LeftDefinite(2, 1), Normalization.L2, 7),
             (LeftDefinite(3, Fraction(7, 3)), Normalization.L2, 6),
             (LeftDefinite(1, 0), Normalization.L2, 7),
+            # Orders 7..16 are at or above the width 7 of every member.
+            (LeftDefinite(16, Fraction(7, 3)), Normalization.L2, 6),
             (SobolevPhi(), Normalization.L2, 6),
             (Classical(JacobiParams(2, 1)), Normalization.REFERENCE, 5),
         ],
@@ -259,7 +273,8 @@ class TestGramAssembly:
         "spec",
         [SobolevPhi(), Classical(JacobiParams(-1, -1)), Classical(JacobiParams(-1, 1)),
          Classical(JacobiParams(2, 0)), LeftDefinite(2, 3), LeftDefinite(3, 0),
-         Classical(JacobiParams(1, -1)), LeftDefinite(4, Fraction(1, 2))],
+         Classical(JacobiParams(1, -1)), LeftDefinite(4, Fraction(1, 2)),
+         LeftDefinite(16, Fraction(7, 3))],
     )
     def test_random_pairs_against_products(self, spec):
         rng = random.Random(404)
