@@ -8,10 +8,11 @@ The central integral is
 
     integrate_weighted(p, m) = integral of p(x) * (1 - x^2)^m over [-1, 1]
 
-for integer m >= -1, a dot product of p's integer form with a cached vector
-of the moments of (1 - x^2)^m.  The m = -1 case is only defined when
-(1 - x^2) divides p, which is exactly membership of the polynomial in the
-weighted L^2 space with weight (1 - x^2)^(-1).
+for integer m >= -1, a dot product of p's integer form with the moments of
+(1 - x^2)^m, built per call by ``jacobi_moments`` as every Jacobi weight's
+are.  The m = -1 case is only defined when (1 - x^2) divides p, which is
+exactly membership of the polynomial in the weighted L^2 space with weight
+(1 - x^2)^(-1).
 
 Square roots of rationals enter through normalization constants; they are kept
 closed under multiplication by the ``Surd`` type (a rational coefficient times
@@ -27,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import factorial, gcd, isqrt, lcm, prod
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -38,8 +39,9 @@ __all__ = [
     "Surd",
     "ONE_MINUS_X2",
     "as_fraction",
+    "clear_poles",
     "integrate_weighted",
-    "symmetric_weight_form",
+    "jacobi_moments",
     "weighted_moments",
 ]
 
@@ -257,65 +259,58 @@ def _divide_out(p: Polynomial, at: int) -> Polynomial:
     return Polynomial.from_int_form([-at * c for c in reversed(carries)], den)
 
 
-# m -> (ints, den): ints[i] / den is the integral of x^i (1 - x^2)^m over [-1, 1].
-_MOMENTS: dict[int, tuple[tuple[int, ...], int]] = {}
+def jacobi_moments(a: RationalLike, b: RationalLike, count: int) -> tuple[tuple[int, ...], int]:
+    """The first ``count`` moments int x^i (1 - x)^a (1 + x)^b over [-1, 1],
+    a, b > -1, as (ints, den) in lowest terms: absolute for integer a, b, from
+    h_0 = 2^(a+b+1) a! b! / (a+b+1)!, else in units of h_0.  The recurrence
+    (i + a + b + 2) mu_{i+1} = (b - a) mu_i + i mu_{i-1} runs in integers:
+    mu_i = N_i / E_i, E_{i+1} = E_i (q i + s), N_{i+1} = d N_i + q i (q (i-1) + s) N_{i-1}
+    with q = lcm(den a, den b), s = q (a + b + 2), d = q (b - a)."""
+    a, b = as_fraction(a), as_fraction(b)
+    if not (a > -1 and b > -1):
+        raise ValueError("weight exponents must exceed -1")
+    q = lcm(a.denominator, b.denominator)
+    s, d = int(q * (a + b + 2)), int(q * (b - a))
+    num, den = (2 ** (s - 1), (s - 1) * comb(s - 2, int(a))) if q == 1 else (1, 1)
+    ints = [num, d * num][:count]
+    for i in range(1, count - 1):
+        ints.append(d * ints[i] + q * i * (q * (i - 1) + s) * ints[i - 1])
+    # Over E_{count-1}: N_i times the suffix product of the factors q j + s, j >= i.
+    tails = list(accumulate((q * i + s for i in reversed(range(count - 1))), mul, initial=1))
+    ints, den = [c * t for c, t in zip(ints, reversed(tails))], den * tails[-1]
+    g = gcd(den, *ints)
+    return tuple(c // g for c in ints), den // g
 
 
-def _moments(m: int, count: int) -> tuple[tuple[int, ...], int]:
-    """At least ``count`` moments of (1 - x^2)^m, m >= 0, over one denominator.
-
-    Odd moments vanish; the even ones are Beta integrals,
-    integral of x^i (1 - x^2)^m = 2^(m+1) m! / ((i+1) (i+3) ... (i+2m+1)).
-    """
-    have = len(_MOMENTS.get(m, ((), 1))[0])
-    if have < max(count, 1):  # a missing table has length 0, even for count 0
-        top = 2 ** (m + 1) * factorial(m)
-        values = [
-            Fraction(0) if i % 2 else Fraction(top, prod(range(i + 1, i + 2 * m + 2, 2)))
-            for i in range(max(count, 2 * have, 16))
-        ]
-        den = lcm(*(v.denominator for v in values))
-        _MOMENTS[m] = tuple(v.numerator * (den // v.denominator) for v in values), den
-    return _MOMENTS[m]
-
-
-def weighted_moments(p: Polynomial, m: int, count: int) -> tuple[list[int], int]:
-    """Integrals of p(x) x^i (1 - x^2)^m over [-1, 1] for i < count, m >= 0.
-
-    Returned as (ints, den), the i-th integral being ints[i] / den.  Each
-    entry is an integer dot product of p's integer form with a window of the
-    cached moment vector.
-    """
+def weighted_moments(p: Polynomial, moments: tuple, count: int) -> tuple[list[int], int]:
+    """Integrals of p(x) x^i w(x) over [-1, 1] for i < count as (ints, den),
+    the i-th being ints[i] / den: integer dot products of p's integer form with
+    windows of ``moments``, the table of w, of at least deg p + count entries."""
     ints, den = p.int_form
-    mu, mu_den = _moments(m, len(ints) + count)
+    mu, mu_den = moments
     size = len(ints)
     return [sum(map(mul, ints, mu[i : i + size])) for i in range(count)], den * mu_den
 
 
 def integrate_weighted(p: Polynomial, m: int) -> Fraction:
-    """Exact value of the integral of p(x) (1 - x^2)^m over [-1, 1], m >= -1.
-
-    The first moment of ``symmetric_weight_form(p, m, m)``: for m = -1 the
-    polynomial must vanish at both endpoints (NotDivisible otherwise).
-    """
-    (value,), den = weighted_moments(*symmetric_weight_form(p, m, m), 1)
+    """Exact value of the integral of p(x) (1 - x^2)^m over [-1, 1], m >= -1;
+    for m = -1, p must vanish at both endpoints (NotDivisible otherwise)."""
+    q, a, b = clear_poles(p, m, m)
+    (value,), den = weighted_moments(q, jacobi_moments(a, b, len(q.int_form[0])), 1)
     return Fraction(value, den)
 
 
-def symmetric_weight_form(p: Polynomial, a: int, b: int) -> tuple[Polynomial, int]:
-    """(q, m), m >= 0, with q (1 - x^2)^m = p (1 - x)^a (1 + x)^b, for integers a, b >= -1.
-
-    An exponent -1 divides its linear factor out of p (NotDivisible when p does
-    not vanish at that endpoint).
-    """
+def clear_poles(p: Polynomial, a: int, b: int) -> tuple[Polynomial, int, int]:
+    """(q, a', b') with q (1 - x)^a' (1 + x)^b' = p (1 - x)^a (1 + x)^b, integers
+    a, b >= -1: an exponent -1 divides its linear factor out of p and becomes 0
+    (NotDivisible when p does not vanish at that endpoint)."""
     if a < -1 or b < -1:
         raise ValueError("weight exponents must be >= -1")
     if a == -1:
         p, a = _divide_out(p, 1), 0
     if b == -1:
         p, b = _divide_out(p, -1), 0
-    m = min(a, b)
-    return p * Polynomial((1, -1)) ** (a - m) * Polynomial((1, 1)) ** (b - m), m
+    return p, a, b
 
 
 class Surd(Frozen):

@@ -20,6 +20,7 @@ from .algebra import (
     Surd,
     as_fraction,
     integrate_weighted,
+    jacobi_moments,
 )
 from .jacobi import (
     JacobiParams,
@@ -213,21 +214,14 @@ def jacobi_moments_check(params: JacobiParams, max_degree: int) -> bool:
     """Exact check of the reference members P_n, n <= max_degree, against the
     normalized moments mu_m = int x^m w / int w of w = (1-x)^a (1+x)^b, a, b > -1.
 
-    Integrating d/dx [x^m (1-x)^(a+1) (1+x)^(b+1)] over (-1, 1) gives
-    (m + a + b + 2) mu_{m+1} = (b - a) mu_m + m mu_{m-1}, mu_0 = 1.  With c_i the
-    coefficients of P_n, sum_i c_i mu_{i+j} must vanish for j < n, and
-    c_n sum_i c_i mu_{i+n} = h_n / h_0 must equal (DLMF 18.3.1)
-    (a+1)_n (b+1)_n / ((2n+a+b+1) n! (a+b+2)_{n-1}) for n >= 1, which stays
-    finite when a + b + 1 = 0.
+    The moments are ``jacobi_moments(a, b, 2 max_degree + 1)`` over their entry 0,
+    from the weight's own recurrence, not the family's.  With c_i the coefficients
+    of P_n, sum_i c_i mu_{i+j} must vanish for j < n, and c_n sum_i c_i mu_{i+n} =
+    h_n / h_0 must equal (DLMF 18.3.1) (a+1)_n (b+1)_n / ((2n+a+b+1) n! (a+b+2)_{n-1})
+    for n >= 1, which stays finite when a + b + 1 = 0.
     """
     a, b = params.alpha, params.beta
-    if not (a > -1 and b > -1):
-        raise ValueError("parameters must exceed -1")
-    mu = [Fraction(1)]
-    for m in range(2 * max_degree):  # at m = 0 the term m mu_{m-1} is zero
-        mu.append(((b - a) * mu[m] + m * mu[m - 1]) / (m + a + b + 2))
-    scale = math.lcm(*(v.denominator for v in mu))
-    moments = [v.numerator * (scale // v.denominator) for v in mu]  # scale * mu_m, integers
+    moments, _ = jacobi_moments(a, b, 2 * max_degree + 1)  # mu_m = moments[m] / moments[0]
     rising = Fraction(1)  # (a+1)_n (b+1)_n / (n! (a+b+2)_{n-1})
     for n in range(max_degree + 1):
         if n:
@@ -235,7 +229,7 @@ def jacobi_moments_check(params: JacobiParams, max_degree: int) -> bool:
         poly = jacobi_family(n, params, Normalization.REFERENCE).poly
         ints, den = poly.int_form  # c_i = ints[i] / den
         pairs = [sum(c * m for c, m in zip(ints, moments[j:])) for j in range(n + 1)]
-        norm = poly.coeff(n) * Fraction(pairs[n], den * scale)
+        norm = poly.coeff(n) * Fraction(pairs[n], den * moments[0])
         if any(pairs[:n]) or norm != (rising / (2 * n + a + b + 1) if n else 1):
             return False
     return True

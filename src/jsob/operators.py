@@ -37,7 +37,8 @@ from .algebra import (
     ScaledPolynomial,
     Surd,
     as_fraction,
-    symmetric_weight_form,
+    clear_poles,
+    jacobi_moments,
     weighted_moments,
 )
 from .jacobi import (
@@ -241,14 +242,18 @@ def _require_vanishing(p: Polynomial, terms: list, context: str) -> None:
             )
 
 
-def _row_vector(f: Polynomial, terms: list, boundary: bool, width: int) -> tuple[list[int], int]:
+def _row_vector(
+    f: Polynomial, terms: list, boundary: bool, width: int, tables: dict
+) -> tuple[list[int], int]:
     """The pairing of f with any g of degree < width as (ints, den): B(f, g) is
     sum_i ints[i] g_i / den.  A term (d, c, a, b) pairs g_i, i >= d, with
-    c i!/(i-d)! times the integral of f^(d) x^(i-d) (1 - x)^a (1 + x)^b."""
+    c i!/(i-d)! times the integral of f^(d) x^(i-d) (1 - x)^a (1 + x)^b, whose
+    weight, its poles cleared, has its moments in ``tables``."""
     parts = []
     for d, c, a, b in terms:
         if d < width:  # else g^(d) = 0
-            ints, den = weighted_moments(*symmetric_weight_form(f.derivative(d), a, b), width - d)
+            p, a, b = clear_poles(f.derivative(d), a, b)
+            ints, den = weighted_moments(p, tables[a, b], width - d)
             parts.append((d, Fraction(c, den), ints))
     if boundary:
         # f(1) g(1)/2 + f(-1) g(-1)/2 pairs g_i with the sum of the coefficients
@@ -269,15 +274,19 @@ def _pairing_values(
     rows: Sequence[Polynomial], cols: Sequence[Polynomial], spec: InnerProductSpec
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Exact bilinear values B(f, g) for every f in rows and g in cols: each is
-    one integer dot product of f's row vector with g's own coefficients."""
+    one integer dot product of f's row vector with g's own coefficients.  Each
+    weight, a -1 exponent cleared to 0, gets one moment table for every row."""
     terms, boundary, context = _term_table(spec)
     for p in (*rows, *cols):
         _require_vanishing(p, terms, context)
     width = max((len(g.int_form[0]) for g in cols), default=0)
+    size = width + max((len(f.int_form[0]) for f in rows), default=0)
+    weights = {(max(a, 0), max(b, 0)) for d, _, a, b in terms if d < width}
+    tables = {(a, b): jacobi_moments(a, b, size) for a, b in weights}
     forms = [g.int_form for g in cols]
     return tuple(
         tuple(Fraction(sum(map(mul, vector, ints)), den * g_den) for ints, g_den in forms)
-        for vector, den in (_row_vector(f, terms, boundary, width) for f in rows)
+        for vector, den in (_row_vector(f, terms, boundary, width, tables) for f in rows)
     )
 
 

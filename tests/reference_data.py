@@ -7,7 +7,9 @@ the classical family is rebuilt from its three-term recurrence and from the
 explicit binomial sum; Jacobi-Stirling numbers come from their alternating
 sum, and the composite-power coefficients from their binomial double sum over
 those; weighted integrals and bilinear forms are recomputed from a term-by-term
-antiderivative of the product polynomial; the boundedness constant comes from
+antiderivative of the product polynomial, and the moments of a Jacobi weight
+from the Beta integral, the antiderivative, a binomial expansion in 1 + x and
+the central binomial and Catalan numbers; the boundedness constant comes from
 per-cell adaptive Simpson quadrature and golden-section search, and from
 chel_K's former tabulation on lists of floats with one cell-rule call per
 cell; the Galerkin pencil is assembled as dense matrices by Gauss-Legendre
@@ -194,6 +196,49 @@ def _weighted_by_products(p: Polynomial, q: Polynomial, a: int, b: int) -> Fract
         else:
             prod = schoolbook_product(prod, _power(Polynomial(factor), exponent))
     return _integral(prod)
+
+
+def beta_moments(m: int, count: int) -> list[Fraction]:
+    """The first ``count`` moments int x^i (1 - x^2)^m over [-1, 1], m >= 0, as
+    Beta integrals: odd ones vanish, and an even one is
+    2^(m+1) m! / ((i+1) (i+3) ... (i+2m+1))."""
+    top = 2 ** (m + 1) * factorial(m)
+    return [
+        Fraction(0) if i % 2 else Fraction(top, math.prod(range(i + 1, i + 2 * m + 2, 2)))
+        for i in range(count)
+    ]
+
+
+def moment_by_antiderivative(a: int, b: int, i: int) -> Fraction:
+    """int x^i (1 - x)^a (1 + x)^b over [-1, 1], integers a, b >= 0, from the
+    antiderivative of the expanded product."""
+    return _weighted_by_products(Polynomial([0] * i + [1]), Polynomial.one(), a, b)
+
+
+def moments_by_binomial_expansion(a, b, count: int) -> list[Fraction]:
+    """The first ``count`` moments of (1 - x)^a (1 + x)^b, rational a, b > -1, in
+    units of the zeroth: x^i = sum_k C(i, k) (-1)^(i-k) (1 + x)^k, and the
+    Beta integral gives int (1 + x)^k w / int w = 2^k (b+1)_k / (a+b+2)_k."""
+    a, b = as_fraction(a), as_fraction(b)
+    shifted = [Fraction(1)]
+    for k in range(count - 1):
+        shifted.append(shifted[-1] * 2 * (b + 1 + k) / (a + b + 2 + k))
+    return [
+        sum(math.comb(i, k) * (-1) ** (i - k) * shifted[k] for k in range(i + 1))
+        for i in range(count)
+    ]
+
+
+def chebyshev_moments(count: int, second_kind: bool) -> list[Fraction]:
+    """The first ``count`` moments of (1 - x^2)^(-1/2), or of (1 - x^2)^(1/2)
+    for the second kind, in units of the zeroth: an odd one vanishes, and
+    moment 2i is C(2i, i) / 4^i, or the Catalan number C(2i, i) / (i + 1) over 4^i."""
+    values = []
+    for i in range(count):
+        central = Fraction(math.comb(i, i // 2), 2**i)  # C(2j, j) / 4^j at i = 2j
+        catalan = central / (i // 2 + 1)
+        values.append(Fraction(0) if i % 2 else (catalan if second_kind else central))
+    return values
 
 
 def bilinear_by_products(p: Polynomial, q: Polynomial, spec) -> Fraction:

@@ -10,9 +10,11 @@ from jsob.algebra import (
     Polynomial,
     ScaledPolynomial,
     Surd,
+    clear_poles,
     integrate_weighted,
-    symmetric_weight_form,
 )
+from jsob.jacobi import JacobiParams
+from jsob.operators import Classical, inner_product
 from reference_data import integral_by_antiderivative
 
 
@@ -195,17 +197,28 @@ class TestIntegrateJacobiWeight:
         rng = random.Random(17)
         for m in range(0, 3):
             p = Polynomial([rng.randint(-9, 9) for _ in range(8)])
-            assert integrate_weighted(*symmetric_weight_form(p, m, m)) == integrate_weighted(p, m)
+            spec = Classical(JacobiParams(m, m))
+            assert inner_product(p, Polynomial.one(), spec).to_fraction() == integrate_weighted(p, m)
 
     def test_mixed_negative_exponent(self):
         # p = (1 - x) q integrates against (1-x)^(-1) as plain q
         q = poly(2, 0, 3)
         p = poly(1, -1) * q
-        assert integrate_weighted(*symmetric_weight_form(p, -1, 0)) == integrate_weighted(q, 0)
+        cleared, a, b = clear_poles(p, -1, 0)
+        assert (a, b) == (0, 0)
+        assert integrate_weighted(cleared, 0) == integrate_weighted(q, 0)
+
+    def test_positive_exponents_pass_through(self):
+        p = poly(1, 2, 3)
+        assert clear_poles(p, 2, 0) == (p, 2, 0)
 
     def test_mixed_not_divisible(self):
         with pytest.raises(NotDivisible):
-            integrate_weighted(*symmetric_weight_form(poly(1, 1), -1, 0))
+            clear_poles(poly(1, 1), -1, 0)
+
+    def test_rejects_exponent_below_minus_one(self):
+        with pytest.raises(ValueError):
+            clear_poles(Polynomial.one(), 0, -2)
 
 
 class TestSurd:

@@ -718,6 +718,24 @@ class TestSubprocessEntry:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1:] == ["0,1", "1,1", "2,3", "3,7", "4,13"]
 
+    def test_warm_process_prints_what_a_fresh_one_does(self, capsys):
+        # Moment tables are built per pairing, so earlier pairings in the same
+        # process, at other weights and lengths, leave nothing behind.
+        for argv in (["gram", "--ip", "phi", "--max-degree", "30"],
+                     ["gram", "--ip", "ld", "--ld-n", "16", "--k", "7/3", "--max-degree", "20"],
+                     ["gram", "--ip", "classical", "--alpha", "2", "--beta", "0",
+                      "--max-degree", "5"],
+                     ["verify", "--suite", "orthogonality"]):
+            assert run(capsys, *argv)[0] == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        for argv in (["gram", "--ip", "classical", "--alpha", "0", "--beta", "2",
+                      "--max-degree", "12"],
+                     ["gram", "--ip", "ld", "--ld-n", "3", "--k", "1", "--max-degree", "12"]):
+            code, warm, _ = run(capsys, *argv)
+            fresh = subprocess.run([sys.executable, "-m", "jsob", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert fresh.returncode == code == 0 and warm == fresh.stdout
+
     def test_exact_commands_do_not_import_numpy(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")

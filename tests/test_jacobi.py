@@ -7,7 +7,6 @@ from jsob.algebra import (
     Polynomial,
     ScaledPolynomial,
     integrate_weighted,
-    symmetric_weight_form,
 )
 from jsob import checks, jacobi
 from jsob.checks import (
@@ -26,6 +25,7 @@ from jsob.jacobi import (
     UndefinedNormalization,
     jacobi_family,
 )
+from jsob.operators import Classical, inner_product
 from reference_data import jacobi_by_binomial_sum, jacobi_by_recurrence
 
 
@@ -143,8 +143,8 @@ class TestJacobiFamily:
         for (a, b, low) in ((0, 0, 0), (1, 1, 0), (2, 1, 0), (0, 2, 0), (3, 1, 0), (-1, -1, 2)):
             for n in range(low, 61):
                 fam = jacobi_family(n, JacobiParams(a, b), Normalization.L2)
-                norm_sq = integrate_weighted(*symmetric_weight_form(fam.poly * fam.poly, a, b))
-                assert fam.scale_sq * norm_sq == 1, (a, b, n)
+                norm_sq = inner_product(fam.poly, fam.poly, Classical(JacobiParams(a, b)))
+                assert fam.scale_sq * norm_sq.to_fraction() == 1, (a, b, n)
 
 
 class TestDerivativeCoefficient:

@@ -13,14 +13,14 @@ from fractions import Fraction
 
 import pytest
 
-from jsob import algebra
 from jsob.algebra import (
     ONE_MINUS_X2,
     Polynomial,
     ScaledPolynomial,
     Surd,
+    clear_poles,
     integrate_weighted,
-    symmetric_weight_form,
+    jacobi_moments,
     weighted_moments,
 )
 from jsob.jacobi import (
@@ -44,11 +44,15 @@ from jsob.operators import (
 )
 from jsob.stirling import jacobi_stirling
 from reference_data import (
+    beta_moments,
     bilinear_by_products,
+    chebyshev_moments,
     chel_K_by_adaptive_simpson,
     integral_by_antiderivative,
     jacobi_by_binomial_sum,
     jacobi_stirling_by_sum,
+    moment_by_antiderivative,
+    moments_by_binomial_expansion,
     schoolbook_product,
 )
 
@@ -124,18 +128,16 @@ class TestIntegrals:
             m = rng.randint(0, 6)
             assert integrate_weighted(p, m) == integral_by_antiderivative(p, m)
 
-    def test_moment_cache_grows(self):
-        # No other test uses m = 9: a short polynomial fills the cached moment
-        # vector, then a long one must extend it.
+    def test_long_polynomial(self):
+        # A short and a long integrand against the same weight: each call
+        # builds a table as long as its own polynomial.
         short, long = Polynomial((0, 0, 1)), Polynomial([1] * 150)
         assert integrate_weighted(short, 9) == integral_by_antiderivative(short, 9)
         assert integrate_weighted(long, 9) == integral_by_antiderivative(long, 9)
 
-    def test_empty_moment_table(self, monkeypatch):
-        # Requests for no moments at all, before any table exists, in a fresh process.
-        monkeypatch.setattr(algebra, "_MOMENTS", {})
+    def test_zero_polynomial_pairings(self):
         zero = Polynomial.zero()
-        assert weighted_moments(zero, 5, 0)[0] == []
+        assert weighted_moments(zero, jacobi_moments(5, 5, 0), 0)[0] == []
         assert inner_product(zero, zero, SobolevPhi()) == Surd.zero()
         assert inner_product(zero, Polynomial.one(), SobolevPhi()) == Surd.zero()
         p = Polynomial((1, 2, 3))
@@ -150,10 +152,63 @@ class TestIntegrals:
                 p = p * Polynomial((1, -1))
             if b == -1:
                 p = p * Polynomial((1, 1))
+            q, a2, b2 = clear_poles(p, a, b)
+            (value,), den = weighted_moments(q, jacobi_moments(a2, b2, q.degree + 1), 1)
             spec = Classical(JacobiParams(a, b))
-            assert integrate_weighted(*symmetric_weight_form(p, a, b)) == bilinear_by_products(
-                p, Polynomial.one(), spec
-            )
+            assert Fraction(value, den) == bilinear_by_products(p, Polynomial.one(), spec)
+
+
+def _moment_values(table):
+    ints, den = table
+    return [Fraction(c, den) for c in ints]
+
+
+def _in_units_of_first(values):
+    return [v / values[0] for v in values]
+
+
+class TestJacobiMoments:
+    @pytest.mark.parametrize("m", range(17))
+    def test_symmetric_against_beta_integrals(self, m):
+        for count in (1, 2, 17, 130):
+            expected = beta_moments(m, count)
+            ints, den = jacobi_moments(m, m, count)
+            assert _moment_values((ints, den)) == expected
+            # One denominator, the least common one of the reduced moments.
+            assert den == math.lcm(*(v.denominator for v in expected))
+
+    @pytest.mark.parametrize("a,b", [(0, 2), (2, 0), (3, 1)])
+    def test_integer_weights_against_antiderivative(self, a, b):
+        expected = [moment_by_antiderivative(a, b, i) for i in range(25)]
+        assert _moment_values(jacobi_moments(a, b, 25)) == expected
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [(Fraction(1, 2), Fraction(-1, 4)), (Fraction(-1, 2), Fraction(1, 2)),
+         (Fraction(1, 2), Fraction(-1, 3)), (Fraction(-2, 3), Fraction(7, 5)), (1, 2)],
+    )
+    def test_rational_weights_against_binomial_expansion(self, a, b):
+        values = _moment_values(jacobi_moments(a, b, 40))
+        assert _in_units_of_first(values) == moments_by_binomial_expansion(a, b, 40)
+
+    def test_chebyshev_weights(self):
+        # At a = b = -1/2, a + b + 1 = 0; the recurrence never divides by it.
+        for half, second_kind in ((Fraction(-1, 2), False), (Fraction(1, 2), True)):
+            ints, den = jacobi_moments(half, half, 60)
+            assert ints[0] == den  # units of h_0 off the integers
+            assert _moment_values((ints, den)) == chebyshev_moments(60, second_kind)
+
+    def test_no_moments_and_one_moment(self):
+        assert jacobi_moments(5, 5, 0) == ((), 1)
+        assert jacobi_moments(Fraction(1, 2), Fraction(-1, 3), 0) == ((), 1)
+        assert jacobi_moments(1, 1, 1) == ((4,), 3)
+        assert jacobi_moments(3, 1, 1) == ((8,), 5)
+        assert jacobi_moments(Fraction(1, 2), Fraction(-1, 3), 1) == ((1,), 1)
+
+    def test_rejects_exponents_at_or_below_minus_one(self):
+        for a, b in ((-1, 0), (0, -1), (Fraction(-3, 2), 1)):
+            with pytest.raises(ValueError):
+                jacobi_moments(a, b, 3)
 
 
 class TestFamilies:

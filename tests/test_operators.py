@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jsob import checks
+from jsob import algebra, checks, operators
 from jsob.algebra import (
     ONE_MINUS_X2,
     Polynomial,
@@ -32,6 +32,7 @@ from jsob.operators import (
     operator_matrix,
     spectrum,
 )
+from reference_data import bilinear_by_products
 
 
 def rand_poly(rng, degree):
@@ -386,3 +387,39 @@ class TestVerifyCatchesPlantedFaults:
             f, g, LeftDefinite(1, 1) if ip == SobolevPhi() else ip))
         assert self.failing() == {"identities.sobolev-decomposition",
                                   "identities.first-left-definite-bridge"}
+
+
+class TestSwappedWeightExponents:
+    # Every moment table of (1 - x)^a (1 + x)^b replaced by that of
+    # (1 - x)^b (1 + x)^a, where the pairings and the checks read it.  Only an
+    # asymmetric weight can show it.
+
+    @pytest.fixture
+    def swapped(self, monkeypatch):
+        moments = algebra.jacobi_moments
+        fault = lambda a, b, count: moments(b, a, count)
+        monkeypatch.setattr(operators, "jacobi_moments", fault)
+        monkeypatch.setattr(checks, "jacobi_moments", fault)
+
+    @staticmethod
+    def gram_matches_products(params):
+        spec = Classical(params)
+        polys = [jacobi_family(d, params, Normalization.L2).poly for d in range(7)]
+        values = gram_matrix(6, spec, Normalization.L2).values
+        return values == tuple(
+            tuple(bilinear_by_products(f, g, spec) for g in polys) for f in polys
+        )
+
+    def test_verify_checks_that_see_it(self, swapped):
+        # (2, 1), (1/2, -1/4) and (-1/2, 1/2) are asymmetric in the moment check,
+        # and the derivative-weighted check pairs at (1 + j, 2 + j).
+        failing = {record["name"] for record in checks.run("all") if not record["passed"]}
+        assert failing == {"orthogonality.jacobi-moments", "orthogonality.derivative-weighted"}
+
+    def test_asymmetric_classical_gram_against_products(self, swapped):
+        assert not self.gram_matches_products(JacobiParams(0, 2))
+        assert self.gram_matches_products(JacobiParams(1, 1))
+
+    def test_gram_against_products_without_the_fault(self):
+        assert self.gram_matches_products(JacobiParams(0, 2))
+        assert self.gram_matches_products(JacobiParams(1, 1))
