@@ -60,14 +60,22 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 class Frozen:
-    """Base of the immutable value types.
-
-    ``__init__`` sets each field named in ``_fields`` once, through
-    ``object.__setattr__``; any later assignment raises AttributeError.
-    Equality and hashing compare the fields, between instances of one class.
-    """
+    """Base of the immutable value types, whose own class annotations are
+    their fields (``_fields``, in order).  ``__init__(*values)`` sets each
+    once, through ``object.__setattr__``; any later assignment raises
+    AttributeError.  Equality and hashing compare the fields, between
+    instances of one class."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes values for {self._fields}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -118,7 +126,6 @@ class Polynomial(Frozen):
     """
 
     int_form: tuple[tuple[int, ...], int]
-    _fields = ("int_form",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [as_fraction(c) for c in coeffs]
@@ -325,7 +332,6 @@ class Surd(Frozen):
 
     sign: int
     square: Fraction
-    _fields = ("sign", "square")
 
     def __init__(self, coeff: RationalLike, radicand: RationalLike):
         self.__post_init__(coeff, radicand)
@@ -335,8 +341,7 @@ class Surd(Frozen):
         if r < 0:
             raise ValueError("radicand must be nonnegative")
         square = c * c * r
-        object.__setattr__(self, "sign", ((c > 0) - (c < 0)) if square else 0)
-        object.__setattr__(self, "square", square)
+        Frozen.__init__(self, ((c > 0) - (c < 0)) if square else 0, square)
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "Surd":
@@ -387,7 +392,6 @@ class ScaledPolynomial(Frozen):
 
     scale_sq: Fraction
     poly: Polynomial
-    _fields = ("scale_sq", "poly")
 
     def __init__(self, scale_sq: RationalLike, poly: Polynomial):
         s = as_fraction(scale_sq)
@@ -395,8 +399,7 @@ class ScaledPolynomial(Frozen):
             s = Fraction(1)
         elif s <= 0:
             raise ValueError("scale_sq must be positive")
-        object.__setattr__(self, "scale_sq", s)
-        object.__setattr__(self, "poly", poly)
+        super().__init__(s, poly)
 
     @classmethod
     def of(cls, poly: Polynomial) -> "ScaledPolynomial":

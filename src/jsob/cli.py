@@ -18,7 +18,8 @@ Exit codes: 0 ok, 1 verification failure (a verify check that fails, or that
 raises an ArithmeticError or ValueError, is reported as FAIL), 2 usage error,
 3 undefined request, 4 numeric failure (a non-finite integral or a mass
 matrix that is not positive definite), 5 internal fault (an exact computation
-broke one of its own invariants, e.g. NotDivisible).
+broke one of its own invariants, e.g. NotDivisible), 6 output not written
+(stdout refused the report, e.g. ``> /dev/full``).
 A reader that closes stdout early (``| head``) ends the command quietly with
 exit code 0.
 """
@@ -57,7 +58,6 @@ from .stirling import build_table
 
 ENV_PREFIX = "JSOB_"
 FORMATS = ("json", "csv", "pretty")
-CONFIG_KEYS = ("default_k", "output_format", "cache_path", "float_digits")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -65,6 +65,7 @@ EXIT_USAGE = 2
 EXIT_UNDEFINED = 3
 EXIT_NUMERIC = 4
 EXIT_INTERNAL = 5
+EXIT_OUTPUT = 6
 
 
 class UsageError(ValueError):
@@ -78,12 +79,9 @@ class CliConfig(NamedTuple):
     float_digits: int
 
 
-_DEFAULTS = {
-    "default_k": "1",
-    "output_format": "pretty",
-    "cache_path": "",
-    "float_digits": "17",
-}
+CONFIG_KEYS = CliConfig._fields
+
+_DEFAULTS = dict(zip(CONFIG_KEYS, ("1", "pretty", "", "17")))
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -560,13 +558,16 @@ def main(argv: list[str] | None = None) -> int:
         return report.code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except BrokenPipeError:
-        # The reader closed stdout early (``jsob ... | head``).  Later writes,
+    except OSError as exc:
+        # A reader gone early (``jsob ... | head``) or a full device: later writes,
         # including the interpreter's final flush, go to the null device.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_OK
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_OK
+        print(f"output not written: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except UndefinedNormalization as exc:
         print(f"undefined request: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED

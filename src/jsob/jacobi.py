@@ -52,14 +52,12 @@ class JacobiParams(Frozen):
 
     alpha: Fraction
     beta: Fraction
-    _fields = ("alpha", "beta")
 
     def __init__(self, alpha: RationalLike, beta: RationalLike):
         a, b = as_fraction(alpha), as_fraction(beta)
         if a < -1 or b < -1:
             raise ValueError("parameters below -1 are out of scope")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+        super().__init__(a, b)
 
     @property
     def is_nonclassical(self) -> bool:

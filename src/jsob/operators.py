@@ -77,10 +77,6 @@ class Classical(Frozen):
     """Weighted-L2 pairing against (1 - x)^alpha (1 + x)^beta (integer exponents)."""
 
     params: JacobiParams
-    _fields = ("params",)
-
-    def __init__(self, params: JacobiParams):
-        object.__setattr__(self, "params", params)
 
 
 class SobolevPhi(Frozen):
@@ -92,7 +88,6 @@ class LeftDefinite(Frozen):
 
     n: int
     k: Fraction
-    _fields = ("n", "k")
 
     def __init__(self, n: int, k: RationalLike):
         if n < 1:
@@ -100,8 +95,7 @@ class LeftDefinite(Frozen):
         kf = as_fraction(k)
         if kf < 0:
             raise ValueError("the shift k must be nonnegative")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", kf)
+        super().__init__(n, kf)
 
 
 InnerProductSpec = Classical | SobolevPhi | LeftDefinite
@@ -119,7 +113,6 @@ class SpectrumSpec(Frozen):
     operator: OperatorTag
     k: Fraction
     power: int | None
-    _fields = ("operator", "k", "power")
 
     def __init__(self, operator: OperatorTag, k: RationalLike, power: int | None = None):
         kf = as_fraction(k)
@@ -130,9 +123,7 @@ class SpectrumSpec(Frozen):
                 raise ValueError("Bn needs a left-definite order power >= 1")
         elif power is not None:
             raise ValueError("only Bn carries a left-definite order")
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "k", kf)
-        object.__setattr__(self, "power", power)
+        super().__init__(operator, kf, power)
 
     @property
     def first_index(self) -> int:
@@ -230,12 +221,18 @@ def _term_table(spec: InnerProductSpec) -> tuple[list, bool, str]:
     raise TypeError(f"unknown inner product spec {spec!r}")
 
 
+def _parity_sums(p: Polynomial) -> tuple[int, int]:
+    """Sums of p's integer coefficients at even and odd powers: p(+-1) = (even +- odd) / den."""
+    ints = p.int_form[0]
+    return sum(ints[0::2]), sum(ints[1::2])
+
+
 def _require_vanishing(p: Polynomial, terms: list, context: str) -> None:
     """Each argument of a pairing must vanish where the pairing's weight is singular."""
-    ints = p.int_form[0]
+    even, odd = _parity_sums(p)
     roots = [at for d, _, a, b in terms if d == 0 for at, e in ((1, a), (-1, b)) if e == -1]
     for at in roots:
-        if sum(c if at == 1 or i % 2 == 0 else -c for i, c in enumerate(ints)):
+        if even + at * odd:
             raise NotInWeightedSpace(
                 f"{context}: argument does not vanish at x = {at}, so it lies outside "
                 f"the weighted space"
@@ -258,9 +255,8 @@ def _row_vector(
     if boundary:
         # f(1) g(1)/2 + f(-1) g(-1)/2 pairs g_i with the sum of the coefficients
         # of f of the parity of i.
-        ints, den = f.int_form
-        even, odd = sum(ints[0::2]), sum(ints[1::2])
-        parts.append((0, Fraction(1, den), [odd if i % 2 else even for i in range(width)]))
+        even, odd = _parity_sums(f)
+        parts.append((0, Fraction(1, f.int_form[1]), [(even, odd)[i % 2] for i in range(width)]))
     den = lcm(*(s.denominator for _, s, _ in parts))
     vector = [0] * width
     for d, s, ints in parts:
@@ -306,8 +302,7 @@ def decompose_w(f: Polynomial) -> tuple[Polynomial, Polynomial]:
 
     f2 interpolates f at the endpoints: f2 = (f(1)-f(-1))/2 * x + (f(1)+f(-1))/2.
     """
-    at1, atm1 = f(Fraction(1)), f(Fraction(-1))
-    f2 = Polynomial(((at1 + atm1) / 2, (at1 - atm1) / 2))
+    f2 = Polynomial.from_int_form(_parity_sums(f), f.int_form[1])
     return f - f2, f2
 
 

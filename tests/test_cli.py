@@ -12,7 +12,7 @@ import pytest
 
 from jsob.algebra import NotDivisible
 from jsob.checks import MismatchWithClosedForm, NotProportional, PoleInGammaRatio
-from jsob.cli import PolynomialRecord, main
+from jsob.cli import EXIT_OUTPUT, PolynomialRecord, main
 from jsob.jacobi import JacobiParams, Normalization
 from jsob.numeric import MassNotPositiveDefinite
 from jsob.operators import NotInWeightedSpace
@@ -926,3 +926,17 @@ class TestSubprocessEntry:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert "Traceback" not in err and "Error" not in err, err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_unwritable_stdout_exits_6_on_one_line(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "jsob", "stirling", "--max-n", "64", "--format", "json"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == EXIT_OUTPUT == 6, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("output not written: "), line
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from jsob.algebra import Polynomial, ScaledPolynomial, Surd
+from jsob.algebra import Frozen, Polynomial, ScaledPolynomial, Surd
 from jsob.jacobi import JacobiParams, Normalization, jacobi_family
 from jsob.operators import Classical, LeftDefinite, OperatorTag, SobolevPhi, SpectrumSpec
 
@@ -120,7 +120,60 @@ def test_equality_and_hash(make_a, make_b, other):
     assert a != other and {a: 1}.get(other) is None
 
 
+# Constructor arguments of one instance per Frozen subclass in jsob.
+SAMPLES = {
+    Polynomial: ((1, 0, 2),),
+    Surd: (Fraction(1, 2), 8),
+    ScaledPolynomial: (Fraction(1, 3), Polynomial((0, 1))),
+    JacobiParams: (1, 0),
+    Classical: (JacobiParams(1, 0),),
+    SobolevPhi: (),
+    LeftDefinite: (1, 0),
+    SpectrumSpec: (OperatorTag.BN, 1, 2),
+}
+
+
+def _frozen_subclasses():
+    for name in MODULES:
+        importlib.import_module(f"jsob.{name}")
+    found, todo = set(), [Frozen]
+    while todo:
+        found.update(subs := todo.pop().__subclasses__())
+        todo += subs
+    return {cls for cls in found if cls.__module__.startswith("jsob.")}
+
+
+def test_every_value_type_has_a_sample():
+    assert _frozen_subclasses() == set(SAMPLES)
+
+
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+def test_value_type_contract(cls):
+    # The fields are the class's own annotations, in order.
+    assert cls._fields == tuple(vars(cls).get("__annotations__", {}))
+    value = cls(*SAMPLES[cls])
+    values = tuple(getattr(value, name) for name in cls._fields)
+    # The one initializer takes exactly one value per field.
+    copy = object.__new__(cls)
+    Frozen.__init__(copy, *values)
+    assert copy == value and hash(copy) == hash(value) and copy is not value
+    assert cls(*SAMPLES[cls]) == value and hash(cls(*SAMPLES[cls])) == hash(value)
+    with pytest.raises(TypeError):
+        cls(*SAMPLES[cls], None)
+    with pytest.raises(TypeError):
+        Frozen.__init__(object.__new__(cls), *values, None)
+    if values:
+        with pytest.raises(TypeError):
+            Frozen.__init__(object.__new__(cls), *values[:-1])
+    # Equal fields do not make instances of two classes equal.
+    for other, args in SAMPLES.items():
+        if other is not cls:
+            assert value != other(*args)
+
+
 def test_values_of_different_types_differ():
+    assert JacobiParams(1, 0)._key() == LeftDefinite(1, 0)._key()  # equal fields
+    assert JacobiParams(1, 0) != LeftDefinite(1, 0)
     assert Classical(JacobiParams(1, 1)) != JacobiParams(1, 1)
     assert SobolevPhi() != Classical(JacobiParams(-1, -1))
     assert Polynomial((1,)) != 1
