@@ -5,55 +5,15 @@ Sobolev-orthonormal normalizations, the Jacobi-Stirling combinatorics behind
 the composite powers of the differential expression, the classical / Sobolev /
 left-definite inner products with exact Gram matrices and operator spectra,
 and a floating-point layer (Galerkin eigenvalues, boundedness constants).
-The checks that ``jsob verify`` runs live in ``jsob.checks``.
+Each layer's ``__all__`` is its public API, and the package exports all of
+them.  The checks that ``jsob verify`` runs live in ``jsob.checks``.
 """
 
-from .algebra import (
-    NotDivisible,
-    Polynomial,
-    ScaledPolynomial,
-    Surd,
-    as_fraction,
-    integrate_weighted,
-)
-from .jacobi import (
-    JacobiParams,
-    NONCLASSICAL,
-    Normalization,
-    UndefinedNormalization,
-    jacobi_family,
-)
-from .stirling import (
-    CompositeCoefficients,
-    StirlingTable,
-    build_table,
-    composite_coefficients,
-    jacobi_stirling,
-)
-from .operators import (
-    Classical,
-    GramMatrix,
-    LeftDefinite,
-    NotInWeightedSpace,
-    OperatorTag,
-    SobolevPhi,
-    SpectrumSpec,
-    apply_ell,
-    apply_ell_power,
-    decompose_w,
-    gram_matrix,
-    inner_product,
-    operator_matrix,
-    spectrum,
-)
-from .numeric import (
-    MassNotPositiveDefinite,
-    NonFiniteIntegral,
-    chel_K,
-    chel_preset,
-    galerkin_spectrum,
-    galerkin_system,
-)
+from .algebra import *
+from .jacobi import *
+from .stirling import *
+from .operators import *
+from .numeric import *
 
 __version__ = "0.1.0"
 

@@ -21,7 +21,8 @@ matrix that is not positive definite), 5 internal fault (an exact computation
 broke one of its own invariants, e.g. NotDivisible), 6 output not written
 (stdout refused the report, e.g. ``> /dev/full``).
 A reader that closes stdout early (``| head``) ends the command quietly with
-exit code 0.
+exit code 0, and a stderr that refuses a diagnostic (``2> /dev/full``) changes
+no exit code.
 """
 
 from __future__ import annotations
@@ -108,21 +109,11 @@ def _read_config_file(path: str) -> dict[str, str]:
 def build_config(args: argparse.Namespace) -> CliConfig:
     """Resolve the configuration: env > flags > config file > defaults."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    flag_values = {
-        "output_format": getattr(args, "format", None),
-        "cache_path": getattr(args, "cache_path", None),
-        "float_digits": getattr(args, "float_digits", None),
-    }
 
-    def pick(key: str) -> str:
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            return env
-        if flag_values.get(key) is not None:
-            return str(flag_values[key])
-        if key in file_values:
-            return file_values[key]
-        return _DEFAULTS[key]
+    def pick(key: str) -> str:  # each flag's dest is its config key
+        sources = (os.environ.get(ENV_PREFIX + key.upper()), getattr(args, key, None),
+                   file_values.get(key), _DEFAULTS[key])
+        return next(value for value in sources if value is not None)
 
     try:
         default_k = Fraction(pick("default_k"))
@@ -163,6 +154,12 @@ class Report(NamedTuple):
     rows: list[dict]
     lines: list[str]
     code: int = EXIT_OK
+
+
+def _say(text: str) -> None:
+    """Write one diagnostic line to stderr; an unwritable stderr changes no exit code."""
+    with contextlib.suppress(OSError):
+        print(text, file=sys.stderr)
 
 
 def _render(report: Report, output_format: str) -> None:
@@ -255,7 +252,7 @@ def _load_cache(path: str) -> dict:
             raise ValueError("cache root is not an object")
         return data
     except (OSError, ValueError) as exc:
-        print(f"warning: discarding corrupt cache {path!r} ({exc})", file=sys.stderr)
+        _say(f"warning: discarding corrupt cache {path!r} ({exc})")
         return {}
 
 
@@ -270,7 +267,7 @@ def _store_cache(path: str, cache: dict) -> None:
             fh.write("\n")
         os.replace(tmp, path)
     except OSError as exc:
-        print(f"warning: could not write cache {path!r} ({exc})", file=sys.stderr)
+        _say(f"warning: could not write cache {path!r} ({exc})")
     finally:
         with contextlib.suppress(OSError):  # gone already after os.replace
             os.remove(tmp)
@@ -286,7 +283,7 @@ def _record_for(params: JacobiParams, n: int, norm: Normalization, cfg: CliConfi
                 raise ValueError("record does not describe its key")
             return record
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            print(f"warning: ignoring malformed cache entry {key}", file=sys.stderr)
+            _say(f"warning: ignoring malformed cache entry {key}")
     record = PolynomialRecord.build(params, n, norm)
     if cfg.cache_path:
         cache[key] = record._asdict()
@@ -482,7 +479,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a 'key = value' config file")
-    parser.add_argument("--format", choices=FORMATS, help="output format")
+    parser.add_argument("--format", dest="output_format", choices=FORMATS, help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -566,19 +563,19 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return EXIT_OK
-        print(f"output not written: {exc}", file=sys.stderr)
+        _say(f"output not written: {exc}")
         return EXIT_OUTPUT
     except UndefinedNormalization as exc:
-        print(f"undefined request: {exc}", file=sys.stderr)
+        _say(f"undefined request: {exc}")
         return EXIT_UNDEFINED
     except (NonFiniteIntegral, MassNotPositiveDefinite) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        _say(f"numeric failure: {exc}")
         return EXIT_NUMERIC
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_USAGE
     except ArithmeticError as exc:
-        print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _say(f"internal fault: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 
 

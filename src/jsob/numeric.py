@@ -22,7 +22,6 @@ from .operators import OperatorTag, SpectrumSpec
 __all__ = [
     "NonFiniteIntegral",
     "MassNotPositiveDefinite",
-    "ChelInstance",
     "chel_preset",
     "chel_K",
     "sign_change",
@@ -45,7 +44,8 @@ class MassNotPositiveDefinite(ArithmeticError):
 # with dataclasses.replace.  It is built on first use by the module __getattr__
 # (PEP 562), so that commands other than chel do not import dataclasses (and
 # with it inspect) at start-up; typing.get_type_hints would not find it before
-# that, so no annotation names it.  It becomes a plain class at module level
+# that, so no annotation names it, and __all__ leaves it out, since a star
+# import would build it.  It becomes a plain class at module level
 # when ROADMAP item 5 deletes perfbench/tracer.py.
 def __getattr__(name: str) -> type:
     if name != "ChelInstance":

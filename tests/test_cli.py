@@ -940,3 +940,31 @@ class TestSubprocessEntry:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("output not written: "), line
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("argv, code", [
+        (["stirling", "--max-n", "99"], 2),
+        (["poly", "--n", "1", "--alpha=-1", "--beta=-1", "--normalization", "l2"], 3),
+        (["spectrum", "--operator", "A", "--k", "1e400", "--galerkin", "10"], 4),
+        (["stirling", "--max-n", "3"], EXIT_OUTPUT),  # stdout unwritable as well
+    ])
+    def test_unwritable_stderr_keeps_the_exit_code(self, argv, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        with open("/dev/full", "w") as full:
+            stdout = full if code == EXIT_OUTPUT else subprocess.PIPE
+            proc = subprocess.run([sys.executable, "-m", "jsob", *argv],
+                                  stdout=stdout, stderr=full, env=env)
+        assert proc.returncode == code and not proc.stdout
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_cache_warning_on_unwritable_stderr_keeps_the_output(self, tmp_path):
+        cache = tmp_path / "cache.json"
+        cache.write_text("{ not json")
+        argv = ["poly", "--n", "2", "--alpha=-1", "--beta=-1"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
+                               capture_output=True, text=True, env=env)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "jsob", *argv, "--cache-path", str(cache)],
+                                  stdout=subprocess.PIPE, stderr=full, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, plain.stdout)

@@ -13,8 +13,9 @@ and 1 otherwise.
 The list: every argv in ``tests/cli_golden.json``; the benchmark's ``exact``,
 ``float`` and ``cli-cache`` workloads (``perfbench/workloads.py``, imported
 read-only) for seeds 1 and 2; ``verify --suite all`` in each format; each
-size flag at its cap and one above it; and each ``chel`` preset at grids 1000,
-10000 and 100000.
+size flag at its cap and one above it; each ``chel`` preset at grids 1000,
+10000 and 100000; T with ``--galerkin``; and usage errors, undefined
+requests and a numeric failure (exit codes 2, 3 and 4).
 """
 
 from __future__ import annotations
@@ -57,6 +58,16 @@ ABOVE_CAPS = [
     ["spectrum", "--operator", "A", "--galerkin", "201"],
     ["chel", "--case", "unit", "--grid", "100001"],
 ]
+# T's Galerkin rows, then failures with exit codes 2 (usage), 3 (undefined) and 4 (numeric).
+OTHERS = [
+    ["spectrum", "--operator", "T", "--k", "1", "--count", "4", "--galerkin", "12", "--format", "csv"],
+    ["spectrum", "--operator", "A", "--k=-1"],
+    ["poly", "--n", "2", "--alpha=x", "--beta=-1"],
+    ["stirling", "--max-n", "3", "--config", "/nonexistent"],
+    ["poly", "--n", "1", "--alpha=-1", "--beta=-1", "--normalization", "l2"],
+    ["gram", "--ip", "classical", "--alpha=1/2", "--beta=-1/3", "--max-degree", "3"],
+    ["spectrum", "--operator", "A", "--k", "1e400", "--galerkin", "10"],
+]
 
 
 def command_list() -> list[list[str]]:
@@ -69,7 +80,7 @@ def command_list() -> list[list[str]]:
     for name in ("exact", "float", "cli-cache"):
         listed += [cmd.argv for seed in (1, 2) for cmd in workloads.generate(name, seed)]
     listed += [["verify", "--suite", "all", "--format", fmt] for fmt in ("json", "csv", "pretty")]
-    return listed + AT_CAPS + ABOVE_CAPS
+    return listed + AT_CAPS + ABOVE_CAPS + OTHERS
 
 
 def unpack(rev: str, dest: Path) -> Path:
