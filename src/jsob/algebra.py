@@ -25,12 +25,12 @@ All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import comb, gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
 
 __all__ = [
     "NotDivisible",
@@ -45,7 +45,7 @@ __all__ = [
     "weighted_moments",
 ]
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 
 class NotDivisible(ArithmeticError):
@@ -60,11 +60,11 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 class Frozen:
-    """Base of the immutable value types, whose own class annotations are
-    their fields (``_fields``, in order).  ``__init__(*values)`` sets each
-    once, through ``object.__setattr__``; any later assignment raises
-    AttributeError.  Equality and hashing compare the fields, between
-    instances of one class."""
+    """Base of the immutable value types and records, whose own class
+    annotations are their fields (``_fields``, in order).  ``__init__(*values)``
+    sets each once, through ``object.__setattr__``; any later assignment raises
+    AttributeError.  Equality and hashing compare the fields, between instances
+    of one class; ``_asdict`` maps each field name to its value."""
 
     _fields: tuple[str, ...] = ()
 
@@ -79,6 +79,9 @@ class Frozen:
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._key()))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -19,7 +19,7 @@ raises an ArithmeticError or ValueError, is reported as FAIL), 2 usage error,
 3 undefined request, 4 numeric failure (a non-finite integral or a mass
 matrix that is not positive definite), 5 internal fault (an exact computation
 broke one of its own invariants, e.g. NotDivisible), 6 output not written
-(stdout refused the report, e.g. ``> /dev/full``).
+(stdout refused the report, e.g. ``> /dev/full``, or was closed, ``>&-``).
 A reader that closes stdout early (``| head``) ends the command quietly with
 exit code 0, and a stderr that refuses a diagnostic (``2> /dev/full``) changes
 no exit code.
@@ -33,10 +33,9 @@ import io
 import os
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import checks
-from .algebra import Polynomial, ScaledPolynomial
+from .algebra import Frozen, Polynomial, ScaledPolynomial
 from .jacobi import JacobiParams, Normalization, UndefinedNormalization, jacobi_family
 from .numeric import (
     _PRESETS,
@@ -73,7 +72,7 @@ class UsageError(ValueError):
     """Bad argument or configuration value."""
 
 
-class CliConfig(NamedTuple):
+class CliConfig(Frozen):
     default_k: Fraction
     output_format: str
     cache_path: str
@@ -130,19 +129,14 @@ def build_config(args: argparse.Namespace) -> CliConfig:
         raise UsageError("float_digits must be an integer") from exc
     if not 6 <= float_digits <= 30:
         raise UsageError("float_digits must lie in [6, 30]")
-    return CliConfig(
-        default_k=default_k,
-        output_format=output_format,
-        cache_path=pick("cache_path"),
-        float_digits=float_digits,
-    )
+    return CliConfig(default_k, output_format, pick("cache_path"), float_digits)
 
 
 def _fmt_float(x: float, digits: int) -> str:
     return f"{x:.{digits}g}"
 
 
-class Report(NamedTuple):
+class Report(Frozen):
     """One command's result in every output format.
 
     payload is the JSON object; rows is the CSV table, whose first row's keys
@@ -153,7 +147,7 @@ class Report(NamedTuple):
     payload: dict
     rows: list[dict]
     lines: list[str]
-    code: int = EXIT_OK
+    code: int
 
 
 def _say(text: str) -> None:
@@ -179,6 +173,8 @@ def _render(report: Report, output_format: str) -> None:
         text = buf.getvalue()
     else:
         text = "".join(line + "\n" for line in report.lines)
+    if sys.stdout is None:  # the process started with stdout closed (``>&-``)
+        raise OSError("stdout is closed")
     sys.stdout.write(text)
 
 
@@ -186,7 +182,7 @@ def _render(report: Report, output_format: str) -> None:
 # polynomial records and the cache
 
 
-class PolynomialRecord(NamedTuple):
+class PolynomialRecord(Frozen):
     """Serializable exact description of one family member."""
 
     alpha: str
@@ -199,14 +195,8 @@ class PolynomialRecord(NamedTuple):
     @classmethod
     def build(cls, params: JacobiParams, n: int, norm: Normalization) -> "PolynomialRecord":
         fam = jacobi_family(n, params, norm)
-        return cls(
-            alpha=str(params.alpha),
-            beta=str(params.beta),
-            n=n,
-            normalization=norm.value,
-            scale_squared=str(fam.scale_sq),
-            coefficients=tuple(str(c) for c in fam.poly.coeffs),
-        )
+        return cls(str(params.alpha), str(params.beta), n, norm.value, str(fam.scale_sq),
+                   tuple(str(c) for c in fam.poly.coeffs))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PolynomialRecord":
@@ -221,14 +211,8 @@ class PolynomialRecord(NamedTuple):
         scale_squared = Fraction(str(data["scale_squared"]))
         if scale_squared <= 0:
             raise ValueError("scale_squared must be positive")
-        return cls(
-            alpha=str(data["alpha"]),
-            beta=str(data["beta"]),
-            n=int(data["n"]),
-            normalization=str(data["normalization"]),
-            scale_squared=str(scale_squared),
-            coefficients=tuple(str(Fraction(str(c))) for c in coefficients),
-        )
+        return cls(str(data["alpha"]), str(data["beta"]), int(data["n"]), str(data["normalization"]),
+                   str(scale_squared), tuple(str(Fraction(str(c))) for c in coefficients))
 
     def to_scaled_polynomial(self) -> ScaledPolynomial:
         return ScaledPolynomial(
@@ -302,7 +286,8 @@ def cmd_stirling(args: argparse.Namespace, cfg: CliConfig) -> Report:
     entries = [{"n": n, "j": j, "value": values[n][j]} for n in size for j in size]
     widths = [max(map(len, column)) for column in values]
     lines = [" ".join(values[n][j].rjust(widths[n]) for n in size) for j in size]
-    return Report({"command": "stirling", "max_n": table.max_n, "entries": entries}, entries, lines)
+    payload = {"command": "stirling", "max_n": table.max_n, "entries": entries}
+    return Report(payload, entries, lines, EXIT_OK)
 
 
 def cmd_poly(args: argparse.Namespace, cfg: CliConfig) -> Report:
@@ -317,7 +302,7 @@ def cmd_poly(args: argparse.Namespace, cfg: CliConfig) -> Report:
         f"scale_squared = {record.scale_squared}",
         f"value = {record.to_scaled_polynomial()}",
     ]
-    return Report(payload, [row], lines)
+    return Report(payload, [row], lines, EXIT_OK)
 
 
 def _reject_unused(args: argparse.Namespace, names: tuple[str, ...], context: str) -> None:
@@ -376,7 +361,7 @@ def cmd_gram(args: argparse.Namespace, cfg: CliConfig) -> Report:
     width = max(len(c) for row in cells for c in row)
     lines = [" ".join(c.rjust(width) for c in row) for row in cells]
     lines.append(f"identity: {'yes' if gm.is_identity() else 'no'}")
-    return Report(payload, entries, lines)
+    return Report(payload, entries, lines, EXIT_OK)
 
 
 _OPERATORS = {"a": OperatorTag.A, "t": OperatorTag.T, "bn": OperatorTag.BN}
@@ -394,9 +379,9 @@ def cmd_spectrum(args: argparse.Namespace, cfg: CliConfig) -> Report:
         rows = [{"index": first + i, "value": str(v)}
                 for i, v in enumerate(spectrum(spec, args.count))]
         lines = [f"operator {tag.value}, k = {k}", ", ".join(r["value"] for r in rows)]
-        return Report({**header, "eigenvalues": rows}, rows, lines)
-    numeric = galerkin_eigenvalues(spec, args.galerkin)
-    count = min(args.count, len(numeric))
+        return Report({**header, "eigenvalues": rows}, rows, lines, EXIT_OK)
+    numeric = galerkin_eigenvalues(spec, args.galerkin, args.count)
+    count = len(numeric)
     exact = spectrum(spec, count)
     rows = [
         {
@@ -412,7 +397,7 @@ def cmd_spectrum(args: argparse.Namespace, cfg: CliConfig) -> Report:
         f"abs error {r['abs_error']}"
         for r in rows
     ]
-    return Report({**header, "galerkin_size": args.galerkin, "entries": rows}, rows, lines)
+    return Report({**header, "galerkin_size": args.galerkin, "entries": rows}, rows, lines, EXIT_OK)
 
 
 def cmd_chel(args: argparse.Namespace, cfg: CliConfig) -> Report:
@@ -427,7 +412,7 @@ def cmd_chel(args: argparse.Namespace, cfg: CliConfig) -> Report:
     }
     line = (f"case {row['case']}: K = {row['kmax']} at x = {row['argmax']} "
             f"(K^2 = {row['kmax_squared']})")
-    return Report({"command": "chel", **row}, [row], [line])
+    return Report({"command": "chel", **row}, [row], [line], EXIT_OK)
 
 
 def cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> Report:
@@ -558,9 +543,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         # A reader gone early (``jsob ... | head``) or a full device: later writes,
         # including the interpreter's final flush, go to the null device.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return EXIT_OK
         _say(f"output not written: {exc}")

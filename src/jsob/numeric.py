@@ -12,9 +12,9 @@ solves its two tridiagonal halves by sign bisection on Sturm counts.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import islice
-from typing import Callable
 
 from .algebra import as_fraction
 from .operators import OperatorTag, SpectrumSpec
@@ -258,8 +258,9 @@ def _count(rows, sigma: float) -> int:
     return count
 
 
-def solve_galerkin(block) -> list[float]:
-    """Ascending eigenvalues of one tridiagonal pencil S v = lambda M v.
+def solve_galerkin(block, count=None) -> list[float]:
+    """Ascending eigenvalues of one tridiagonal pencil S v = lambda M v, only the
+    first ``count`` if given (eigenvalue j depends on none after it).
 
     The nonpositive pivots of the LDL^T factorization of S - sigma M count the
     eigenvalues at or below sigma (W. Barth, R. S. Martin and J. H. Wilkinson,
@@ -284,22 +285,26 @@ def solve_galerkin(block) -> list[float]:
     if not math.isfinite(radius):
         raise NonFiniteIntegral("the Galerkin eigenvalues have no finite bracket")
     values = [-radius]
-    for j in range(n):
+    for j in range(n)[:count]:
         values.append(sign_change(lambda sigma: _count(rows, sigma) <= j, values[-1], radius))
     return values[1:]
 
 
-def galerkin_spectrum(size: int, k, chain=()) -> list[float]:
-    """Ascending eigenvalues of galerkin_system(size, k, chain): the trial space of
-    size s spans the exact eigenfunctions of degrees 2..s+1, so they equal
-    m(m-1) + k, m = 2, ..., s+1, up to rounding in assembly and eigensolve."""
-    return sorted(v for block in galerkin_system(size, k, chain) for v in solve_galerkin(block))
+def galerkin_spectrum(size: int, k, chain=(), count=None) -> list[float]:
+    """Ascending eigenvalues of galerkin_system(size, k, chain), the first ``count`` if
+    given: the trial space of size s spans the exact eigenfunctions of degrees 2..s+1,
+    so they equal m(m-1) + k, m = 2, ..., s+1, up to rounding in assembly and eigensolve."""
+    blocks = galerkin_system(size, k, chain)
+    return sorted(v for block in blocks for v in solve_galerkin(block, count))[:count]
 
 
-def galerkin_eigenvalues(spec: SpectrumSpec, size: int) -> list[float]:
+def galerkin_eigenvalues(spec: SpectrumSpec, size: int, count=None) -> list[float]:
     """spec's eigenvalues from index spec.first_index by its Galerkin pencil of the given
-    size; T's first two are k, of 1 and x, which are phi-orthogonal to the bubbles."""
+    size, the first ``count`` if given; T's first two are k, of 1 and x, which are
+    phi-orthogonal to the bubbles."""
     k, tag = spec.k, spec.operator
     chain = {OperatorTag.A: (), OperatorTag.BN: (k,) * (spec.power or 0), OperatorTag.T: (0,)}[tag]
-    values = galerkin_spectrum(size, k, chain)  # so a k beyond float range fails in the solve
-    return [float(k)] * 2 + values if tag is OperatorTag.T else values
+    lead = 2 if tag is OperatorTag.T else 0
+    values = galerkin_spectrum(size, k, chain, None if count is None else max(count - lead, 0))
+    # After the solve, so a k beyond float range fails there.
+    return ([float(k)] * 2 + values)[:count] if lead else values

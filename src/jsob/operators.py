@@ -23,11 +23,11 @@ bilinear value times sqrt of the product of the two squared scales.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from math import lcm, perm
 from operator import mul
-from typing import NamedTuple, Sequence
 
 from .algebra import (
     ONE_MINUS_X2,
@@ -135,7 +135,7 @@ class SpectrumSpec(Frozen):
 _ZERO = Surd.zero()  # immutable, so every zero cell can share it
 
 
-class GramMatrix(NamedTuple):
+class GramMatrix(Frozen):
     """Matrix of pairwise inner products of a family, kept as the rational
     bilinear values plus one squared scale per member: entry (i, j) is
     values[i][j] * sqrt(scales[i] * scales[j])."""

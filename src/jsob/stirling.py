@@ -16,9 +16,8 @@ and Pascal's rule on binom(n, r) splits that sum into the two terms above.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
-from .algebra import RationalLike, as_fraction
+from .algebra import Frozen, RationalLike, as_fraction
 
 __all__ = [
     "CompositeCoefficients",
@@ -45,7 +44,7 @@ def jacobi_stirling(n: int, j: int) -> int:
     return _triangle(n, 0)[n][j] if j <= n else 0
 
 
-class CompositeCoefficients(NamedTuple):
+class CompositeCoefficients(Frozen):
     """Coefficients c_j(n, k), j = 0..n, of the n-th composite power."""
 
     n: int
@@ -65,10 +64,10 @@ def composite_coefficients(n: int, k: RationalLike) -> CompositeCoefficients:
         raise ValueError("the spectral shift k must be nonnegative")
     coeffs = _triangle(n, k)[n]
     assert coeffs[n] == 1 and all(c >= 0 for c in coeffs)
-    return CompositeCoefficients(n=n, k=k, c=coeffs)
+    return CompositeCoefficients(n, k, coeffs)
 
 
-class StirlingTable(NamedTuple):
+class StirlingTable(Frozen):
     """The triangle {n, j} for 0 <= n, j <= max_n, as its rows 0..max_n."""
 
     rows: tuple[tuple[int, ...], ...]

@@ -166,7 +166,7 @@ def composite_coefficients_by_binomial_sum(n: int, k) -> CompositeCoefficients:
             kpow *= k
         coeffs.append(cj)
     assert coeffs[n] == 1 and all(c >= 0 for c in coeffs)
-    return CompositeCoefficients(n=n, k=k, c=tuple(coeffs))
+    return CompositeCoefficients(n, k, tuple(coeffs))
 
 
 def _integral(q: Polynomial) -> Fraction:

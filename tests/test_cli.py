@@ -355,7 +355,7 @@ class TestNumericFailureExitCode:
     def test_indefinite_mass_maps_to_exit_4(self, capsys, monkeypatch):
         import jsob.numeric as numeric
 
-        def boom(size, k, chain):
+        def boom(size, k, chain, count):
             raise MassNotPositiveDefinite("mass pivot 0.0 is not positive")
 
         monkeypatch.setattr(numeric, "galerkin_spectrum", boom)
@@ -779,6 +779,15 @@ class TestSubprocessEntry:
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
+    def test_start_up_skips_typing(self):
+        # Every record is an algebra.Frozen, so no module of jsob needs typing;
+        # -S keeps site (which may import it) out of the interpreter.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        code = "import sys, jsob.cli\nassert 'typing' not in sys.modules, 'typing'\n"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+
     def test_every_command_runs_without_numpy(self):
         # A None entry in sys.modules makes every import of numpy fail.
         env = dict(os.environ)
@@ -940,6 +949,24 @@ class TestSubprocessEntry:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("output not written: "), line
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        "stirling --max-n 2 --format csv",
+        "poly --n 3 --alpha=-1 --beta=-1 --cache-path \"$1\"",
+    ])
+    def test_closed_stdout_exits_6_on_one_line(self, tmp_path, argv):
+        # Started with stdout closed (``>&-``), the interpreter sets sys.stdout
+        # to None; a file the command opens may take descriptor 1.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        cache = tmp_path / "cache.json"
+        proc = subprocess.run(
+            ["sh", "-c", f'"$0" -m jsob {argv} >&-', sys.executable, str(cache)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        assert proc.returncode == EXIT_OUTPUT, proc.stderr
+        assert (proc.stdout, proc.stderr) == ("", "output not written: stdout is closed\n")
+        if "--cache-path" in argv:
+            assert list(json.loads(cache.read_text())) == ["(-1,-1,3,reference)"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     @pytest.mark.parametrize("argv, code", [

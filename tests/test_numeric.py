@@ -17,11 +17,19 @@ from jsob.numeric import (
     NonFiniteIntegral,
     chel_K,
     chel_preset,
+    galerkin_eigenvalues,
     galerkin_spectrum,
     galerkin_system,
     solve_galerkin,
 )
-from jsob.operators import Classical, LeftDefinite, OperatorTag, SobolevPhi, _pairing_values
+from jsob.operators import (
+    Classical,
+    LeftDefinite,
+    OperatorTag,
+    SobolevPhi,
+    SpectrumSpec,
+    _pairing_values,
+)
 from reference_data import (
     chel_K_by_adaptive_simpson,
     chel_K_by_lists,
@@ -530,6 +538,20 @@ class TestGalerkin:
             assert len(ev) == len(reference) == size
             for value, expected in zip(ev, reference):
                 assert abs(value - expected) <= 1e-10 * abs(expected), chain
+
+    @pytest.mark.parametrize("size", [12, 64, 200])
+    @pytest.mark.parametrize("spec", [
+        SpectrumSpec(OperatorTag.A, Fraction(7, 3)),
+        SpectrumSpec(OperatorTag.T, Fraction(7, 3)),
+        SpectrumSpec(OperatorTag.BN, Fraction(7, 3), 16),
+    ], ids=["A", "T", "B16"])
+    def test_first_count_values_are_the_full_solves(self, spec, size):
+        # Eigenvalue j's bracket starts at eigenvalue j - 1 and at the pencil's
+        # radius, so stopping after `count` of them changes no bit; T's two
+        # leading values k count toward `count`.
+        full = galerkin_eigenvalues(spec, size)
+        for count in (1, 2, 3, size):
+            assert galerkin_eigenvalues(spec, size, count) == full[:count]
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 12, 63, 64, 199, 200])
     @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])

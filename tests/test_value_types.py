@@ -12,8 +12,17 @@ from pathlib import Path
 import pytest
 
 from jsob.algebra import Frozen, Polynomial, ScaledPolynomial, Surd
+from jsob.cli import CliConfig, PolynomialRecord, Report
 from jsob.jacobi import JacobiParams, Normalization, jacobi_family
-from jsob.operators import Classical, LeftDefinite, OperatorTag, SobolevPhi, SpectrumSpec
+from jsob.operators import (
+    Classical,
+    GramMatrix,
+    LeftDefinite,
+    OperatorTag,
+    SobolevPhi,
+    SpectrumSpec,
+)
+from jsob.stirling import CompositeCoefficients, StirlingTable
 
 MODULES = ("algebra", "jacobi", "stirling", "operators", "numeric", "cli")
 
@@ -120,7 +129,9 @@ def test_equality_and_hash(make_a, make_b, other):
     assert a != other and {a: 1}.get(other) is None
 
 
-# Constructor arguments of one instance per Frozen subclass in jsob.
+# Constructor arguments of one instance per Frozen subclass in jsob.  A
+# Report's payload and rows are dicts in use; here they are tuples, so that the
+# sample hashes, as a record hashes exactly when its values do.
 SAMPLES = {
     Polynomial: ((1, 0, 2),),
     Surd: (Fraction(1, 2), 8),
@@ -130,6 +141,12 @@ SAMPLES = {
     SobolevPhi: (),
     LeftDefinite: (1, 0),
     SpectrumSpec: (OperatorTag.BN, 1, 2),
+    CompositeCoefficients: (1, Fraction(1), (Fraction(1), Fraction(1))),
+    StirlingTable: (((1,), (0, 1)),),
+    GramMatrix: ((2, 3), ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(3))), (Fraction(1, 2),) * 2),
+    CliConfig: (Fraction(1), "pretty", "", 17),
+    Report: ((("command", "stirling"),), (), ("1",), 0),
+    PolynomialRecord: ("-1", "-1", 2, "reference", "1", ("-1", "0", "1")),
 }
 
 
@@ -157,6 +174,7 @@ def test_value_type_contract(cls):
     copy = object.__new__(cls)
     Frozen.__init__(copy, *values)
     assert copy == value and hash(copy) == hash(value) and copy is not value
+    assert value._asdict() == dict(zip(cls._fields, values))
     assert cls(*SAMPLES[cls]) == value and hash(cls(*SAMPLES[cls])) == hash(value)
     with pytest.raises(TypeError):
         cls(*SAMPLES[cls], None)
@@ -199,6 +217,8 @@ def test_params_hit_one_cache_entry():
         (SpectrumSpec(OperatorTag.A, 0), "power"),
         (Classical(JacobiParams(0, 0)), "params"),
         (SobolevPhi(), "anything"),
+        *((cls(*SAMPLES[cls]), cls._fields[-1]) for cls in (
+            CompositeCoefficients, StirlingTable, GramMatrix, CliConfig, Report, PolynomialRecord)),
     ],
 )
 def test_fields_cannot_be_assigned_or_deleted(value, field):

@@ -14,8 +14,9 @@ The list: every argv in ``tests/cli_golden.json``; the benchmark's ``exact``,
 ``float`` and ``cli-cache`` workloads (``perfbench/workloads.py``, imported
 read-only) for seeds 1 and 2; ``verify --suite all`` in each format; each
 size flag at its cap and one above it; each ``chel`` preset at grids 1000,
-10000 and 100000; T with ``--galerkin``; and usage errors, undefined
-requests and a numeric failure (exit codes 2, 3 and 4).
+10000 and 100000; T with ``--galerkin``; Galerkin solves cut short by a
+small ``--count``; and usage errors, undefined requests and a numeric failure
+(exit codes 2, 3 and 4).
 """
 
 from __future__ import annotations
@@ -58,9 +59,14 @@ ABOVE_CAPS = [
     ["spectrum", "--operator", "A", "--galerkin", "201"],
     ["chel", "--case", "unit", "--grid", "100001"],
 ]
-# T's Galerkin rows, then failures with exit codes 2 (usage), 3 (undefined) and 4 (numeric).
+# T's Galerkin rows, Galerkin solves that stop at --count (T's two leading rows count),
+# then failures with exit codes 2 (usage), 3 (undefined) and 4 (numeric).
 OTHERS = [
     ["spectrum", "--operator", "T", "--k", "1", "--count", "4", "--galerkin", "12", "--format", "csv"],
+    *(["spectrum", "--operator", "T", "--count", count, "--galerkin", "12", "--format", "csv"]
+      for count in ("1", "2")),
+    *(["spectrum", "--operator", *operator, "--k", "7/3", "--count", "4", "--galerkin", "200",
+       "--format", "json"] for operator in (["A"], ["T"], ["Bn", "--ld-n", "16"])),
     ["spectrum", "--operator", "A", "--k=-1"],
     ["poly", "--n", "2", "--alpha=x", "--beta=-1"],
     ["stirling", "--max-n", "3", "--config", "/nonexistent"],
