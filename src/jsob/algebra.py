@@ -339,6 +339,7 @@ class Surd(Frozen):
     def __init__(self, coeff: RationalLike, radicand: RationalLike):
         self.__post_init__(coeff, radicand)
 
+    # A method of its own because perfbench/tracer.py wraps it to time every Surd.
     def __post_init__(self, coeff: RationalLike, radicand: RationalLike):
         c, r = as_fraction(coeff), as_fraction(radicand)
         if r < 0:

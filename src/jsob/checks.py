@@ -278,7 +278,7 @@ def _differential_expression(rng: random.Random) -> bool:
     for k in (Fraction(0), Fraction(1)):
         for n in range(13):
             fam = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
-            lam = Fraction(n * (n - 1)) + k
+            lam = k + n * (n - 1)
             if apply_ell(fam, k).poly != lam * fam.poly:
                 ok = False
     return ok

@@ -138,6 +138,7 @@ def _reference(n: int, params: JacobiParams) -> Polynomial:
     return family[n]
 
 
+# perfbench/tracer.py reads __wrapped__.cache_info(); _FAMILIES is the store that matters.
 @lru_cache(maxsize=None)
 def jacobi_family(n: int, params: JacobiParams, norm: Normalization) -> ScaledPolynomial:
     """Degree-n member of the Jacobi family at ``params`` in the requested

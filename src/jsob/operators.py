@@ -184,21 +184,18 @@ def apply_ell_power(
     Evaluates (1-x^2) * sum_j (-1)^j c_j ((1-x^2)^(j-1) y^(j))^(j) exactly;
     equal to n-fold application of ``apply_ell``.
     """
-    kf = as_fraction(k)
-    scaled = _as_scaled(f)
-    coeffs = composite_coefficients(n, kf).c
+    p = f if isinstance(f, Polynomial) else f.poly
     total = Polynomial.zero()
-    for j, cj in enumerate(coeffs):
+    for j, cj in enumerate(composite_coefficients(n, k).c):
         if cj == 0:
             continue
         if j == 0:
-            term = scaled.poly
+            term = p
         else:
-            inner = (ONE_MINUS_X2 ** (j - 1)) * scaled.poly.derivative(j)
+            inner = (ONE_MINUS_X2 ** (j - 1)) * p.derivative(j)
             term = ONE_MINUS_X2 * inner.derivative(j)
         total = total + (cj if j % 2 == 0 else -cj) * term
-    result = ScaledPolynomial(scaled.scale_sq, total)
-    return result.poly if isinstance(f, Polynomial) else result
+    return total if p is f else ScaledPolynomial(f.scale_sq, total)
 
 
 def _term_table(spec: InnerProductSpec) -> tuple[list, bool, str]:
@@ -382,4 +379,4 @@ def spectrum(spec: SpectrumSpec, count: int) -> list[Fraction]:
     if count < 1:
         raise ValueError("count must be >= 1")
     start = spec.first_index
-    return [Fraction(m * (m - 1)) + spec.k for m in range(start, start + count)]
+    return [spec.k + m * (m - 1) for m in range(start, start + count)]

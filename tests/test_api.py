@@ -1,10 +1,8 @@
 """The package API: ``jsob`` exports each layer's ``__all__`` and nothing is lost."""
 
 import importlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -51,7 +49,7 @@ def test_chel_instance_still_resolves():
         jsob.Missing
 
 
-def test_import_loads_every_layer_and_not_dataclasses():
+def test_import_loads_every_layer_and_not_dataclasses(src_env):
     # The benchmark tracer reads every layer from sys.modules right after
     # ``import jsob.cli``, so the layers load eagerly.
     code = (
@@ -62,6 +60,5 @@ def test_import_loads_every_layer_and_not_dataclasses():
         "import jsob.cli\n"
         "assert 'jsob.cli' in sys.modules and 'dataclasses' not in sys.modules\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr

@@ -707,18 +707,16 @@ class TestPolynomialCache:
 
 
 class TestSubprocessEntry:
-    def test_module_invocation(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    def test_module_invocation(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "jsob", "spectrum", "--operator", "T",
              "--k", "1", "--count", "5", "--format", "csv"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=src_env,
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1:] == ["0,1", "1,1", "2,3", "3,7", "4,13"]
 
-    def test_warm_process_prints_what_a_fresh_one_does(self, capsys):
+    def test_warm_process_prints_what_a_fresh_one_does(self, capsys, src_env):
         # Moment tables are built per pairing, so earlier pairings in the same
         # process, at other weights and lengths, leave nothing behind.
         for argv in (["gram", "--ip", "phi", "--max-degree", "30"],
@@ -727,18 +725,15 @@ class TestSubprocessEntry:
                       "--max-degree", "5"],
                      ["verify", "--suite", "orthogonality"]):
             assert run(capsys, *argv)[0] == 0
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         for argv in (["gram", "--ip", "classical", "--alpha", "0", "--beta", "2",
                       "--max-degree", "12"],
                      ["gram", "--ip", "ld", "--ld-n", "3", "--k", "1", "--max-degree", "12"]):
             code, warm, _ = run(capsys, *argv)
             fresh = subprocess.run([sys.executable, "-m", "jsob", *argv],
-                                   capture_output=True, text=True, env=env)
+                                   capture_output=True, text=True, env=src_env)
             assert fresh.returncode == code == 0 and warm == fresh.stdout
 
-    def test_exact_commands_do_not_import_numpy(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    def test_exact_commands_do_not_import_numpy(self, src_env):
         code = (
             "import sys, jsob.cli as cli\n"
             "cli.build_parser()\n"
@@ -755,14 +750,13 @@ class TestSubprocessEntry:
             "assert 'numpy' not in sys.modules, 'verify'\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env)
+                              text=True, env=src_env)
         assert proc.returncode == 0, proc.stderr
 
-    def test_start_up_skips_dataclasses_json_and_csv(self):
+    def test_start_up_skips_dataclasses_json_and_csv(self, src_env):
         # Only chel needs dataclasses (and with it inspect) and array; json and
         # csv load only to render those formats or to read and write the cache.
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        env.pop("PYTHONDONTWRITEBYTECODE", None)  # else every jsob import recompiles
+        src_env.pop("PYTHONDONTWRITEBYTECODE", None)  # else every jsob import recompiles
         code = (
             "import sys\n"
             "bare = set(sys.modules)\n"
@@ -776,22 +770,19 @@ class TestSubprocessEntry:
             "assert 'dataclasses' in added(), 'chel'\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env)
+                              text=True, env=src_env)
         assert proc.returncode == 0, proc.stderr
 
-    def test_start_up_skips_typing(self):
+    def test_start_up_skips_typing(self, src_env):
         # Every record is an algebra.Frozen, so no module of jsob needs typing;
         # -S keeps site (which may import it) out of the interpreter.
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         code = "import sys, jsob.cli\nassert 'typing' not in sys.modules, 'typing'\n"
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                              text=True, env=env)
+                              text=True, env=src_env)
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
 
-    def test_every_command_runs_without_numpy(self):
+    def test_every_command_runs_without_numpy(self, src_env):
         # A None entry in sys.modules makes every import of numpy fail.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         commands = [
             ["stirling", "--max-n", "6"],
             ["poly", "--n", "3", "--alpha=1/2", "--beta=-1/3"],
@@ -809,29 +800,30 @@ class TestSubprocessEntry:
             "    assert main(argv) == 0, argv\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env)
+                              text=True, env=src_env)
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
 
-    def test_benchmark_tracer_runs_the_cli(self, tmp_path):
+    def test_benchmark_tracer_runs_the_cli(self, tmp_path, src_env):
         # perfbench/tracer.py wraps jsob functions by name and reads the
         # jacobi_family cache; a rename in src/ that breaks it fails here.
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        argv = ["poly", "--n", "6", "--alpha=-1", "--beta=-1", "--normalization", "phi",
-                "--cache-path"]
+        tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
         trace = tmp_path / "trace.json"
-        traced = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv,
-             str(tmp_path / "traced-cache.json")],
-            capture_output=True, text=True, env=env,
-        )
-        plain = subprocess.run(
-            [sys.executable, "-m", "jsob", *argv, str(tmp_path / "plain-cache.json")],
-            capture_output=True, text=True, env=env,
-        )
-        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
-        assert (traced.stdout, traced.stderr) == (plain.stdout, plain.stderr)
-        data = json.loads(trace.read_text())
+
+        def run_traced(*argv, cache=False):
+            """Run argv under the tracer and plainly, each with its own cache file
+            when ``cache``; both must print the same, and the trace is returned."""
+            runs = []
+            for name, head in (("traced", [str(tracer), str(trace)]), ("plain", ["-m", "jsob"])):
+                tail = ["--cache-path", str(tmp_path / f"{name}-cache.json")] if cache else []
+                runs.append(subprocess.run([sys.executable, *head, *argv, *tail],
+                                           capture_output=True, text=True, env=src_env))
+            traced, plain = runs
+            assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
+            assert (traced.stdout, traced.stderr) == (plain.stdout, plain.stderr)
+            return json.loads(trace.read_text())
+
+        data = run_traced("poly", "--n", "6", "--alpha=-1", "--beta=-1",
+                          "--normalization", "phi", cache=True)
         counters, spans = data["counters"], data["spans"]
         assert counters["jacobi.family.misses"] >= 1 and "jacobi.family.hits" in counters
         assert spans["algebra.mul"][0] >= 1
@@ -842,92 +834,39 @@ class TestSubprocessEntry:
         # The Galerkin spans keep their names; the per-shift pivot count, which
         # runs thousands of times, stays private and so untraced.
         argv = ["spectrum", "--operator", "A", "--galerkin", "12", "--format", "csv"]
-        traced = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv],
-            capture_output=True, text=True, env=env,
-        )
-        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
-                               capture_output=True, text=True, env=env)
-        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
-        assert traced.stdout == plain.stdout
-        spans = json.loads(trace.read_text())["spans"]
+        spans = run_traced(*argv)["spans"]
         assert spans["numeric.galerkin.assemble"][0] == 1
         assert spans["numeric.galerkin.solve"][0] == 2
         assert not any(name.startswith("numeric._") for name in spans)
 
         # The tracer rebuilds each chel preset with counted integrands.
-        argv = ["chel", "--case", "dirichlet", "--grid", "2000"]
-        traced = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv],
-            capture_output=True, text=True, env=env,
-        )
-        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
-                               capture_output=True, text=True, env=env)
-        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
-        assert traced.stdout == plain.stdout
-        assert json.loads(trace.read_text())["counters"]["numeric.chel.integrand_evals"] > 0
+        data = run_traced("chel", "--case", "dirichlet", "--grid", "2000")
+        assert data["counters"]["numeric.chel.integrand_evals"] > 0
 
         # The tracer times every Surd construction through Surd.__post_init__.
-        argv = ["gram", "--ip", "phi", "--max-degree", "3", "--format", "json"]
-        traced = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv],
-            capture_output=True, text=True, env=env,
-        )
-        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
-                               capture_output=True, text=True, env=env)
-        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
-        assert traced.stdout == plain.stdout
-        assert json.loads(trace.read_text())["spans"]["algebra.surd"][0] >= 1
+        data = run_traced("gram", "--ip", "phi", "--max-degree", "3", "--format", "json")
+        assert data["spans"]["algebra.surd"][0] >= 1
 
         # Each member is requested through jacobi_family alone, so the span
         # counts every call once: 6 members, 6 calls.
-        argv = ["gram", "--ip", "classical", "--alpha", "1", "--beta", "1", "--max-degree", "5",
-                "--format", "json"]
-        traced = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv],
-            capture_output=True, text=True, env=env,
-        )
-        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
-                               capture_output=True, text=True, env=env)
-        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
-        assert traced.stdout == plain.stdout
-        data = json.loads(trace.read_text())
+        data = run_traced("gram", "--ip", "classical", "--alpha", "1", "--beta", "1",
+                          "--max-degree", "5", "--format", "json")
         counters = data["counters"]
         family_calls = counters["jacobi.family.hits"] + counters["jacobi.family.misses"]
         assert data["spans"]["jacobi.family"][0] == family_calls == 6
 
         # The Stirling spans keep their names: the stirling command builds its
         # table once, and a left-definite Gram reads c_j(n, k).
-        argv = ["stirling", "--max-n", "8"]
-        traced = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv],
-            capture_output=True, text=True, env=env,
-        )
-        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
-                               capture_output=True, text=True, env=env)
-        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
-        assert traced.stdout == plain.stdout
-        assert json.loads(trace.read_text())["spans"]["stirling.table"][0] == 1
+        assert run_traced("stirling", "--max-n", "8")["spans"]["stirling.table"][0] == 1
+        data = run_traced("gram", "--ip", "ld", "--ld-n", "2", "--k", "1", "--max-degree", "4")
+        assert data["spans"]["stirling.composite"][0] >= 1
 
-        argv = ["gram", "--ip", "ld", "--ld-n", "2", "--k", "1", "--max-degree", "4"]
-        traced = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), *argv],
-            capture_output=True, text=True, env=env,
-        )
-        plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
-                               capture_output=True, text=True, env=env)
-        assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
-        assert traced.stdout == plain.stdout
-        assert json.loads(trace.read_text())["spans"]["stirling.composite"][0] >= 1
-
-    def test_closed_pipe_ends_quietly(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    def test_closed_pipe_ends_quietly(self, src_env):
         # About 350 kB of JSON: far more than a pipe buffer holds, so the
         # command is still writing when the reader goes away.
         proc = subprocess.Popen(
             [sys.executable, "-m", "jsob", "stirling", "--max-n", "64", "--format", "json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env,
         )
         assert proc.stdout.readline().strip() == b"{"
         proc.stdout.close()
@@ -937,13 +876,11 @@ class TestSubprocessEntry:
         assert "Traceback" not in err and "Error" not in err, err
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-    def test_unwritable_stdout_exits_6_on_one_line(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    def test_unwritable_stdout_exits_6_on_one_line(self, src_env):
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "jsob", "stirling", "--max-n", "64", "--format", "json"],
-                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                stdout=full, stderr=subprocess.PIPE, text=True, env=src_env,
             )
         assert proc.returncode == EXIT_OUTPUT == 6, proc.stderr
         (line,) = proc.stderr.splitlines()
@@ -954,14 +891,13 @@ class TestSubprocessEntry:
         "stirling --max-n 2 --format csv",
         "poly --n 3 --alpha=-1 --beta=-1 --cache-path \"$1\"",
     ])
-    def test_closed_stdout_exits_6_on_one_line(self, tmp_path, argv):
+    def test_closed_stdout_exits_6_on_one_line(self, tmp_path, argv, src_env):
         # Started with stdout closed (``>&-``), the interpreter sets sys.stdout
         # to None; a file the command opens may take descriptor 1.
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         cache = tmp_path / "cache.json"
         proc = subprocess.run(
             ["sh", "-c", f'"$0" -m jsob {argv} >&-', sys.executable, str(cache)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env,
         )
         assert proc.returncode == EXIT_OUTPUT, proc.stderr
         assert (proc.stdout, proc.stderr) == ("", "output not written: stdout is closed\n")
@@ -975,23 +911,21 @@ class TestSubprocessEntry:
         (["spectrum", "--operator", "A", "--k", "1e400", "--galerkin", "10"], 4),
         (["stirling", "--max-n", "3"], EXIT_OUTPUT),  # stdout unwritable as well
     ])
-    def test_unwritable_stderr_keeps_the_exit_code(self, argv, code):
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    def test_unwritable_stderr_keeps_the_exit_code(self, argv, code, src_env):
         with open("/dev/full", "w") as full:
             stdout = full if code == EXIT_OUTPUT else subprocess.PIPE
             proc = subprocess.run([sys.executable, "-m", "jsob", *argv],
-                                  stdout=stdout, stderr=full, env=env)
+                                  stdout=stdout, stderr=full, env=src_env)
         assert proc.returncode == code and not proc.stdout
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-    def test_cache_warning_on_unwritable_stderr_keeps_the_output(self, tmp_path):
+    def test_cache_warning_on_unwritable_stderr_keeps_the_output(self, tmp_path, src_env):
         cache = tmp_path / "cache.json"
         cache.write_text("{ not json")
         argv = ["poly", "--n", "2", "--alpha=-1", "--beta=-1"]
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         plain = subprocess.run([sys.executable, "-m", "jsob", *argv],
-                               capture_output=True, text=True, env=env)
+                               capture_output=True, text=True, env=src_env)
         with open("/dev/full", "w") as full:
             proc = subprocess.run([sys.executable, "-m", "jsob", *argv, "--cache-path", str(cache)],
-                                  stdout=subprocess.PIPE, stderr=full, text=True, env=env)
+                                  stdout=subprocess.PIPE, stderr=full, text=True, env=src_env)
         assert (proc.returncode, proc.stdout) == (0, plain.stdout)

@@ -82,6 +82,16 @@ class TestApplyEllPower:
                 iterated = apply_ell(iterated, k)
             assert apply_ell_power(p, n, k) == iterated
 
+    def test_unwraps_its_argument_as_apply_ell_does(self):
+        # A bare polynomial maps to a bare one, a scaled member keeps its scale,
+        # and k is coerced as apply_ell coerces it.
+        fam = jacobi_family(5, NONCLASSICAL, Normalization.PHI)
+        image = apply_ell_power(fam, 2, "7/3")
+        assert type(image) is ScaledPolynomial and image.scale_sq == fam.scale_sq
+        bare = apply_ell_power(fam.poly, 2, Fraction(7, 3))
+        assert type(bare) is Polynomial and bare == image.poly
+        assert bare == apply_ell(apply_ell(fam.poly, "7/3"), "7/3")
+
 
 class TestInnerProduct:
     def test_sobolev_constant(self):
@@ -271,6 +281,15 @@ class TestSpectrum:
 
     def test_left_definite_matches_weighted(self):
         assert spectrum(SpectrumSpec(OperatorTag.BN, 2, power=3), 3) == [4, 8, 14]
+
+    @pytest.mark.parametrize("k", [3, "7/3"])
+    def test_values_are_fractions_of_the_closed_form(self, k):
+        for spec, first in ((SpectrumSpec(OperatorTag.A, k), 2),
+                            (SpectrumSpec(OperatorTag.BN, k, power=2), 2),
+                            (SpectrumSpec(OperatorTag.T, k), 0)):
+            values = spectrum(spec, 40)
+            assert all(type(v) is Fraction for v in values)
+            assert values == [Fraction(m * (m - 1)) + Fraction(k) for m in range(first, first + 40)]
 
     def test_count_validation(self):
         with pytest.raises(ValueError):

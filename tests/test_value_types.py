@@ -3,11 +3,9 @@ classes are still dataclasses."""
 
 import importlib
 import inspect
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -76,7 +74,7 @@ def test_lazy_chel_instance_keeps_what_the_tracer_uses():
         numeric.Missing
 
 
-def test_every_function_has_resolvable_type_hints():
+def test_every_function_has_resolvable_type_hints(src_env):
     # A fresh interpreter: an annotation naming a class that a module builds on
     # first use resolves only after something has built it.
     code = (
@@ -89,8 +87,7 @@ def test_every_function_has_resolvable_type_hints():
         "            if inspect.isfunction(value) and value.__module__ == module.__name__:\n"
         "                typing.get_type_hints(value)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
 
 

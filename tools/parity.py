@@ -15,8 +15,10 @@ The list: every argv in ``tests/cli_golden.json``; the benchmark's ``exact``,
 read-only) for seeds 1 and 2; ``verify --suite all`` in each format; each
 size flag at its cap and one above it; each ``chel`` preset at grids 1000,
 10000 and 100000; T with ``--galerkin``; Galerkin solves cut short by a
-small ``--count``; and usage errors, undefined requests and a numeric failure
-(exit codes 2, 3 and 4).
+small ``--count``; a ``gram`` for each ``--ip`` label and T's exact
+spectrum at k = 7/3; and usage errors, undefined requests and a numeric
+failure (exit codes 2, 3 and 4).  The last line also gives the ``src/jsob``
+line count of both trees.
 """
 
 from __future__ import annotations
@@ -59,9 +61,14 @@ ABOVE_CAPS = [
     ["spectrum", "--operator", "A", "--galerkin", "201"],
     ["chel", "--case", "unit", "--grid", "100001"],
 ]
-# T's Galerkin rows, Galerkin solves that stop at --count (T's two leading rows count),
-# then failures with exit codes 2 (usage), 3 (undefined) and 4 (numeric).
+# One gram per --ip label (default --alpha/--beta and a non-integral --k among them),
+# T's exact spectrum at a non-integral --k, T's Galerkin rows, Galerkin solves that
+# stop at --count (T's two leading rows count), then failures with exit codes 2 (usage), 3 (undefined) and 4 (numeric).
 OTHERS = [
+    *(["gram", "--ip", *ip, "--max-degree", "4", "--format", "json"]
+      for ip in (["ld", "--ld-n", "3", "--k", "7/3"], ["classical", "--alpha", "0", "--beta", "2"],
+                 ["classical"], ["phi", "--family", "l2"])),
+    ["spectrum", "--operator", "T", "--k", "7/3", "--count", "100000", "--format", "json"],
     ["spectrum", "--operator", "T", "--k", "1", "--count", "4", "--galerkin", "12", "--format", "csv"],
     *(["spectrum", "--operator", "T", "--count", count, "--galerkin", "12", "--format", "csv"]
       for count in ("1", "2")),
@@ -98,6 +105,10 @@ def unpack(rev: str, dest: Path) -> Path:
     return dest
 
 
+def src_lines(tree: Path) -> int:
+    return sum(len(path.read_text().splitlines()) for path in (tree / "src" / "jsob").glob("*.py"))
+
+
 def run_all(tree: Path, listed: list[list[str]], cache: Path) -> list[tuple[str, str, int]]:
     """(sha256 of stdout, stderr, exit code) of each command, in order, under ``tree``."""
     env = {key: value for key, value in os.environ.items() if not key.startswith("JSOB_")}
@@ -123,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         runs = [(base, tmp / "base.cache.json"), (ROOT, tmp / "head.cache.json")]
         with ThreadPoolExecutor(len(runs)) as pool:
             old, new = pool.map(lambda run: run_all(run[0], listed, run[1]), runs)
+        lines = [src_lines(tree) for tree, _ in runs]
     differ = 0
     for cmd, before, after in zip(listed, old, new):
         for what, a, b in zip(("stdout", "stderr", "exit code"), before, after):
@@ -131,7 +143,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{what} differs{shown}: jsob {' '.join(cmd)}")
         differ += before != after
     print(f"against {args.against}: {len(listed) - differ} of {len(listed)} commands "
-          f"identical in stdout, stderr and exit code; {differ} differ")
+          f"identical in stdout, stderr and exit code; {differ} differ; "
+          f"src/jsob {lines[0]} -> {lines[1]} lines")
     return 1 if differ else 0
 
 
