@@ -19,6 +19,7 @@ from .algebra import (
     ScaledPolynomial,
     Surd,
     as_fraction,
+    clear_poles,
     integrate_weighted,
     jacobi_moments,
 )
@@ -51,10 +52,6 @@ class PoleInGammaRatio(ArithmeticError):
     """The Gamma-ratio shift product is anchored at a nonpositive integer."""
 
 
-class NotProportional(ArithmeticError):
-    """Two polynomials expected to be scalar multiples are not."""
-
-
 class MismatchWithClosedForm(ArithmeticError):
     """An exactly integrated value disagrees with its closed form."""
 
@@ -62,18 +59,13 @@ class MismatchWithClosedForm(ArithmeticError):
 def verify_defining_identity(n: int, m: int, k: RationalLike) -> bool:
     """Exact check of sum_j c_j(n,k) m!(m+j-2)!/((m-j)!(m-2)!) = (m(m-1)+k)^n.
 
-    The factorial ratio is evaluated as falling(m, j) * rising(m-1, j), which
-    realizes the convention 1/(m-j)! = 0 for j > m through a zero factor.
+    The factorial ratio is perm(m, j) * perm(m+j-2, j), and perm(m, j) = 0 for
+    j > m realizes the convention 1/(m-j)! = 0.
     """
     if m < 2:
         raise ValueError("the identity needs m >= 2 for (m-2)!")
     coeffs = composite_coefficients(n, k)
-    lhs = Fraction(0)
-    for j, cj in enumerate(coeffs.c):
-        factor = Fraction(1)
-        for i in range(j):
-            factor *= (m - i) * (m - 1 + i)
-        lhs += cj * factor
+    lhs = sum(cj * math.perm(m, j) * math.perm(m + j - 2, j) for j, cj in enumerate(coeffs.c))
     return lhs == (Fraction(m * (m - 1)) + coeffs.k) ** n
 
 
@@ -101,10 +93,7 @@ def derivative_coefficient_squared(n: int, j: int, params: JacobiParams) -> Frac
             f"Gamma ratio anchored at nonpositive integer {anchor} "
             f"(n = {n}, alpha = {params.alpha}, beta = {params.beta})"
         )
-    value = Fraction(math.factorial(n), math.factorial(n - j))
-    for i in range(1, j + 1):
-        value *= anchor + i - 1
-    return value
+    return math.perm(n, j) * math.prod(anchor + i for i in range(j))
 
 
 def check_derivative_identity(n: int, j: int, params: JacobiParams) -> bool:
@@ -150,32 +139,14 @@ def derivative_orthogonality_value(
     return rhs
 
 
-def proportional_scale_squared(scaled: ScaledPolynomial, target: Polynomial) -> Fraction:
-    """The squared constant c^2 with sqrt(scale_sq) * poly = c * target, exact.
-
-    Raises NotProportional when the polynomials are not nonzero scalar
-    multiples of each other.
-    """
-    if scaled.is_zero or target.is_zero:
-        raise NotProportional("zero polynomial has no proportionality constant")
-    pivot = next(i for i, c in enumerate(target.int_form[0]) if c)
-    ratio = scaled.poly.coeff(pivot) / target.coeff(pivot)
-    if ratio == 0 or scaled.poly != ratio * target:
-        raise NotProportional(f"{scaled.poly} is not a scalar multiple of {target}")
-    return scaled.scale_sq * ratio * ratio
-
-
-def factorization_check(n: int) -> Fraction:
-    """Verify the endpoint factorization of the degree-n nonclassical member.
-
-    The Sobolev-normalized member of degree n >= 2 must be a nonzero multiple
-    of (1 - x^2) P_{n-2}^{(1,1)}; returns the squared proportionality constant.
-    """
+def factorization_check(n: int) -> bool:
+    """The degree-n Sobolev member, n >= 2, divided by 1 - x^2 with ``clear_poles``
+    (NotDivisible unless it vanishes at +-1), is a multiple of P_{n-2}^{(1,1)}."""
     if n < 2:
         raise ValueError("factorization applies to degrees >= 2")
-    tilde = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
-    base = ONE_MINUS_X2 * jacobi_family(n - 2, JacobiParams(1, 1), Normalization.REFERENCE).poly
-    return proportional_scale_squared(tilde, base)
+    q, _, _ = clear_poles(jacobi_family(n, NONCLASSICAL, Normalization.PHI).poly, -1, -1)
+    base = jacobi_family(n - 2, JacobiParams(1, 1), Normalization.REFERENCE).poly
+    return q * base.leading == base * q.leading
 
 
 def verify_lagrange_identity(
@@ -324,6 +295,11 @@ def _derivative_identity(rng: random.Random) -> tuple[bool, str]:
     return ok and seen > 0, f"{seen} cases"
 
 
+def _endpoint_factorization(rng: random.Random) -> tuple[bool, str]:
+    failing = [n for n in range(2, 9) if not factorization_check(n)]
+    return not failing, f"not a multiple of (1 - x^2) P_(n-2)^(1,1) at n = {failing}" if failing else ""
+
+
 def _lower_bound(rng: random.Random) -> bool:
     ok = True
     for k in (Fraction(0), Fraction(1), Fraction(7, 3)):
@@ -464,8 +440,7 @@ _CHECKS = (
     ("identities.lagrange-dirichlet", _lagrange_dirichlet),
     ("identities.sobolev-decomposition", _sobolev_decomposition),
     ("identities.derivative-identity", _derivative_identity),
-    ("identities.endpoint-factorization",
-     lambda rng: all(factorization_check(n) > 0 for n in range(2, 9))),
+    ("identities.endpoint-factorization", _endpoint_factorization),
     ("identities.lower-bound", _lower_bound),
     ("identities.first-left-definite-bridge", _first_left_definite_bridge),
     ("galerkin.spectrum-recovery", _galerkin_spectra(lambda k: SpectrumSpec(OperatorTag.A, k))),

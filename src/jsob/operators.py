@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
+from functools import cache, partial
 from math import lcm, perm
 from operator import mul
 
@@ -237,17 +238,17 @@ def _require_vanishing(p: Polynomial, terms: list, context: str) -> None:
 
 
 def _row_vector(
-    f: Polynomial, terms: list, boundary: bool, width: int, tables: dict
+    f: Polynomial, terms: list, boundary: bool, width: int, moments
 ) -> tuple[list[int], int]:
     """The pairing of f with any g of degree < width as (ints, den): B(f, g) is
     sum_i ints[i] g_i / den.  A term (d, c, a, b) pairs g_i, i >= d, with
     c i!/(i-d)! times the integral of f^(d) x^(i-d) (1 - x)^a (1 + x)^b, whose
-    weight, its poles cleared, has its moments in ``tables``."""
+    weight, its poles cleared to exponents a', b', has moments(a', b')."""
     parts = []
     for d, c, a, b in terms:
         if d < width:  # else g^(d) = 0
             p, a, b = clear_poles(f.derivative(d), a, b)
-            ints, den = weighted_moments(p, tables[a, b], width - d)
+            ints, den = weighted_moments(p, moments(a, b), width - d)
             parts.append((d, Fraction(c, den), ints))
     if boundary:
         # f(1) g(1)/2 + f(-1) g(-1)/2 pairs g_i with the sum of the coefficients
@@ -268,18 +269,17 @@ def _pairing_values(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Exact bilinear values B(f, g) for every f in rows and g in cols: each is
     one integer dot product of f's row vector with g's own coefficients.  Each
-    weight, a -1 exponent cleared to 0, gets one moment table for every row."""
+    cleared weight gets one moment table, built when a row first needs it."""
     terms, boundary, context = _term_table(spec)
     for p in (*rows, *cols):
         _require_vanishing(p, terms, context)
     width = max((len(g.int_form[0]) for g in cols), default=0)
     size = width + max((len(f.int_form[0]) for f in rows), default=0)
-    weights = {(max(a, 0), max(b, 0)) for d, _, a, b in terms if d < width}
-    tables = {(a, b): jacobi_moments(a, b, size) for a, b in weights}
+    moments = cache(partial(jacobi_moments, count=size))
     forms = [g.int_form for g in cols]
     return tuple(
         tuple(Fraction(sum(map(mul, vector, ints)), den * g_den) for ints, g_den in forms)
-        for vector, den in (_row_vector(f, terms, boundary, width, tables) for f in rows)
+        for vector, den in (_row_vector(f, terms, boundary, width, moments) for f in rows)
     )
 
 

@@ -6,7 +6,9 @@ check: products are schoolbook Fraction convolutions, not the integer kernel;
 the classical family is rebuilt from its three-term recurrence and from the
 explicit binomial sum; Jacobi-Stirling numbers come from their alternating
 sum, and the composite-power coefficients from their binomial double sum over
-those; weighted integrals and bilinear forms are recomputed from a term-by-term
+those; the factorial ratios of the composite-power identity and of the
+derivative coefficients are products of their factors, not math.perm;
+weighted integrals and bilinear forms are recomputed from a term-by-term
 antiderivative of the product polynomial, and the moments of a Jacobi weight
 from the Beta integral, the antiderivative, a binomial expansion in 1 + x and
 the central binomial and Catalan numbers; the boundedness constant comes from
@@ -167,6 +169,29 @@ def composite_coefficients_by_binomial_sum(n: int, k) -> CompositeCoefficients:
         coeffs.append(cj)
     assert coeffs[n] == 1 and all(c >= 0 for c in coeffs)
     return CompositeCoefficients(n, k, tuple(coeffs))
+
+
+def defining_identity_sum_by_loop(c, m: int) -> Fraction:
+    """sum_j c_j m!(m+j-2)!/((m-j)!(m-2)!), m >= 2, each ratio the product of
+    (m - i)(m - 1 + i) over i < j, which vanishes for j > m."""
+    total = Fraction(0)
+    for j, cj in enumerate(c):
+        factor = Fraction(1)
+        for i in range(j):
+            factor *= (m - i) * (m - 1 + i)
+        total += cj * factor
+    return total
+
+
+def derivative_coefficient_squared_by_loop(n: int, j: int, params) -> Fraction:
+    """a(n, j)^2 = n!/(n-j)! (alpha+beta+n+1)(alpha+beta+n+2)...(alpha+beta+n+j),
+    0 for j > n; no pole check."""
+    if j > n:
+        return Fraction(0)
+    value = Fraction(factorial(n), factorial(n - j))
+    for i in range(1, j + 1):
+        value *= params.alpha + params.beta + n + i
+    return value
 
 
 def _integral(q: Polynomial) -> Fraction:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from jsob.algebra import NotDivisible
-from jsob.checks import MismatchWithClosedForm, NotProportional, PoleInGammaRatio
+from jsob.checks import MismatchWithClosedForm, PoleInGammaRatio
 from jsob.cli import EXIT_OUTPUT, PolynomialRecord, main
 from jsob.jacobi import JacobiParams, Normalization
 from jsob.numeric import MassNotPositiveDefinite
@@ -395,7 +395,6 @@ class TestInternalFaultExitCode:
         [
             NotDivisible,
             PoleInGammaRatio,
-            NotProportional,
             NotInWeightedSpace,
             MismatchWithClosedForm,
         ],
@@ -467,8 +466,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "target, exc_type, suite, failing",
         [
-            ("factorization_check", NotProportional, "identities",
-             "identities.endpoint-factorization"),
+            ("clear_poles", NotDivisible, "identities", "identities.endpoint-factorization"),
             ("derivative_orthogonality_value", ValueError, "orthogonality",
              "orthogonality.derivative-weighted"),
             ("verify_defining_identity", ZeroDivisionError, "stirling",
@@ -476,7 +474,7 @@ class TestVerifyCommand:
             ("apply_ell_power", NotDivisible, "eigen", "eigen.composite-powers"),
             ("sign_change", MassNotPositiveDefinite, "galerkin", "galerkin.chel-dirichlet"),
         ],
-        ids=["NotProportional", "ValueError", "ZeroDivisionError", "NotDivisible",
+        ids=["clear_poles", "ValueError", "ZeroDivisionError", "NotDivisible",
              "MassNotPositiveDefinite"],
     )
     def test_raising_check_is_reported_as_fail(

@@ -3,20 +3,18 @@ from fractions import Fraction
 import pytest
 
 from jsob.algebra import (
-    ONE_MINUS_X2,
+    NotDivisible,
     Polynomial,
     ScaledPolynomial,
     integrate_weighted,
 )
 from jsob import checks, jacobi
 from jsob.checks import (
-    NotProportional,
     PoleInGammaRatio,
     check_derivative_identity,
     derivative_coefficient_squared,
     factorization_check,
     jacobi_moments_check,
-    proportional_scale_squared,
 )
 from jsob.jacobi import (
     JacobiParams,
@@ -26,7 +24,11 @@ from jsob.jacobi import (
     jacobi_family,
 )
 from jsob.operators import Classical, inner_product
-from reference_data import jacobi_by_binomial_sum, jacobi_by_recurrence
+from reference_data import (
+    derivative_coefficient_squared_by_loop,
+    jacobi_by_binomial_sum,
+    jacobi_by_recurrence,
+)
 
 
 def reference(n, params):
@@ -170,6 +172,24 @@ class TestDerivativeCoefficient:
         # a = b = 0, n = 4, j = 2: 4!/2! = 12 times the factors 5 and 6 -> 360
         assert derivative_coefficient_squared(4, 2, JacobiParams(0, 0)) == 360
 
+    @pytest.mark.parametrize(
+        "params",
+        [NONCLASSICAL, JacobiParams(0, 0), JacobiParams(1, 2),
+         JacobiParams(Fraction(1, 2), Fraction(-1, 3))],
+        ids=lambda params: f"{params.alpha},{params.beta}",
+    )
+    def test_matches_the_factor_product(self, params):
+        for n in range(9):
+            for j in range(n + 3):
+                if params == NONCLASSICAL and n == j == 1:
+                    with pytest.raises(PoleInGammaRatio):
+                        derivative_coefficient_squared(n, j, params)
+                    continue
+                value = derivative_coefficient_squared(n, j, params)
+                assert type(value) is Fraction, (n, j)
+                assert value == derivative_coefficient_squared_by_loop(n, j, params), (n, j)
+                assert (value == 0) is (j > n), (n, j)
+
 
 class TestDerivativeIdentity:
     def test_nonclassical_first_derivative(self):
@@ -199,23 +219,76 @@ class TestDerivativeIdentity:
         assert seen == 447  # 9 classical pairs x 45 + nonclassical degrees 2..8
 
 
+def endpoint_factorization_record():
+    return next(record for record in checks.run("identities")
+                if record["name"] == "identities.endpoint-factorization")
+
+
+def patch_member(monkeypatch, wanted, shift):
+    """checks.jacobi_family returns the members for which ``wanted(n, params)``
+    holds with ``shift`` added."""
+    family = checks.jacobi_family
+
+    def patched(n, params, norm):
+        member = family(n, params, norm)
+        if not wanted(n, params):
+            return member
+        return ScaledPolynomial(member.scale_sq, member.poly + shift)
+
+    monkeypatch.setattr(checks, "jacobi_family", patched)
+
+
 class TestFactorizationCheck:
-    def test_degree_two_constant(self):
-        assert factorization_check(2) == Fraction(6, 16)
-
-    def test_degree_three_nonzero(self):
-        assert factorization_check(3) > 0
-
     def test_range(self):
         for n in range(2, 12):
-            assert factorization_check(n) > 0
+            assert factorization_check(n) is True
 
-    def test_negative_control(self):
-        # perturbing the factor by +x destroys proportionality
-        tilde = jacobi_family(2, NONCLASSICAL, Normalization.PHI)
-        perturbed = ONE_MINUS_X2 * (Polynomial.one() + Polynomial.x())
-        with pytest.raises(NotProportional):
-            proportional_scale_squared(tilde, perturbed)
+    def test_negative_control(self, monkeypatch):
+        # With x added to every P^(1,1) no member is a multiple of (1 - x^2)
+        # P_(n-2)^(1,1), except at n = 3, where 2x + x is still a multiple of x.
+        patch_member(monkeypatch, lambda n, params: params == JacobiParams(1, 1), Polynomial.x())
+        assert [n for n in range(2, 12) if not factorization_check(n)] == [2, *range(4, 12)]
+        record = endpoint_factorization_record()
+        assert not record["passed"]
+        assert record["detail"].endswith("at n = [2, 4, 5, 6, 7, 8]")
+
+    def test_member_that_does_not_vanish_at_one(self, monkeypatch):
+        patch_member(monkeypatch, lambda n, params: (n, params) == (2, NONCLASSICAL),
+                     Polynomial.one())
+        with pytest.raises(NotDivisible):
+            factorization_check(2)
+        record = endpoint_factorization_record()
+        assert not record["passed"]
+        assert record["detail"] == "NotDivisible: polynomial does not vanish at x = 1"
+
+    @pytest.mark.parametrize(
+        "target, fault, detail",
+        [
+            ("_recurrence_step",
+             lambda step: lambda n, params, p1, p2: step(n, params, p1, p2) + (
+                 p2 * Fraction(1, 1000) if params == NONCLASSICAL else Polynomial.zero()),
+             "not a multiple of (1 - x^2) P_(n-2)^(1,1) at n = [4, 5, 6, 7, 8]"),
+            ("_seeds",
+             lambda seeds: lambda params: seeds(params)[:2] + (
+                 seeds(params)[2] + (Polynomial.x() if params == JacobiParams(1, 1)
+                                     else Polynomial.zero()),),
+             "not a multiple of (1 - x^2) P_(n-2)^(1,1) at n = [4, 5, 6, 7, 8]"),
+            ("_seeds",
+             lambda seeds: lambda params: seeds(params)[:2] + (
+                 seeds(params)[2] + (Polynomial.one() if params == NONCLASSICAL
+                                     else Polynomial.zero()),),
+             "NotDivisible: polynomial does not vanish at x = 1"),
+        ],
+        ids=["recurrence-adds-p-n-minus-2", "p2-seed-at-1-1-adds-x", "p2-seed-at-minus-1-adds-1"],
+    )
+    def test_planted_fault_is_named(self, monkeypatch, fresh_families, target, fault, detail):
+        monkeypatch.setattr(jacobi, target, fault(getattr(jacobi, target)))
+        record = endpoint_factorization_record()
+        assert (record["passed"], record["detail"]) == (False, detail)
+        monkeypatch.undo()
+        fresh_families()
+        assert endpoint_factorization_record() == {
+            "name": "identities.endpoint-factorization", "passed": True, "detail": ""}
 
 
 @pytest.fixture

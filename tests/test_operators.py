@@ -226,6 +226,22 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             gram_matrix(3, SobolevPhi(), Normalization.REFERENCE)
 
+    @pytest.mark.parametrize(
+        "spec, weights",
+        [(LeftDefinite(3, Fraction(7, 3)), [(0, 0), (1, 1), (2, 2)]),
+         (Classical(NONCLASSICAL), [(0, 0)])],
+        ids=["left-definite-3", "classical-nonclassical"],
+    )
+    def test_one_moment_table_per_cleared_weight(self, monkeypatch, spec, weights):
+        # The terms' weights with their -1 exponents cleared: the order-3 form's
+        # j = 0 and j = 1 terms share (0, 0).
+        calls = []
+        moments = algebra.jacobi_moments
+        monkeypatch.setattr(operators, "jacobi_moments",
+                            lambda a, b, count: calls.append((a, b)) or moments(a, b, count))
+        assert gram_matrix(8, spec, Normalization.L2).is_diagonal()
+        assert sorted(calls) == weights
+
 
 class TestOperatorMatrix:
     def test_sobolev_operator_diagonal(self):

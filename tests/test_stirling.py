@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,16 @@ import pytest
 from jsob import checks, stirling
 from jsob.checks import verify_defining_identity
 from jsob.stirling import (
+    CompositeCoefficients,
     build_table,
     composite_coefficients,
     jacobi_stirling,
 )
-from reference_data import JACOBI_STIRLING_TABLE, composite_coefficients_by_binomial_sum
+from reference_data import (
+    JACOBI_STIRLING_TABLE,
+    composite_coefficients_by_binomial_sum,
+    defining_identity_sum_by_loop,
+)
 
 
 class TestJacobiStirling:
@@ -106,6 +112,21 @@ class TestDefiningIdentity:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             verify_defining_identity(2, 1, 0)
+
+    def test_factorial_ratios_match_the_factor_product(self, monkeypatch):
+        # Arbitrary coefficients, c_0 chosen so that the oracle's sum is the right
+        # side: the identity holds for them exactly when every ratio, 0 for j > m
+        # included, is the oracle's, and fails once c_0 moves.
+        rng = random.Random(38)
+        for n in range(1, 9):
+            for m in range(2, 13):
+                for k in (Fraction(0), Fraction(1), Fraction(7, 3)):
+                    c = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n + 1)]
+                    c[0] += (m * (m - 1) + k) ** n - defining_identity_sum_by_loop(c, m)
+                    for moved in (0, 1):
+                        coeffs = CompositeCoefficients(n, k, (c[0] + moved, *c[1:]))
+                        monkeypatch.setattr(checks, "composite_coefficients", lambda n, k: coeffs)
+                        assert verify_defining_identity(n, m, k) is (moved == 0), (n, m, k)
 
 
 class TestBuildTable:

@@ -1,6 +1,6 @@
 """Check that the CLI prints the same bytes as it does at another revision.
 
-    python tools/parity.py --against REV
+    python tools/parity.py --against REV [--only REGEX] [--cpu N]
 
 Unpacks REV with ``git archive`` into a temporary directory and compiles its
 bytecode, then runs one fixed command list as ``python -m jsob`` subprocesses
@@ -8,17 +8,25 @@ under that tree and under this checkout (uncommitted edits included).  Each
 tree gets its own cache file for the ``{cache}`` argument.  Every command's
 stdout (by sha256), stderr and exit code are compared; one line is printed per
 difference, then the total.  The exit status is 0 when every command agrees
-and 1 otherwise.
+and 1 otherwise.  ``--only`` keeps the commands whose argv, joined by spaces,
+matches REGEX.
+
+``--cpu N`` then compiles the checkout too and runs each kept command in N
+pairs of runs, one under each tree, the first alternating.  It prints both
+medians of CPU (user + system, from ``os.wait4``) with their quartiles and the
+pairs the checkout won, and calls a change real at one-sided sign-test
+p < 0.005 (17 or more wins of 21).
 
 The list: every argv in ``tests/cli_golden.json``; the benchmark's ``exact``,
 ``float`` and ``cli-cache`` workloads (``perfbench/workloads.py``, imported
 read-only) for seeds 1 and 2; ``verify --suite all`` in each format; each
 size flag at its cap and one above it; each ``chel`` preset at grids 1000,
 10000 and 100000; T with ``--galerkin``; Galerkin solves cut short by a
-small ``--count``; a ``gram`` for each ``--ip`` label and T's exact
-spectrum at k = 7/3; and usage errors, undefined requests and a numeric
-failure (exit codes 2, 3 and 4).  The last line also gives the ``src/jsob``
-line count of both trees.
+small ``--count``; a ``gram`` for each ``--ip`` label; T's exact spectrum at
+k = 7/3; usage errors, undefined requests and a numeric failure (exit codes
+2, 3 and 4); and a ``gram`` grid over 20 ``--ip`` settings, ``--family``
+(none and each value) and ``--max-degree`` 0, 3 and 12.  The last line also
+gives the ``src/jsob`` line count of both trees.
 """
 
 from __future__ import annotations
@@ -28,7 +36,10 @@ import compileall
 import hashlib
 import io
 import json
+import math
 import os
+import re
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -82,6 +93,16 @@ OTHERS = [
     ["spectrum", "--operator", "A", "--k", "1e400", "--galerkin", "10"],
 ]
 
+# Every pairing --ip can build, each --family and three sizes: most exit 0 or 3.
+GRAM_GRID = [
+    ["gram", "--ip", *ip, *family, "--max-degree", degree, "--format", "json"]
+    for ip in (["phi"], ["classical"], ["classical", "--alpha", "0", "--beta", "2"],
+               ["classical", "--alpha", "1", "--beta", "1"],
+               *(["ld", "--ld-n", n, "--k", k] for n in ("1", "2", "3", "16")
+                 for k in ("0", "1/2", "1", "7/3")))
+    for family in ([], ["--family", "reference"], ["--family", "l2"], ["--family", "phi"])
+    for degree in ("0", "3", "12")
+]
 
 def command_list() -> list[list[str]]:
     golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
@@ -93,7 +114,7 @@ def command_list() -> list[list[str]]:
     for name in ("exact", "float", "cli-cache"):
         listed += [cmd.argv for seed in (1, 2) for cmd in workloads.generate(name, seed)]
     listed += [["verify", "--suite", "all", "--format", fmt] for fmt in ("json", "csv", "pretty")]
-    return listed + AT_CAPS + ABOVE_CAPS + OTHERS
+    return listed + AT_CAPS + ABOVE_CAPS + OTHERS + GRAM_GRID
 
 
 def unpack(rev: str, dest: Path) -> Path:
@@ -109,25 +130,61 @@ def src_lines(tree: Path) -> int:
     return sum(len(path.read_text().splitlines()) for path in (tree / "src" / "jsob").glob("*.py"))
 
 
-def run_all(tree: Path, listed: list[list[str]], cache: Path) -> list[tuple[str, str, int]]:
-    """(sha256 of stdout, stderr, exit code) of each command, in order, under ``tree``."""
+def jsob(tree: Path, argv: list[str], cache: Path, **kwargs) -> subprocess.Popen:
+    """Start ``python -m jsob`` with ``argv`` under ``tree``, its cache at ``cache``."""
     env = {key: value for key, value in os.environ.items() if not key.startswith("JSOB_")}
     env["PYTHONPATH"] = str(tree / "src")
+    argv = [arg.replace("{cache}", str(cache)) for arg in argv]
+    return subprocess.Popen([sys.executable, "-m", "jsob", *argv], env=env, cwd=tree, **kwargs)
+
+
+def run_all(tree: Path, listed: list[list[str]], cache: Path) -> list[tuple[str, str, int]]:
+    """(sha256 of stdout, stderr, exit code) of each command, in order, under ``tree``."""
     results = []
     for argv in listed:
-        argv = [arg.replace("{cache}", str(cache)) for arg in argv]
-        proc = subprocess.run([sys.executable, "-m", "jsob", *argv],
-                              capture_output=True, env=env, cwd=tree)
-        stderr = proc.stderr.decode(errors="replace").replace(str(cache), "{cache}")
-        results.append((hashlib.sha256(proc.stdout).hexdigest(), stderr, proc.returncode))
+        proc = jsob(tree, argv, cache, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout, stderr = proc.communicate()
+        stderr = stderr.decode(errors="replace").replace(str(cache), "{cache}")
+        results.append((hashlib.sha256(stdout).hexdigest(), stderr, proc.returncode))
     return results
+
+
+def cpu_seconds(tree: Path, argv: list[str], cache: Path) -> float:
+    """User + system CPU of one run of ``argv`` under ``tree``, from ``os.wait4``."""
+    proc = jsob(tree, argv, cache, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return usage.ru_utime + usage.ru_stime
+
+
+def compare_cpu(runs: list[tuple[Path, Path]], listed: list[list[str]], pairs: int) -> None:
+    """Print each command's CPU over ``pairs`` interleaved pairs of runs, base first."""
+    # The fewest wins at which a one-sided sign test gives p < 0.005.
+    need = next(w for w in range(pairs + 2)
+                if sum(math.comb(pairs, v) for v in range(w, pairs + 1)) < 0.005 * 2**pairs)
+    for argv in listed:
+        times = ([], [])
+        for i in range(pairs):
+            for t in (0, 1) if i % 2 == 0 else (1, 0):
+                times[t].append(cpu_seconds(runs[t][0], argv, runs[t][1]))
+        wins = sum(new < old for old, new in zip(*times))
+        call = "faster" if wins >= need else "slower" if pairs - wins >= need else "no change"
+        old, new = ([1000 * q for q in statistics.quantiles(ts, n=4)] for ts in times)
+        print(f"{old[1]:.1f} ms [{old[0]:.1f}, {old[2]:.1f}] -> {new[1]:.1f} ms "
+              f"[{new[0]:.1f}, {new[2]:.1f}], lower in {wins} of {pairs}: {call}: "
+              f"jsob {' '.join(argv)}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
+    parser.add_argument("--only", default="", help="keep the commands that match REGEX")
+    parser.add_argument("--cpu", type=int, default=0, metavar="N",
+                        help="then time N interleaved pairs of each kept command")
     args = parser.parse_args(argv)
-    listed = command_list()
+    if args.cpu == 1:
+        parser.error("--cpu needs at least 2 pairs")
+    listed = [cmd for cmd in command_list() if re.search(args.only, " ".join(cmd))]
     with tempfile.TemporaryDirectory(prefix="jsob-parity-") as tmp:
         tmp = Path(tmp)
         base = unpack(args.against, tmp / "base")
@@ -135,6 +192,9 @@ def main(argv: list[str] | None = None) -> int:
         with ThreadPoolExecutor(len(runs)) as pool:
             old, new = pool.map(lambda run: run_all(run[0], listed, run[1]), runs)
         lines = [src_lines(tree) for tree, _ in runs]
+        if args.cpu:
+            compileall.compile_dir(ROOT / "src", quiet=1)  # as unpack does for REV
+            compare_cpu(runs, listed, args.cpu)
     differ = 0
     for cmd, before, after in zip(listed, old, new):
         for what, a, b in zip(("stdout", "stderr", "exit code"), before, after):
