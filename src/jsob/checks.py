@@ -140,11 +140,14 @@ def derivative_orthogonality_value(
 
 
 def factorization_check(n: int) -> bool:
-    """The degree-n Sobolev member, n >= 2, divided by 1 - x^2 with ``clear_poles``
-    (NotDivisible unless it vanishes at +-1), is a multiple of P_{n-2}^{(1,1)}."""
+    """The degree-n Sobolev member, n >= 2, vanishes at +-1 and, divided by 1 - x^2
+    with ``clear_poles``, is a multiple of P_{n-2}^{(1,1)}."""
     if n < 2:
         raise ValueError("factorization applies to degrees >= 2")
-    q, _, _ = clear_poles(jacobi_family(n, NONCLASSICAL, Normalization.PHI).poly, -1, -1)
+    member = jacobi_family(n, NONCLASSICAL, Normalization.PHI).poly
+    if member(1) or member(-1):
+        return False
+    q, _, _ = clear_poles(member, -1, -1)
     base = jacobi_family(n - 2, JacobiParams(1, 1), Normalization.REFERENCE).poly
     return q * base.leading == base * q.leading
 

@@ -107,30 +107,23 @@ _W_END, _W_SIDE, _W_MID = 1.0 / 20.0, 49.0 / 180.0, 16.0 / 45.0  # Lobatto weigh
 _CELL_LIMIT, _CELL_DISAGREEMENT = 1e12, 1e-2
 
 
-def _value(fn: Callable[[float], float], x: float) -> float:
-    try:
-        return fn(x)
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise NonFiniteIntegral(f"integrand not finite at x = {x}") from exc
-
-
-def _running_integrals(fn: Callable[[float], float], points, values):
-    """Integrals of fn from the first of points to each of them, given fn's values
-    at the points: one Lobatto rule per cell, summed with Neumaier's compensation
-    (A. Neumaier, ZAMM 54, 1974; carry collects each addition's rounding error).
-    NonFiniteIntegral names the node x at which fn raises, or a cell whose integral
-    is not finite (every weight is positive), exceeds _CELL_LIMIT, or is off the
-    Simpson value by more than _CELL_DISAGREEMENT * max(1, |integral|).  Apart from
-    fn, next and append, the loop makes no call: each absolute value is a sign test."""
+def _running_integrals(fn: Callable[[float], float], points):
+    """Integrals of fn from the first of points to each of them: one Lobatto rule
+    per cell, summed with Neumaier's compensation (A. Neumaier, ZAMM 54, 1974;
+    carry collects each addition's rounding error).  NonFiniteIntegral names the
+    node x at which fn raises, or a cell whose integral is not finite (every
+    weight is positive), exceeds _CELL_LIMIT, or is off the Simpson value by more
+    than _CELL_DISAGREEMENT * max(1, |integral|).  Apart from fn and append, the
+    loop makes no call: each absolute value is a sign test."""
     from array import array
-    points, values = iter(points), iter(values)
+    points = iter(points)
     totals, total, carry = array("d", [0.0]), 0.0, 0.0
     append, inner, limit, tol = totals.append, _LOBATTO_INNER, _CELL_LIMIT, _CELL_DISAGREEMENT
     try:
         x0 = x = next(points)
-        f0 = next(values)
+        f0 = fn(x)
         for x in points:
-            x1, f1, d = x, next(values), x - x0
+            x1, f1, d = x, fn(x), x - x0
             h = d if d >= 0.0 else -d
             f_mid = fn(x := x0 + 0.5 * d)
             f_sides = fn(x := x0 + inner * d) + fn(x := x1 - inner * d)
@@ -184,20 +177,18 @@ def chel_K(instance, grid_size: int) -> tuple[float, float]:
     xs = array("d", (a + (b - a) * i / grid_size for i in range(grid_size + 1)))
 
     # front[i] = int_a^x_i phi and back[j] = int_x_(grid_size-j)^b psi, i, j < grid_size.
-    up, down = (lambda: islice(xs, grid_size)), (lambda: islice(reversed(xs), grid_size))
-    front = _running_integrals(phi, up(), map(phi, up()))
-    back = _running_integrals(psi, down(), map(psi, down()))
+    front = _running_integrals(phi, islice(xs, grid_size))
+    back = _running_integrals(psi, islice(reversed(xs), grid_size))
 
     best = max(range(1, grid_size), key=lambda i: front[i] * back[grid_size - i])
     lo, hi = xs[best - 1], xs[best + 1]
     front_anchor, back_anchor = front[best - 1], back[grid_size - best - 1]
-    phi_lo, psi_hi = _value(phi, lo), _value(psi, hi)
 
     def slope_and_k_squared(x: float) -> tuple[float, float]:
-        f, g = _value(phi, x), _value(psi, x)
-        left = front_anchor + _running_integrals(phi, (lo, x), (phi_lo, f))[1]
-        right = back_anchor + _running_integrals(psi, (x, hi), (g, psi_hi))[1]
-        return f * right - g * left, left * right
+        left = front_anchor + _running_integrals(phi, (lo, x))[1]
+        right = back_anchor + _running_integrals(psi, (x, hi))[1]
+        # Neither call raises: the two integrals above have evaluated phi and psi at x.
+        return phi(x) * right - psi(x) * left, left * right
 
     x_star = sign_change(lambda x: slope_and_k_squared(x)[0], lo, hi)
     return math.sqrt(slope_and_k_squared(x_star)[1]), x_star

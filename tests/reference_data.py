@@ -34,7 +34,6 @@ from jsob.numeric import (
     _W_SIDE,
     MassNotPositiveDefinite,
     NonFiniteIntegral,
-    _value,
     sign_change,
 )
 from jsob.stirling import CompositeCoefficients
@@ -383,6 +382,13 @@ def chel_K_by_adaptive_simpson(instance, grid_size: int) -> tuple[float, float]:
     return math.sqrt(k_squared(x_star)), x_star
 
 
+def _value(fn, x: float) -> float:
+    try:
+        return fn(x)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise NonFiniteIntegral(f"integrand not finite at x = {x}") from exc
+
+
 def _cell_integral(fn, x0: float, x1: float, f0: float, f1: float) -> float:
     """Lobatto integral of fn between x0 and x1 (either order), given f0 = fn(x0)
     and f1 = fn(x1).  NonFiniteIntegral if it is not finite (as when fn is not
@@ -420,7 +426,9 @@ def _running_integrals(fn, xs: list[float]) -> list[float]:
 def chel_K_by_lists(instance, grid_size: int) -> tuple[float, float]:
     """(K, argmax) as chel_K computed it on lists of Python floats, with one
     call of _cell_integral per cell: the same nodes, operations and integrand
-    calls, so it must agree with chel_K bit for bit."""
+    calls, so it must agree with chel_K bit for bit.  Each refinement probe
+    evaluates the ends of both half cells and then phi and psi at x once more,
+    in chel_K's order."""
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
     a, b, phi, psi = instance.a, instance.b, instance.phi, instance.psi
@@ -433,13 +441,11 @@ def chel_K_by_lists(instance, grid_size: int) -> tuple[float, float]:
     best = max(range(1, grid_size), key=lambda i: front[i] * back[i])
     lo, hi = xs[best - 1], xs[best + 1]
     front_anchor, back_anchor = front[best - 1], back[best + 1]
-    phi_lo, psi_hi = _value(phi, lo), _value(psi, hi)
 
     def slope_and_k_squared(x: float) -> tuple[float, float]:
-        f, g = _value(phi, x), _value(psi, x)
-        left = front_anchor + _cell_integral(phi, lo, x, phi_lo, f)
-        right = back_anchor + _cell_integral(psi, x, hi, g, psi_hi)
-        return f * right - g * left, left * right
+        left = front_anchor + _cell_integral(phi, lo, x, _value(phi, lo), _value(phi, x))
+        right = back_anchor + _cell_integral(psi, x, hi, _value(psi, x), _value(psi, hi))
+        return phi(x) * right - psi(x) * left, left * right
 
     x_star = sign_change(lambda x: slope_and_k_squared(x)[0], lo, hi)
     return math.sqrt(slope_and_k_squared(x_star)[1]), x_star

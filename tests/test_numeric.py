@@ -285,6 +285,36 @@ class TestChel:
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
 
+    def test_refinement_maps_integrand_errors(self):
+        # The tabulation makes 8 * grid - 6 integrand calls, so an integrand
+        # that raises only on call 8000 at grid 1000 raises in the refinement,
+        # at psi's first call of the first probe, whose x is inside the best cell.
+        preset, grid = chel_preset("dirichlet"), 1000
+        argmax = chel_K(preset, grid)[1]
+        messages = []
+        for chel in (chel_K, chel_K_by_lists):
+            calls = [0]
+
+            def failing_late(fn):
+                def wrapper(t):
+                    calls[0] += 1
+                    if calls[0] == 8000:
+                        raise ZeroDivisionError("late")
+                    return fn(t)
+
+                return wrapper
+
+            instance = ChelInstance(
+                "late", failing_late(preset.phi), failing_late(preset.psi), preset.a, preset.b
+            )
+            with pytest.raises(NonFiniteIntegral, match="integrand not finite at x = ") as exc:
+                chel(instance, grid)
+            assert calls[0] == 8000 > 8 * grid - 6
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        node = float(messages[0].rsplit(" ", 1)[1])
+        assert abs(node - argmax) < 2 / grid
+
     def test_memory_per_grid_point(self):
         # The grid and both running integrals are arrays of doubles: 24 bytes
         # a point, against 114 for lists of Python floats.
@@ -300,8 +330,8 @@ class TestChel:
 
     def test_cell_loop_calls(self):
         # A cost guard without timing: per cell the loop calls the integrand
-        # three times and map calls it once more; its only builtin calls are
-        # next(values) and totals.append, because abs, max and math.isfinite
+        # four times, at the cell's far end and its three inner nodes; its only
+        # builtin call is totals.append, because abs, max and math.isfinite
         # there would cost a third of the tabulation.
         cells = 100
         fn = lambda t: 1.0 / (2.0 - t)  # noqa: E731
@@ -318,11 +348,11 @@ class TestChel:
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            numeric._running_integrals(fn, points, map(fn, points))
+            numeric._running_integrals(fn, points)
         finally:
             sys.setprofile(previous)
         assert events["call"] == 4 * cells + 1
-        assert events["c_call"] <= 2 * cells + 10
+        assert events["c_call"] <= cells + 10
 
 
 class TestGalerkin:

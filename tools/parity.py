@@ -7,8 +7,11 @@ bytecode, then runs one fixed command list as ``python -m jsob`` subprocesses
 under that tree and under this checkout (uncommitted edits included).  Each
 tree gets its own cache file for the ``{cache}`` argument.  Every command's
 stdout (by sha256), stderr and exit code are compared; one line is printed per
-difference, then the total.  The exit status is 0 when every command agrees
-and 1 otherwise.  ``--only`` keeps the commands whose argv, joined by spaces,
+difference, then the total.  A float command (``chel``, ``spectrum
+--galerkin``) whose stdout differs is listed instead under its own heading,
+with its first differing line before and after, so a rounding change shows
+where it lands.  The exit status is 0 when every command agrees and 1
+otherwise.  ``--only`` keeps the commands whose argv, joined by spaces,
 matches REGEX.
 
 ``--cpu N`` then compiles the checkout too and runs each kept command in N
@@ -35,6 +38,7 @@ import argparse
 import compileall
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -138,15 +142,27 @@ def jsob(tree: Path, argv: list[str], cache: Path, **kwargs) -> subprocess.Popen
     return subprocess.Popen([sys.executable, "-m", "jsob", *argv], env=env, cwd=tree, **kwargs)
 
 
+def is_float(argv: list[str]) -> bool:
+    return argv[0] == "chel" or argv[0] == "spectrum" and "--galerkin" in argv
+
+
 def run_all(tree: Path, listed: list[list[str]], cache: Path) -> list[tuple[str, str, int]]:
-    """(sha256 of stdout, stderr, exit code) of each command, in order, under ``tree``."""
+    """(stdout, stderr, exit code) of each command, in order, under ``tree``; stdout
+    is kept as text for a float command and as its sha256 for any other."""
     results = []
     for argv in listed:
         proc = jsob(tree, argv, cache, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         stdout, stderr = proc.communicate()
         stderr = stderr.decode(errors="replace").replace(str(cache), "{cache}")
-        results.append((hashlib.sha256(stdout).hexdigest(), stderr, proc.returncode))
+        stdout = stdout.decode(errors="replace") if is_float(argv) else hashlib.sha256(stdout).hexdigest()
+        results.append((stdout, stderr, proc.returncode))
     return results
+
+
+def first_difference(before: str, after: str) -> tuple[str, str]:
+    """The first line at which two different outputs differ, from each."""
+    lines = itertools.zip_longest(before.split("\n"), after.split("\n"), fillvalue="(end of output)")
+    return next((a, b) for a, b in lines if a != b)
 
 
 def cpu_seconds(tree: Path, argv: list[str], cache: Path) -> float:
@@ -195,13 +211,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.cpu:
             compileall.compile_dir(ROOT / "src", quiet=1)  # as unpack does for REV
             compare_cpu(runs, listed, args.cpu)
-    differ = 0
+    differ, floats = 0, []
     for cmd, before, after in zip(listed, old, new):
         for what, a, b in zip(("stdout", "stderr", "exit code"), before, after):
-            if a != b:
+            if a != b and what == "stdout" and is_float(cmd):
+                floats.append((cmd, *first_difference(a, b)))
+            elif a != b:
                 shown = f" ({a} -> {b})" if what == "exit code" else ""
                 print(f"{what} differs{shown}: jsob {' '.join(cmd)}")
         differ += before != after
+    if floats:
+        print(f"float stdout differs in {len(floats)} commands (first differing line, before and after):")
+    for cmd, a, b in floats:
+        print(f"  jsob {' '.join(cmd)}\n    - {a}\n    + {b}")
     print(f"against {args.against}: {len(listed) - differ} of {len(listed)} commands "
           f"identical in stdout, stderr and exit code; {differ} differ; "
           f"src/jsob {lines[0]} -> {lines[1]} lines")
