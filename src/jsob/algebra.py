@@ -416,20 +416,6 @@ class ScaledPolynomial(Frozen):
     def derivative(self, order: int = 1) -> "ScaledPolynomial":
         return ScaledPolynomial(self.scale_sq, self.poly.derivative(order))
 
-    def same_function(self, other: "ScaledPolynomial") -> bool:
-        """Exact equality of the represented functions.
-
-        Compares s1 * (q1 * q1) with s2 * (q2 * q2) coefficientwise, plus the
-        sign of the leading coefficients, which determines the square roots.
-        """
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if (self.poly.leading > 0) != (other.poly.leading > 0):
-            return False
-        return self.scale_sq * (self.poly * self.poly) == other.scale_sq * (
-            other.poly * other.poly
-        )
-
     def __str__(self) -> str:
         if self.scale_sq == 1:
             return str(self.poly)

@@ -16,7 +16,6 @@ from .algebra import (
     ONE_MINUS_X2,
     Polynomial,
     RationalLike,
-    ScaledPolynomial,
     Surd,
     as_fraction,
     clear_poles,
@@ -30,7 +29,7 @@ from .jacobi import (
     UndefinedNormalization,
     jacobi_family,
 )
-from .numeric import chel_K, chel_preset, galerkin_eigenvalues, sign_change
+from .numeric import chel_K, chel_preset, galerkin_eigenvalues
 from .operators import (
     Classical,
     LeftDefinite,
@@ -100,17 +99,18 @@ def check_derivative_identity(n: int, j: int, params: JacobiParams) -> bool:
     """Exact check of d^j/dx^j P_n = a(n, j) P_{n-j} at shifted parameters,
     both sides in the L2-orthonormal normalization.
 
-    For j > n both sides vanish.  Comparison is by squared forms with matching
-    leading-coefficient signs.  Propagates UndefinedNormalization (family does
-    not exist) and PoleInGammaRatio (coefficient undefined).
+    For j > n both sides vanish.  Otherwise sqrt(s) p = sqrt(t) q holds exactly
+    when p = c q for a rational c > 0 with s c^2 = t, c the ratio of leading
+    coefficients.  Propagates UndefinedNormalization (family does not exist)
+    and PoleInGammaRatio (coefficient undefined).
     """
     left = jacobi_family(n, params, Normalization.L2).derivative(j)
     a_sq = derivative_coefficient_squared(n, j, params)
     if a_sq == 0:
         return left.is_zero
     base = jacobi_family(n - j, JacobiParams(params.alpha + j, params.beta + j), Normalization.L2)
-    right = ScaledPolynomial(a_sq * base.scale_sq, base.poly)
-    return left.same_function(right)
+    c = left.poly.leading / base.poly.leading
+    return c > 0 and left.poly == c * base.poly and left.scale_sq * c * c == a_sq * base.scale_sq
 
 
 def derivative_orthogonality_value(
@@ -360,10 +360,14 @@ def _galerkin_spectra(*makers):
 
 
 def _chel_dirichlet(rng: random.Random) -> tuple[bool, str]:
-    kmax, _ = chel_K(chel_preset("dirichlet"), 4000)
-    bound = lambda x: 0.5 * (1 - x) * math.log((1 + x) / (1 - x))
-    closed = bound(sign_change(lambda x: 2 / (1 + x) - math.log((1 + x) / (1 - x)), 0.0, 1.0))
-    ok = abs(kmax * kmax - closed) <= _RTOL * closed
+    kmax, arg = chel_K(chel_preset("dirichlet"), 4000)
+    # K^2 = (1 - x) log((1 + x)/(1 - x)) / 2 peaks where log((1 + x)/(1 - x)) = 2/(1 + x),
+    # a root that Newton's method from 0.5 reaches in 4 steps and then keeps.
+    x = 0.5
+    for _ in range(6):
+        x += (2 / (1 + x) - math.log((1 + x) / (1 - x))) / (2 / (1 + x) ** 2 + 2 / (1 - x * x))
+    closed = 0.5 * (1 - x) * math.log((1 + x) / (1 - x))
+    ok = abs(kmax * kmax - closed) <= _RTOL * closed and abs(arg - x) <= 1e-15
     return ok, f"K^2 = {kmax * kmax:.9f} vs closed form {closed:.9f}"
 
 

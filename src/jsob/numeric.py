@@ -152,7 +152,15 @@ def sign_change(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Where fn turns from positive to nonpositive on [lo, hi], by bisection on its
     sign until no float lies between the bracket's ends; the upper end is returned.
     The ends themselves are never evaluated.  For a step function it is the first
-    float at which fn is nonpositive."""
+    float at which fn is nonpositive.  A bracket across 0 is first split there, and
+    one that then ends at 0 tries the float just below 0 (-5e-324) once, rather than
+    halve through every binade down to it."""
+    if lo < 0.0 < hi:
+        lo, hi = (0.0, hi) if fn(0.0) > 0.0 else (lo, 0.0)
+    if lo < -5e-324 < hi == 0.0:
+        if fn(-5e-324) > 0.0:
+            return hi
+        hi = -5e-324
     while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
         lo, hi = (mid, hi) if fn(mid) > 0.0 else (lo, mid)
     return hi

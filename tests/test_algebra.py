@@ -315,14 +315,3 @@ class TestScaledPolynomial:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             ScaledPolynomial(Fraction(0), Polynomial.one())
-
-    def test_same_function_matches_scaling(self):
-        # sqrt(4) * (x/2) equals sqrt(1) * x
-        a = ScaledPolynomial(Fraction(4), Polynomial((0, Fraction(1, 2))))
-        b = ScaledPolynomial(Fraction(1), Polynomial.x())
-        assert a.same_function(b)
-
-    def test_same_function_sign_sensitive(self):
-        a = ScaledPolynomial(Fraction(1), Polynomial.x())
-        b = ScaledPolynomial(Fraction(1), -1 * Polynomial.x())
-        assert not a.same_function(b)

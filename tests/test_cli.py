@@ -472,7 +472,8 @@ class TestVerifyCommand:
             ("verify_defining_identity", ZeroDivisionError, "stirling",
              "stirling.defining-identity"),
             ("apply_ell_power", NotDivisible, "eigen", "eigen.composite-powers"),
-            ("sign_change", MassNotPositiveDefinite, "galerkin", "galerkin.chel-dirichlet"),
+            ("check_derivative_identity", MassNotPositiveDefinite, "identities",
+             "identities.derivative-identity"),
         ],
         ids=["clear_poles", "ValueError", "ZeroDivisionError", "NotDivisible",
              "MassNotPositiveDefinite"],

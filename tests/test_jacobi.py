@@ -119,8 +119,8 @@ class TestNonclassicalJacobi:
         for n in range(2, 10):
             l2 = jacobi_family(n, NONCLASSICAL, Normalization.L2)
             phi = jacobi_family(n, NONCLASSICAL, Normalization.PHI)
-            scaled = ScaledPolynomial(n * (n - 1) * phi.scale_sq, phi.poly)
-            assert l2.same_function(scaled)
+            assert l2.poly == phi.poly
+            assert l2.scale_sq == n * (n - 1) * phi.scale_sq
 
     def test_reference_wraps_classical(self):
         fam = jacobi_family(4, NONCLASSICAL, Normalization.REFERENCE)
@@ -216,6 +216,28 @@ class TestDerivativeIdentity:
                         except (UndefinedNormalization, PoleInGammaRatio):
                             continue
         assert seen == 447  # 9 classical pairs x 45 + nonclassical degrees 2..8
+
+    @pytest.mark.parametrize("n, j, params", [
+        (2, 1, NONCLASSICAL), (5, 2, JacobiParams(0, 0)), (3, 2, JacobiParams(1, 2)),
+    ], ids=["nonclassical-2-1", "legendre-5-2", "jacobi-1-2-3-2"])
+    @pytest.mark.parametrize("fault", [
+        lambda m: ScaledPolynomial(m.scale_sq, -m.poly),
+        lambda m: ScaledPolynomial(4 * m.scale_sq, m.poly),
+        lambda m: ScaledPolynomial(m.scale_sq, m.poly + Polynomial.x()),
+    ], ids=["negated", "scale-times-4", "plus-x"])
+    def test_planted_fault_in_the_base_member(self, monkeypatch, fault, n, j, params):
+        # The base member is P_(n-j) at the shifted parameters; the scale fault
+        # keeps p = c q with c > 0, so only the comparison of scales sees it.
+        family, shifted = checks.jacobi_family, JacobiParams(params.alpha + j, params.beta + j)
+
+        def faulty(m, at, norm):
+            member = family(m, at, norm)
+            return fault(member) if (m, at) == (n - j, shifted) else member
+
+        monkeypatch.setattr(checks, "jacobi_family", faulty)
+        assert not check_derivative_identity(n, j, params)
+        monkeypatch.undo()
+        assert check_derivative_identity(n, j, params)
 
 
 def endpoint_factorization_record():

@@ -477,6 +477,37 @@ class TestGalerkin:
         for m, value in enumerate(galerkin_spectrum(10, -2), start=2):
             assert abs(value - (m * (m - 1) - 2)) <= 1e-13 * max(1, m * (m - 1) - 2)
 
+    @staticmethod
+    def counted_spectrum(monkeypatch, size, k) -> int:
+        calls, count = [0], numeric._count
+
+        def counting(rows, sigma):
+            calls[0] += 1
+            return count(rows, sigma)
+
+        monkeypatch.setattr(numeric, "_count", counting)
+        galerkin_spectrum(size, k)
+        return calls[0]
+
+    def test_eigenvalue_zero_ends_its_bisection_at_once(self, monkeypatch):
+        # The bracket [-r, 0] would otherwise halve through every binade down
+        # to the smallest subnormal, about 1000 more pivot counts.
+        assert self.counted_spectrum(monkeypatch, 10, -2) <= 600
+
+    @pytest.mark.parametrize("size, k, calls", [(10, 1, 555), (200, Fraction(7, 3), 11201)])
+    def test_positive_spectra_keep_their_count_calls(self, monkeypatch, size, k, calls):
+        assert self.counted_spectrum(monkeypatch, size, k) == calls
+
+    def test_step_at_zero_found_in_few_calls(self):
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return x < 0.0
+
+        assert numeric.sign_change(step, -1.0, 1.0) == 0.0
+        assert len(calls) <= 3
+
     @pytest.mark.parametrize("order", [1, 3, 5, 11, 41])
     @pytest.mark.parametrize("a", [0.0, 0.5])
     def test_symmetric_rule_has_the_middle_node_zero(self, order, a):
@@ -627,4 +658,15 @@ class TestVerifyCatchesPlantedFaults:
 
         monkeypatch.setattr(checks, "galerkin_eigenvalues", dropping)
         assert self.failing() == {"galerkin.t-sobolev"}
+
+    def test_dirichlet_argmax_is_checked(self, monkeypatch):
+        # K^2 is flat at its peak, so only the argmax comparison sees the shift.
+        chel = checks.chel_K
+
+        def shifted(instance, grid_size):
+            kmax, arg = chel(instance, grid_size)
+            return kmax, arg + 1e-14 if instance.name == "dirichlet" else arg
+
+        monkeypatch.setattr(checks, "chel_K", shifted)
+        assert self.failing() == {"galerkin.chel-dirichlet"}
 

@@ -28,8 +28,8 @@ size flag at its cap and one above it; each ``chel`` preset at grids 1000,
 small ``--count``; a ``gram`` for each ``--ip`` label; T's exact spectrum at
 k = 7/3; usage errors, undefined requests and a numeric failure (exit codes
 2, 3 and 4); and a ``gram`` grid over 20 ``--ip`` settings, ``--family``
-(none and each value) and ``--max-degree`` 0, 3 and 12.  The last line also
-gives the ``src/jsob`` line count of both trees.
+(none and each value), ``--max-degree`` 0, 3 and 12 and each ``--format``.
+The last line also gives the ``src/jsob`` line count of both trees.
 """
 
 from __future__ import annotations
@@ -97,15 +97,16 @@ OTHERS = [
     ["spectrum", "--operator", "A", "--k", "1e400", "--galerkin", "10"],
 ]
 
-# Every pairing --ip can build, each --family and three sizes: most exit 0 or 3.
+# Every pairing --ip can build, each --family, three sizes and each format: most exit 0 or 3.
 GRAM_GRID = [
-    ["gram", "--ip", *ip, *family, "--max-degree", degree, "--format", "json"]
+    ["gram", "--ip", *ip, *family, "--max-degree", degree, "--format", fmt]
     for ip in (["phi"], ["classical"], ["classical", "--alpha", "0", "--beta", "2"],
                ["classical", "--alpha", "1", "--beta", "1"],
                *(["ld", "--ld-n", n, "--k", k] for n in ("1", "2", "3", "16")
                  for k in ("0", "1/2", "1", "7/3")))
     for family in ([], ["--family", "reference"], ["--family", "l2"], ["--family", "phi"])
     for degree in ("0", "3", "12")
+    for fmt in ("json", "csv", "pretty")
 ]
 
 def command_list() -> list[list[str]]:
