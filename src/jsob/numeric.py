@@ -265,12 +265,16 @@ def solve_galerkin(block, count=None) -> list[float]:
     eigenvalues at or below sigma (W. Barth, R. S. Martin and J. H. Wilkinson,
     Numer. Math. 9, 1967; G. Peters and J. H. Wilkinson, Comput. J. 12, 1969);
     eigenvalue j is the upper end of sign_change's bracket on "count <= j",
-    searched between eigenvalue j - 1 and the spectrum's bracket.  The float
-    count need not be monotone near a root, so that end need not be the only
-    float at which the count turns from j to more than j.  A mass pivot that is
-    not positive (or is NaN) raises MassNotPositiveDefinite, a spectrum with no
-    finite bracket NonFiniteIntegral.
+    searched between eigenvalue j - 1 and the spectrum's bracket, or eigenvalue
+    j - 1 itself if its count, recorded when sign_change evaluated it (or n at
+    the bracket), exceeds j: a repeated eigenvalue comes out as equal floats.  The
+    float count need not be monotone near a root, so that end need not be the only
+    float at which the count turns from j to more than j.  A negative ``count``
+    raises ValueError, a mass pivot that is not positive (or is NaN)
+    MassNotPositiveDefinite, a spectrum with no finite bracket NonFiniteIntegral.
     """
+    if count is not None and count < 0:
+        raise ValueError("count must be nonnegative")
     s_diag, s_off, m_diag, m_off = block
     d = 1.0
     for m, m_prev in zip(m_diag, (0.0, *m_off)):
@@ -283,9 +287,11 @@ def solve_galerkin(block, count=None) -> list[float]:
         radius *= 2.0
     if not math.isfinite(radius):
         raise NonFiniteIntegral("the Galerkin eigenvalues have no finite bracket")
-    values = [-radius]
+    values, counts = [-radius], {radius: n}  # the count at every shift evaluated
     for j in range(n)[:count]:
-        values.append(sign_change(lambda sigma: _count(rows, sigma) <= j, values[-1], radius))
+        last = values[-1]
+        values.append(last if counts.get(last, 0) > j else sign_change(
+            lambda sigma: counts.setdefault(sigma, _count(rows, sigma)) <= j, last, radius))
     return values[1:]
 
 
@@ -299,11 +305,12 @@ def galerkin_spectrum(size: int, k, chain=(), count=None) -> list[float]:
 
 def galerkin_eigenvalues(spec: SpectrumSpec, size: int, count=None) -> list[float]:
     """spec's eigenvalues from index spec.first_index by its Galerkin pencil of the given
-    size, the first ``count`` if given; T's first two are k, of 1 and x, which are
-    phi-orthogonal to the bubbles."""
+    size, the first ``count`` if given.  T's even and odd pencils lead with a row for 1
+    and for x / sqrt(3), phi-orthonormal eigenfunctions of ell at k phi-orthogonal to
+    the bubbles: stiffness k and mass 1, uncoupled."""
     k, tag = spec.k, spec.operator
     chain = {OperatorTag.A: (), OperatorTag.BN: (k,) * (spec.power or 0), OperatorTag.T: (0,)}[tag]
-    lead = 2 if tag is OperatorTag.T else 0
-    values = galerkin_spectrum(size, k, chain, None if count is None else max(count - lead, 0))
-    # After the solve, so a k beyond float range fails there.
-    return ([float(k)] * 2 + values)[:count] if lead else values
+    blocks = galerkin_system(size, k, chain)
+    if tag is OperatorTag.T:
+        blocks = [tuple((v, *part) for v, part in zip((float(k), 0.0, 1.0, 0.0), b)) for b in blocks]
+    return sorted(v for block in blocks for v in solve_galerkin(block, count))[:count]

@@ -355,10 +355,10 @@ class TestNumericFailureExitCode:
     def test_indefinite_mass_maps_to_exit_4(self, capsys, monkeypatch):
         import jsob.numeric as numeric
 
-        def boom(size, k, chain, count):
+        def boom(block, count):
             raise MassNotPositiveDefinite("mass pivot 0.0 is not positive")
 
-        monkeypatch.setattr(numeric, "galerkin_spectrum", boom)
+        monkeypatch.setattr(numeric, "solve_galerkin", boom)
         code, _, err = run(capsys, "spectrum", "--operator", "A", "--galerkin", "10")
         assert code == 4
         assert "numeric failure" in err
@@ -368,7 +368,7 @@ class TestNumericFailureExitCode:
     @pytest.mark.parametrize("k", ["1e400", "1e308"])
     def test_shift_beyond_float_range_maps_to_exit_4(self, capsys, k, operator, fmt):
         # 1e400 has no float; at 1e308 the stiffness entries overflow.  T converts
-        # k to a float for its indices 0 and 1 only after the solve, which reports
+        # k to a float for its rows of 1 and x only after assembly, which reports
         # both.  A warning on its way to stderr is raised here instead.
         with warnings.catch_warnings():
             warnings.simplefilter("error")

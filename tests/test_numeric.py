@@ -614,6 +614,57 @@ class TestGalerkin:
         for count in (1, 2, 3, size):
             assert galerkin_eigenvalues(spec, size, count) == full[:count]
 
+    @staticmethod
+    def diagonal(*values):
+        """The pencil diag(values) against the identity, as one block."""
+        zeros = (0.0,) * (len(values) - 1)
+        return values, zeros, (1.0,) * len(values), zeros
+
+    def test_repeated_eigenvalue_comes_out_equal(self):
+        # Eigenvalue j's search starts above eigenvalue j - 1, so without the
+        # recorded count a repeated value came out as the next float up.
+        assert solve_galerkin(self.diagonal(2.0, 2.0, 2.0)) == [2.0] * 3
+        assert solve_galerkin(self.diagonal(2.0, 2.0, 2.0), 2) == [2.0] * 2
+        assert solve_galerkin(self.diagonal(0.0, 0.0)) == [0.0, 0.0]
+        assert solve_galerkin(self.diagonal(3.0, 2.0, 3.0, 2.0)) == [2.0, 2.0, 3.0, 3.0]
+
+    def test_t_pencils_lead_with_the_rows_of_1_and_x(self, monkeypatch):
+        # 1 and x / sqrt(3) are phi-orthonormal, phi-orthogonal to every bubble
+        # and eigenfunctions at k: each of T's halves is solved with their row.
+        k, blocks, solve = Fraction(7, 3), [], numeric.solve_galerkin
+        monkeypatch.setattr(numeric, "solve_galerkin",
+                            lambda block, count: blocks.append(block) or solve(block, count))
+        values = galerkin_eigenvalues(SpectrumSpec(OperatorTag.T, k), 12)
+        assert values[:2] == [float(k)] * 2
+        assert len(blocks) == 2
+        for block, bubbles in zip(blocks, galerkin_system(12, k, (0,))):
+            assert tuple(part[0] for part in block) == (float(k), 0.0, 1.0, 0.0)
+            assert tuple(part[1:] for part in block) == bubbles
+
+    def test_t_leading_pair_is_k_to_the_bit(self):
+        # x at mass 3 rather than 1 rounded its value one float below k at 82 of
+        # these 660 shifts.
+        for k in (Fraction(n, d) for n in range(60) for d in range(1, 12)):
+            spec = SpectrumSpec(OperatorTag.T, k)
+            for count in (1, 2, None):
+                assert galerkin_eigenvalues(spec, 2, count)[:2] == [float(k)] * min(count or 2, 2), k
+
+    def test_t_values_ascend_where_k_hides_its_gap_to_the_bubbles(self):
+        # At k = 3e17, k + 2 and k + 6 round to within the solve's error of k, and the
+        # bubbles' values come out below float(k): they lead, and the list ascends.
+        k = Fraction(3 * 10**17)
+        values = galerkin_eigenvalues(SpectrumSpec(OperatorTag.T, k), 64, 4)
+        assert values == sorted(values) and values[0] < float(k) == values[-1]
+        assert all(abs(v - float(k)) <= 1e-13 * float(k) for v in values)
+
+    def test_negative_count_is_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            solve_galerkin(self.diagonal(1.0, 2.0), -1)
+        with pytest.raises(ValueError, match="count"):
+            galerkin_spectrum(6, 1, count=-2)
+        with pytest.raises(ValueError, match="count"):
+            galerkin_eigenvalues(SpectrumSpec(OperatorTag.T, 1), 6, -1)
+
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 12, 63, 64, 199, 200])
     @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
     def test_eigenvalues_near_rounding_of_exact_spectrum(self, size, k):

@@ -25,10 +25,13 @@ The list: every argv in ``tests/cli_golden.json``; the benchmark's ``exact``,
 read-only) for seeds 1 and 2; ``verify --suite all`` in each format; each
 size flag at its cap and one above it; each ``chel`` preset at grids 1000,
 10000 and 100000; T with ``--galerkin``; Galerkin solves cut short by a
-small ``--count``; a ``gram`` for each ``--ip`` label; T's exact spectrum at
-k = 7/3; usage errors, undefined requests and a numeric failure (exit codes
-2, 3 and 4); and a ``gram`` grid over 20 ``--ip`` settings, ``--family``
-(none and each value), ``--max-degree`` 0, 3 and 12 and each ``--format``.
+small ``--count`` (T's at counts 1, 2 and 3 in each format); a ``gram`` for
+each ``--ip`` label; T's exact spectrum at k = 7/3; usage errors, undefined
+requests and a numeric failure (exit codes 2, 3 and 4); one command of each
+subcommand with its stdout on ``/dev/full`` and with it closed (exit 6, argv
+ending in the shell redirection ``>/dev/full`` or ``>&-``); and a ``gram``
+grid over 20 ``--ip`` settings, ``--family`` (none and each value),
+``--max-degree`` 0, 3 and 12 and each ``--format``.
 The last line also gives the ``src/jsob`` line count of both trees.
 """
 
@@ -85,8 +88,8 @@ OTHERS = [
                  ["classical"], ["phi", "--family", "l2"])),
     ["spectrum", "--operator", "T", "--k", "7/3", "--count", "100000", "--format", "json"],
     ["spectrum", "--operator", "T", "--k", "1", "--count", "4", "--galerkin", "12", "--format", "csv"],
-    *(["spectrum", "--operator", "T", "--count", count, "--galerkin", "12", "--format", "csv"]
-      for count in ("1", "2")),
+    *(["spectrum", "--operator", "T", "--count", count, "--galerkin", "12", "--format", fmt]
+      for count in ("1", "2", "3") for fmt in ("json", "csv", "pretty")),
     *(["spectrum", "--operator", *operator, "--k", "7/3", "--count", "4", "--galerkin", "200",
        "--format", "json"] for operator in (["A"], ["T"], ["Bn", "--ld-n", "16"])),
     ["spectrum", "--operator", "A", "--k=-1"],
@@ -95,6 +98,17 @@ OTHERS = [
     ["poly", "--n", "1", "--alpha=-1", "--beta=-1", "--normalization", "l2"],
     ["gram", "--ip", "classical", "--alpha=1/2", "--beta=-1/3", "--max-degree", "3"],
     ["spectrum", "--operator", "A", "--k", "1e400", "--galerkin", "10"],
+]
+
+# Stdout redirected by the shell as the last argument says: output errors, exit 6.
+REDIRECTS = (">/dev/full", ">&-")
+NO_STDOUT = [
+    [*argv, redirect]
+    for argv in (["stirling", "--max-n", "3"], ["poly", "--n", "3", "--alpha=-1", "--beta=-1"],
+                 ["gram", "--ip", "phi", "--max-degree", "3"],
+                 ["spectrum", "--operator", "T", "--count", "3", "--galerkin", "12"],
+                 ["chel", "--case", "unit", "--grid", "1000"], ["verify", "--suite", "identities"])
+    for redirect in REDIRECTS
 ]
 
 # Every pairing --ip can build, each --family, three sizes and each format: most exit 0 or 3.
@@ -119,7 +133,7 @@ def command_list() -> list[list[str]]:
     for name in ("exact", "float", "cli-cache"):
         listed += [cmd.argv for seed in (1, 2) for cmd in workloads.generate(name, seed)]
     listed += [["verify", "--suite", "all", "--format", fmt] for fmt in ("json", "csv", "pretty")]
-    return listed + AT_CAPS + ABOVE_CAPS + OTHERS + GRAM_GRID
+    return listed + AT_CAPS + ABOVE_CAPS + OTHERS + NO_STDOUT + GRAM_GRID
 
 
 def unpack(rev: str, dest: Path) -> Path:
@@ -136,11 +150,14 @@ def src_lines(tree: Path) -> int:
 
 
 def jsob(tree: Path, argv: list[str], cache: Path, **kwargs) -> subprocess.Popen:
-    """Start ``python -m jsob`` with ``argv`` under ``tree``, its cache at ``cache``."""
+    """Start ``python -m jsob`` with ``argv`` under ``tree``, its cache at ``cache``; a
+    last argument in REDIRECTS goes to ``sh``, which applies it to stdout."""
     env = {key: value for key, value in os.environ.items() if not key.startswith("JSOB_")}
     env["PYTHONPATH"] = str(tree / "src")
-    argv = [arg.replace("{cache}", str(cache)) for arg in argv]
-    return subprocess.Popen([sys.executable, "-m", "jsob", *argv], env=env, cwd=tree, **kwargs)
+    command = [sys.executable, "-m", "jsob", *(arg.replace("{cache}", str(cache)) for arg in argv)]
+    if argv[-1] in REDIRECTS:
+        command = ["sh", "-c", f'exec "$0" "$@" {command.pop()}', *command]
+    return subprocess.Popen(command, env=env, cwd=tree, **kwargs)
 
 
 def is_float(argv: list[str]) -> bool:
