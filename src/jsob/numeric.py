@@ -6,7 +6,7 @@ this module is where doubles are allowed, in pure Python (chel's tables are
 array('d'), imported on first use).  The Galerkin
 discretization on the basis (1 - x^2) P_i (Legendre P_i) builds each pencil by
 left-definite band steps from the closed-form weighted-L2 Gram matrix and
-solves its two tridiagonal halves by sign bisection on Sturm counts.
+solves its two tridiagonal halves by sign bisection on Sturm counts, merged lazily.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "chel_K",
     "sign_change",
     "galerkin_system",
-    "galerkin_spectrum",
     "galerkin_eigenvalues",
     "solve_galerkin",
 ]
@@ -257,50 +256,49 @@ def _count(rows, sigma: float) -> int:
     return count
 
 
-def solve_galerkin(block, count=None) -> list[float]:
-    """Ascending eigenvalues of one tridiagonal pencil S v = lambda M v, only the
-    first ``count`` if given (eigenvalue j depends on none after it).
+def solve_galerkin(blocks, count=None) -> list[float]:
+    """Ascending eigenvalues of the pencil S v = lambda M v with these tridiagonal
+    blocks, only the first ``count`` if given (eigenvalue j depends on none after it).
 
-    The nonpositive pivots of the LDL^T factorization of S - sigma M count the
+    The nonpositive pivots of the LDL^T factorization of S - sigma M count a block's
     eigenvalues at or below sigma (W. Barth, R. S. Martin and J. H. Wilkinson,
-    Numer. Math. 9, 1967; G. Peters and J. H. Wilkinson, Comput. J. 12, 1969);
-    eigenvalue j is the upper end of sign_change's bracket on "count <= j",
-    searched between eigenvalue j - 1 and the spectrum's bracket, or eigenvalue
-    j - 1 itself if its count, recorded when sign_change evaluated it (or n at
-    the bracket), exceeds j: a repeated eigenvalue comes out as equal floats.  The
-    float count need not be monotone near a root, so that end need not be the only
-    float at which the count turns from j to more than j.  A negative ``count``
-    raises ValueError, a mass pivot that is not positive (or is NaN)
-    MassNotPositiveDefinite, a spectrum with no finite bracket NonFiniteIntegral.
+    Numer. Math. 9, 1967; G. Peters and J. H. Wilkinson, Comput. J. 12, 1969).
+    heapq.merge solves a block's next eigenvalue only when it is due, ties in block
+    order: two blocks cost at most count + 1 bisections.  Before any is solved, a
+    negative ``count`` raises ValueError, a mass pivot that is not positive (or is
+    NaN) MassNotPositiveDefinite, a block with no finite bracket NonFiniteIntegral.
     """
+    import heapq
     if count is not None and count < 0:
         raise ValueError("count must be nonnegative")
-    s_diag, s_off, m_diag, m_off = block
-    d = 1.0
-    for m, m_prev in zip(m_diag, (0.0, *m_off)):
-        if not (d := m - m_prev * (m_prev / d)) > 0.0:
-            raise MassNotPositiveDefinite(f"mass pivot {d} is not positive")
-    rows, n = tuple(zip(s_diag, m_diag, (0.0, *s_off), (0.0, *m_off))), len(s_diag)
-    # Doubled until it brackets the spectrum or, within 1030 doublings, overflows.
-    radius = 2.0 * max(1.0, *(abs(s / m) for s, m, _, _ in rows))
-    while math.isfinite(radius) and (_count(rows, -radius) or _count(rows, radius) < n):
-        radius *= 2.0
-    if not math.isfinite(radius):
-        raise NonFiniteIntegral("the Galerkin eigenvalues have no finite bracket")
-    values, counts = [-radius], {radius: n}  # the count at every shift evaluated
-    for j in range(n)[:count]:
-        last = values[-1]
-        values.append(last if counts.get(last, 0) > j else sign_change(
-            lambda sigma: counts.setdefault(sigma, _count(rows, sigma)) <= j, last, radius))
-    return values[1:]
+    pencils = []
+    for s_diag, s_off, m_diag, m_off in blocks:
+        d = 1.0
+        for m, m_prev in zip(m_diag, (0.0, *m_off)):
+            if not (d := m - m_prev * (m_prev / d)) > 0.0:
+                raise MassNotPositiveDefinite(f"mass pivot {d} is not positive")
+        rows, n = tuple(zip(s_diag, m_diag, (0.0, *s_off), (0.0, *m_off))), len(s_diag)
+        # Doubled until it brackets the spectrum or, within 1030 doublings, overflows.
+        radius = 2.0 * max(1.0, *(abs(s / m) for s, m, _, _ in rows))
+        while math.isfinite(radius) and (_count(rows, -radius) or _count(rows, radius) < n):
+            radius *= 2.0
+        if not math.isfinite(radius):
+            raise NonFiniteIntegral("the Galerkin eigenvalues have no finite bracket")
+        pencils.append(_ascending(rows, n, radius))
+    return list(islice(heapq.merge(*pencils), count))
 
 
-def galerkin_spectrum(size: int, k, chain=(), count=None) -> list[float]:
-    """Ascending eigenvalues of galerkin_system(size, k, chain), the first ``count`` if
-    given: the trial space of size s spans the exact eigenfunctions of degrees 2..s+1,
-    so they equal m(m-1) + k, m = 2, ..., s+1, up to rounding in assembly and eigensolve."""
-    blocks = galerkin_system(size, k, chain)
-    return sorted(v for block in blocks for v in solve_galerkin(block, count))[:count]
+def _ascending(rows, n: int, radius: float):
+    """A block's eigenvalues, ascending, each solved when asked for.  Eigenvalue j is
+    eigenvalue j - 1 if the count recorded there (n at the radius) exceeds j, so a
+    repeated one comes out as equal floats, else the upper end of sign_change's bracket
+    on "count <= j" from there to the radius (the float count need not be monotone)."""
+    value, counts = -radius, {radius: n}  # the count at every shift evaluated
+    for j in range(n):
+        if counts.get(value, 0) <= j:
+            value = sign_change(
+                lambda sigma: counts.setdefault(sigma, _count(rows, sigma)) <= j, value, radius)
+        yield value
 
 
 def galerkin_eigenvalues(spec: SpectrumSpec, size: int, count=None) -> list[float]:
@@ -313,4 +311,4 @@ def galerkin_eigenvalues(spec: SpectrumSpec, size: int, count=None) -> list[floa
     blocks = galerkin_system(size, k, chain)
     if tag is OperatorTag.T:
         blocks = [tuple((v, *part) for v, part in zip((float(k), 0.0, 1.0, 0.0), b)) for b in blocks]
-    return sorted(v for block in blocks for v in solve_galerkin(block, count))[:count]
+    return solve_galerkin(blocks, count)

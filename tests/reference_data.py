@@ -34,7 +34,9 @@ from jsob.numeric import (
     _W_SIDE,
     MassNotPositiveDefinite,
     NonFiniteIntegral,
+    galerkin_system,
     sign_change,
+    solve_galerkin,
 )
 from jsob.stirling import CompositeCoefficients
 
@@ -483,6 +485,11 @@ def galerkin_system_dense(size: int, k):
     if not np.isfinite(stiff).all():
         raise NonFiniteIntegral("the Galerkin stiffness integrals are not finite")
     return stiff, 0.5 * (mass + mass.T)
+
+
+def galerkin_spectrum(size: int, k, chain=(), count=None) -> list[float]:
+    """Ascending eigenvalues of galerkin_system(size, k, chain), the first ``count`` if given."""
+    return solve_galerkin(galerkin_system(size, k, chain), count)
 
 
 def solve_galerkin_dense(stiffness, mass) -> list[float]:

@@ -28,7 +28,7 @@ from jsob.jacobi import (
     UndefinedNormalization,
     jacobi_family,
 )
-from jsob.numeric import chel_K, chel_preset, galerkin_spectrum
+from jsob.numeric import chel_K, chel_preset
 from jsob.operators import (
     LeftDefinite,
     OperatorTag,
@@ -42,7 +42,7 @@ from jsob.operators import (
     spectrum,
 )
 from jsob.stirling import build_table, composite_coefficients
-from reference_data import JACOBI_STIRLING_TABLE
+from reference_data import JACOBI_STIRLING_TABLE, galerkin_spectrum
 
 
 class Budget:

@@ -22,7 +22,7 @@ PINNED = {
                   "SobolevPhi", "SpectrumSpec", "apply_ell", "apply_ell_power", "decompose_w",
                   "gram_matrix", "inner_product", "operator_matrix", "spectrum"),
     "numeric": ("MassNotPositiveDefinite", "NonFiniteIntegral", "chel_K", "chel_preset",
-                "galerkin_spectrum", "galerkin_system"),
+                "galerkin_system"),
 }
 
 

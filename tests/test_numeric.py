@@ -18,7 +18,6 @@ from jsob.numeric import (
     chel_K,
     chel_preset,
     galerkin_eigenvalues,
-    galerkin_spectrum,
     galerkin_system,
     solve_galerkin,
 )
@@ -33,6 +32,7 @@ from jsob.operators import (
 from reference_data import (
     chel_K_by_adaptive_simpson,
     chel_K_by_lists,
+    galerkin_spectrum,
     galerkin_system_dense,
     jacobi_matrix_pencil,
     solve_galerkin_dense,
@@ -448,7 +448,7 @@ class TestGalerkin:
         stiff = ((1.0, 1.0), (0.0,))
         for mass in (((1.0, 1.0), (1.0,)), ((-1.0, 1.0), (0.0,)), ((1.0, math.nan), (0.0,))):
             with pytest.raises(MassNotPositiveDefinite):
-                solve_galerkin((*stiff, *mass))
+                solve_galerkin([(*stiff, *mass)])
 
     def test_nonfinite_bracket_raises(self):
         # Eigenvalues near 1e308: twice the largest Rayleigh quotient overflows.
@@ -465,7 +465,7 @@ class TestGalerkin:
         sigmas, count = [], numeric._count
         monkeypatch.setattr(numeric, "_count",
                             lambda rows, sigma: sigmas.append(sigma) or count(rows, sigma))
-        values = solve_galerkin(block)
+        values = solve_galerkin([block])
         assert sigmas[:5] == [-2.0, -4.0, -8.0, -16.0, 16.0]
         assert values == [-9.0, 11.0]
         np.testing.assert_allclose(values, np.linalg.eigvalsh([[1.0, 10.0], [10.0, 1.0]]),
@@ -513,7 +513,7 @@ class TestGalerkin:
     def test_symmetric_rule_has_the_middle_node_zero(self, order, a):
         # The Jacobi matrix of odd order with alpha = beta has the eigenvalue 0
         # (the middle Gauss-Jacobi node), where its first pivot is exactly zero.
-        assert solve_galerkin(jacobi_matrix_pencil(order, a, a))[order // 2] == 0.0
+        assert solve_galerkin([jacobi_matrix_pencil(order, a, a)])[order // 2] == 0.0
 
     def test_count_budget_per_eigenvalue(self, monkeypatch):
         # Each eigenvalue is one bisection between the previous eigenvalue and
@@ -549,7 +549,7 @@ class TestGalerkin:
             return count(rows, sigma)
 
         monkeypatch.setattr(numeric, "_count", recording)
-        nodes = solve_galerkin(jacobi_matrix_pencil(3, 0.5, 0.5))
+        nodes = solve_galerkin([jacobi_matrix_pencil(3, 0.5, 0.5)])
         assert abs(nodes[2] - math.sqrt(0.5)) <= 1e-15
         rows = seen[0]
         assert count(rows, 0.5) == count(rows, math.nextafter(0.5, 1.0)) == 2
@@ -614,6 +614,32 @@ class TestGalerkin:
         for count in (1, 2, 3, size):
             assert galerkin_eigenvalues(spec, size, count) == full[:count]
 
+    @pytest.mark.parametrize("count", [1, 4, 8])
+    @pytest.mark.parametrize("spec", [
+        SpectrumSpec(OperatorTag.A, Fraction(7, 3)),
+        SpectrumSpec(OperatorTag.T, Fraction(7, 3)),
+        SpectrumSpec(OperatorTag.BN, Fraction(7, 3), 16),
+    ], ids=["A", "T", "B16"])
+    def test_merge_bisects_only_what_it_returns(self, monkeypatch, spec, count):
+        # Each parity pencil is asked for its next eigenvalue only when the merge
+        # needs it, so the two cost one bisection each up front and one per value
+        # returned after the first; solving `count` of each made 2 * count.
+        calls, bisect = [0], numeric.sign_change
+
+        def bisecting(fn, lo, hi):
+            calls[0] += 1
+            return bisect(fn, lo, hi)
+
+        monkeypatch.setattr(numeric, "sign_change", bisecting)
+        assert len(galerkin_eigenvalues(spec, 200, count)) == count
+        assert calls[0] <= count + 1
+        # Every block is checked before any eigenvalue is solved, at count 0 too.
+        good, singular = self.diagonal(1.0, 2.0), ((1.0, 1.0), (0.0,), (1.0, 1.0), (1.0,))
+        with pytest.raises(MassNotPositiveDefinite):
+            solve_galerkin([good, singular], 0)
+        with pytest.raises(NonFiniteIntegral):
+            solve_galerkin([good, self.diagonal(1e308, 1.0)], 0)
+
     @staticmethod
     def diagonal(*values):
         """The pencil diag(values) against the identity, as one block."""
@@ -623,17 +649,17 @@ class TestGalerkin:
     def test_repeated_eigenvalue_comes_out_equal(self):
         # Eigenvalue j's search starts above eigenvalue j - 1, so without the
         # recorded count a repeated value came out as the next float up.
-        assert solve_galerkin(self.diagonal(2.0, 2.0, 2.0)) == [2.0] * 3
-        assert solve_galerkin(self.diagonal(2.0, 2.0, 2.0), 2) == [2.0] * 2
-        assert solve_galerkin(self.diagonal(0.0, 0.0)) == [0.0, 0.0]
-        assert solve_galerkin(self.diagonal(3.0, 2.0, 3.0, 2.0)) == [2.0, 2.0, 3.0, 3.0]
+        assert solve_galerkin([self.diagonal(2.0, 2.0, 2.0)]) == [2.0] * 3
+        assert solve_galerkin([self.diagonal(2.0, 2.0, 2.0)], 2) == [2.0] * 2
+        assert solve_galerkin([self.diagonal(0.0, 0.0)]) == [0.0, 0.0]
+        assert solve_galerkin([self.diagonal(3.0, 2.0, 3.0, 2.0)]) == [2.0, 2.0, 3.0, 3.0]
 
     def test_t_pencils_lead_with_the_rows_of_1_and_x(self, monkeypatch):
         # 1 and x / sqrt(3) are phi-orthonormal, phi-orthogonal to every bubble
         # and eigenfunctions at k: each of T's halves is solved with their row.
         k, blocks, solve = Fraction(7, 3), [], numeric.solve_galerkin
         monkeypatch.setattr(numeric, "solve_galerkin",
-                            lambda block, count: blocks.append(block) or solve(block, count))
+                            lambda pencil, count: blocks.extend(pencil) or solve(pencil, count))
         values = galerkin_eigenvalues(SpectrumSpec(OperatorTag.T, k), 12)
         assert values[:2] == [float(k)] * 2
         assert len(blocks) == 2
@@ -659,7 +685,7 @@ class TestGalerkin:
 
     def test_negative_count_is_rejected(self):
         with pytest.raises(ValueError, match="count"):
-            solve_galerkin(self.diagonal(1.0, 2.0), -1)
+            solve_galerkin([self.diagonal(1.0, 2.0)], -1)
         with pytest.raises(ValueError, match="count"):
             galerkin_spectrum(6, 1, count=-2)
         with pytest.raises(ValueError, match="count"):

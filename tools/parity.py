@@ -25,13 +25,14 @@ The list: every argv in ``tests/cli_golden.json``; the benchmark's ``exact``,
 read-only) for seeds 1 and 2; ``verify --suite all`` in each format; each
 size flag at its cap and one above it; each ``chel`` preset at grids 1000,
 10000 and 100000; T with ``--galerkin``; Galerkin solves cut short by a
-small ``--count`` (T's at counts 1, 2 and 3 in each format); a ``gram`` for
-each ``--ip`` label; T's exact spectrum at k = 7/3; usage errors, undefined
-requests and a numeric failure (exit codes 2, 3 and 4); one command of each
-subcommand with its stdout on ``/dev/full`` and with it closed (exit 6, argv
-ending in the shell redirection ``>/dev/full`` or ``>&-``); and a ``gram``
-grid over 20 ``--ip`` settings, ``--family`` (none and each value),
-``--max-degree`` 0, 3 and 12 and each ``--format``.
+small ``--count`` (T's at counts 1, 2 and 3 in each format, A's and B16's
+at size 200 and counts 1, 2, 3 and 9, which end in either parity pencil);
+a ``gram`` for each ``--ip`` label; T's exact spectrum at k = 7/3; usage
+errors, undefined requests and a numeric failure (exit codes 2, 3 and 4);
+one command of each subcommand with its stdout on ``/dev/full`` and with it
+closed (exit 6, argv ending in the shell redirection ``>/dev/full`` or
+``>&-``); and a ``gram`` grid over 20 ``--ip`` settings, ``--family`` (none
+and each value), ``--max-degree`` 0, 3 and 12 and each ``--format``.
 The last line also gives the ``src/jsob`` line count of both trees.
 """
 
@@ -81,7 +82,8 @@ ABOVE_CAPS = [
 ]
 # One gram per --ip label (default --alpha/--beta and a non-integral --k among them),
 # T's exact spectrum at a non-integral --k, T's Galerkin rows, Galerkin solves that
-# stop at --count (T's two leading rows count), then failures with exit codes 2 (usage), 3 (undefined) and 4 (numeric).
+# stop at --count (T's two leading rows count; A's and B16's at counts that end in
+# either parity pencil), then failures with exit codes 2 (usage), 3 (undefined) and 4 (numeric).
 OTHERS = [
     *(["gram", "--ip", *ip, "--max-degree", "4", "--format", "json"]
       for ip in (["ld", "--ld-n", "3", "--k", "7/3"], ["classical", "--alpha", "0", "--beta", "2"],
@@ -92,6 +94,8 @@ OTHERS = [
       for count in ("1", "2", "3") for fmt in ("json", "csv", "pretty")),
     *(["spectrum", "--operator", *operator, "--k", "7/3", "--count", "4", "--galerkin", "200",
        "--format", "json"] for operator in (["A"], ["T"], ["Bn", "--ld-n", "16"])),
+    *(["spectrum", "--operator", *operator, "--count", count, "--galerkin", "200", "--format", "csv"]
+      for operator in (["A"], ["Bn", "--ld-n", "16"]) for count in ("1", "2", "3", "9")),
     ["spectrum", "--operator", "A", "--k=-1"],
     ["poly", "--n", "2", "--alpha=x", "--beta=-1"],
     ["stirling", "--max-n", "3", "--config", "/nonexistent"],
